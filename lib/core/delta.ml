@@ -6,22 +6,27 @@ let exact theta theta' ctx =
 
 let sound_for = Graph.simple_disjunctive
 
-let completion_estimate ~k ~complete ~theta ~theta' (outcome : Exec.outcome) =
+let completion_estimates ~k ~complete ~theta ~theta's (outcome : Exec.outcome) =
   let g = Spec.graph theta in
-  if Spec.graph theta' != g then
+  if Array.exists (fun theta' -> Spec.graph theta' != g) theta's then
     invalid_arg "Delta: strategies are over different graphs";
   if not (sound_for g) then
     invalid_arg
       "Delta: the trace-based estimates are only sound for simple \
        disjunctive graphs";
-  let partial = Exec.to_partial g outcome in
-  let completed = complete partial in
-  outcome.Exec.cost -. (Exec.first_k k theta' completed).Exec.cost
+  let completed = complete (Exec.to_partial g outcome) in
+  Array.map
+    (fun theta' ->
+      outcome.Exec.cost -. (Exec.first_k k theta' completed).Exec.cost)
+    theta's
 
-let underestimate ?(k = 1) ~theta ~theta' outcome =
-  completion_estimate ~k ~complete:Context.Partial.pessimistic ~theta ~theta'
-    outcome
+let underestimates ?(k = 1) ~theta ~theta's outcome =
+  completion_estimates ~k ~complete:Context.Partial.pessimistic ~theta
+    ~theta's outcome
+
+let underestimate ?k ~theta ~theta' outcome =
+  (underestimates ?k ~theta ~theta's:[| theta' |] outcome).(0)
 
 let overestimate ?(k = 1) ~theta ~theta' outcome =
-  completion_estimate ~k ~complete:Context.Partial.optimistic ~theta ~theta'
-    outcome
+  (completion_estimates ~k ~complete:Context.Partial.optimistic ~theta
+     ~theta's:[| theta' |] outcome).(0)

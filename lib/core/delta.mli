@@ -30,6 +30,12 @@ val exact : Spec.t -> Spec.t -> Context.t -> float
     Raises [Invalid_argument] if the graph is not simple disjunctive. *)
 val underestimate : ?k:int -> theta:Spec.t -> theta':Spec.t -> Exec.outcome -> float
 
+(** Δ̃ against several Θ′ from one outcome: the pessimistic completion is
+    built once and every Θ′ replayed on it. Entry [i] is bit for bit
+    [underestimate ?k ~theta ~theta':theta's.(i) outcome]. *)
+val underestimates :
+  ?k:int -> theta:Spec.t -> theta's:Spec.t array -> Exec.outcome -> float array
+
 (** Δ̂ from Θ's outcome (same restriction). *)
 val overestimate : ?k:int -> theta:Spec.t -> theta':Spec.t -> Exec.outcome -> float
 

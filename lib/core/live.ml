@@ -7,6 +7,9 @@ type t = {
   built : Build.result;
   mutable learner : Learner.t;
   mutable order_by_pred : (int, D.Clause.t list) Hashtbl.t;
+  mutable paths : Spec.t;
+      (* the current strategy compiled, for [learn]'s execution; rebuilt
+         with [order_by_pred] whenever the strategy changes *)
   mutable queries : int;
   mutable switches : int;
   mutable reductions : int;
@@ -53,6 +56,7 @@ let create ?(learner = `Pib) ?config ~rulebase ~query_form () =
     built;
     learner;
     order_by_pred = derive_orders built start;
+    paths = Spec.compile start;
     queries = 0;
     switches = 0;
     reductions = 0;
@@ -68,6 +72,11 @@ let queries t = t.queries
 let work t = (t.reductions, t.retrievals)
 let climbs t = t.switches
 
+(* Steer SLD and [learn]'s execution by [d]. *)
+let adopt t d =
+  t.order_by_pred <- derive_orders t.built d;
+  t.paths <- Spec.compile d
+
 let on_event t f =
   t.event_hook <- Some f;
   Learner.set_hook t.learner f
@@ -79,7 +88,7 @@ let set_strategy t d =
   (match t.event_hook with
   | Some f -> Learner.set_hook t.learner f
   | None -> ());
-  t.order_by_pred <- derive_orders t.built d
+  adopt t d
 
 type answer = {
   result : D.Subst.t option;
@@ -126,9 +135,7 @@ let root_span tracer parent query =
 let learn ~tracer ~parent t ~db query =
   let ctx = Context.of_db (graph t) ~query ~db in
   let exec_span = Trace.push tracer parent ~kind:"exec" "exec" in
-  let outcome =
-    Exec.run ~tracer ~parent:exec_span (Spec.Dfs (strategy t)) ctx
-  in
+  let outcome = Exec.run ~tracer ~parent:exec_span t.paths ctx in
   Trace.finish tracer exec_span;
   let learn_span = Trace.push tracer parent ~kind:"learn" "learn" in
   if Trace.enabled tracer then
@@ -137,7 +144,7 @@ let learn ~tracer ~parent t ~db query =
   let switched =
     match Learner.conjecture t.learner with
     | Some d ->
-      t.order_by_pred <- derive_orders t.built d;
+      adopt t d;
       t.switches <- t.switches + 1;
       if Trace.enabled tracer then
         Trace.event tracer learn_span ~kind:"climb"

@@ -29,14 +29,25 @@ type climb = {
 type candidate = {
   mv : Moves.t;
   spec' : Spec.dfs;
+  paths' : Spec.t;  (* [spec'] compiled, for computing Δ̃ rows *)
   lambda : float;
   mutable sum : float;  (* running Δ̃[Θ_j, Θ', S] *)
 }
 
+(* What Δ̃ reads of an outcome: its cost and its observation sequence. *)
+type trace = float * Exec.observation list
+
 type t = {
   cfg : config;
   mutable theta : Spec.dfs;
+  mutable paths : Spec.t;     (* [theta] compiled, for [step] *)
   mutable cands : candidate list;
+  rows : (trace, float array) Hashtbl.t;
+      (* the epoch's Δ̃ memo: trace -> Δ̃ against every candidate, in
+         [cands] order. Θ_j, 𝒯(Θ_j) and k are fixed within an epoch, so a
+         row is a pure function of its trace; on a simple disjunctive
+         graph with k = 1 the first unblocked retrieval fixes the trace,
+         so there are at most R + 1 rows. *)
   mutable n : int;           (* |S| for the current strategy *)
   mutable total : int;
   mutable since_check : int;
@@ -47,7 +58,13 @@ type t = {
 let make_candidates cfg theta =
   Moves.neighbors cfg.moves theta
   |> List.map (fun (mv, spec') ->
-         { mv; spec'; lambda = Moves.lambda theta mv; sum = 0. })
+         {
+           mv;
+           spec';
+           paths' = Spec.compile spec';
+           lambda = Moves.lambda theta mv;
+           sum = 0.;
+         })
 
 let create ?(config = default_config) theta =
   if not (config.delta > 0. && config.delta < 1.) then
@@ -61,7 +78,9 @@ let create ?(config = default_config) theta =
   {
     cfg = config;
     theta;
+    paths = Spec.compile theta;
     cands = make_candidates config theta;
+    rows = Hashtbl.create 16;
     n = 0;
     total = 0;
     since_check = 0;
@@ -118,8 +137,11 @@ let try_climb t =
         }
       in
       t.theta <- best.spec';
+      t.paths <- Spec.compile t.theta;
       t.cands <- make_candidates t.cfg t.theta;
       t.n <- 0;
+      (* The memo's rows are Δ̃ against the old neighbourhood. *)
+      Hashtbl.reset t.rows;
       t.history <- climb :: t.history;
       Log.info (fun m ->
           m "climb %d after %d samples (test %d): delta-sum %.3f >= %.3f"
@@ -128,14 +150,24 @@ let try_climb t =
       Some climb
   end
 
+let theta's t = Array.of_list (List.map (fun c -> c.paths') t.cands)
+
+(* The epoch's Δ̃ row for this outcome's trace, computed on first sight. *)
+let row t (outcome : Exec.outcome) =
+  let trace = (outcome.Exec.cost, outcome.Exec.observations) in
+  match Hashtbl.find_opt t.rows trace with
+  | Some row -> row
+  | None ->
+    let row =
+      Delta.underestimates ~k:t.cfg.answers_required ~theta:t.paths
+        ~theta's:(theta's t) outcome
+    in
+    Hashtbl.add t.rows trace row;
+    row
+
 let observe t outcome =
-  List.iter
-    (fun c ->
-      c.sum <-
-        c.sum
-        +. Delta.underestimate ~k:t.cfg.answers_required
-             ~theta:(Spec.Dfs t.theta) ~theta':(Spec.Dfs c.spec') outcome)
-    t.cands;
+  let row = row t outcome in
+  List.iteri (fun i c -> c.sum <- c.sum +. row.(i)) t.cands;
   t.n <- t.n + 1;
   t.total <- t.total + 1;
   t.since_check <- t.since_check + 1;
@@ -146,9 +178,47 @@ let observe t outcome =
   else None
 
 let step t ctx =
-  let outcome = Exec.first_k t.cfg.answers_required (Spec.Dfs t.theta) ctx in
+  let outcome = Exec.first_k t.cfg.answers_required t.paths ctx in
   let climb = observe t outcome in
   (outcome, climb)
+
+let check t =
+  let fail fmt = Printf.ksprintf failwith ("Pib.check: " ^^ fmt) in
+  let g = t.theta.Spec.graph in
+  let n_cands = List.length t.cands in
+  if not (Spec.equal t.paths (Spec.Dfs t.theta)) then
+    fail "compiled paths are not the current strategy's";
+  List.iteri
+    (fun i c ->
+      if not (Spec.equal c.paths' (Spec.Dfs c.spec')) then
+        fail "candidate %d's compiled paths are stale" i)
+    t.cands;
+  let rows = Hashtbl.length t.rows in
+  if rows > t.n then fail "%d memo rows after %d samples" rows t.n;
+  let bound = List.length (Graph.retrievals g) + 1 in
+  if t.cfg.answers_required = 1 && rows > bound then
+    fail "%d memo rows exceed R + 1 = %d" rows bound;
+  Hashtbl.iter
+    (fun (cost, observations) row ->
+      if Array.length row <> n_cands then
+        fail "a memo row has %d entries for %d candidates" (Array.length row)
+          n_cands;
+      let outcome =
+        {
+          Exec.cost;
+          succeeded = false;
+          success_arc = None;
+          observations;
+          attempted = [];
+        }
+      in
+      let fresh =
+        Delta.underestimates ~k:t.cfg.answers_required ~theta:t.paths
+          ~theta's:(theta's t) outcome
+      in
+      if not (Array.for_all2 Float.equal row fresh) then
+        fail "a memo row differs from its recomputed Δ̃")
+    t.rows
 
 let run t oracle ~n =
   if Oracle.graph oracle != t.theta.Spec.graph then

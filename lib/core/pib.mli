@@ -62,7 +62,10 @@ val samples_total : t -> int
 val tests_used : t -> int
 
 (** Feed one execution outcome of the {e current} strategy (Figure 4: the
-    QP runs, PIB watches); may climb. *)
+    QP runs, PIB watches); may climb. Δ̃ against every neighbour is
+    computed once per distinct trace (cost and observations) per
+    strategy epoch and memoized until the next climb, so a repeated trace
+    costs one table lookup and |𝒯(Θ_j)| float additions. *)
 val observe : t -> Exec.outcome -> climb option
 
 (** Process one context: the QP answers it with the current strategy; PIB
@@ -72,6 +75,13 @@ val step : t -> Context.t -> Exec.outcome * climb option
 
 (** Run [n] contexts from an oracle. Returns the climbs that occurred. *)
 val run : t -> Oracle.t -> n:int -> climb list
+
+(** Invariant checker, for tests: the compiled strategies match their
+    DFS forms; every memo row holds one Δ̃ per candidate and equals Δ̃
+    recomputed from its trace; the memo holds at most |S| rows (so none
+    right after a climb) and, when [answers_required = 1], at most R + 1
+    (R = retrieval arcs). Raises [Failure] naming the first broken one. *)
+val check : t -> unit
 
 (** Current Δ̃ sums with their ranges, for inspection: (move, Δ̃ sum, Λ). *)
 val candidates : t -> (Moves.t * float * float) list

@@ -12,8 +12,12 @@ module First_tbl = Hashtbl.Make (First_arg)
 
 (* ---------- the in-memory backend ---------- *)
 
+(* A predicate's facts with their count kept beside them: SLD asks
+   [count_pred_id] on every goal, and [Atom_set.cardinal] walks the set. *)
+type pred_facts = { mutable facts : Atom_set.t; mutable count : int }
+
 type mem = {
-  by_pred : (int, Atom_set.t ref) Hashtbl.t;
+  by_pred : (int, pred_facts) Hashtbl.t;
   by_first : Atom_set.t ref First_tbl.t;
   (* [size] and [generation] are read by cache-invalidation checks on
      serve-path worker domains while a mutator may be mid-[add]; atomics
@@ -48,7 +52,7 @@ let find_pred m pred_id =
   match Hashtbl.find_opt m.by_pred pred_id with
   | Some r -> r
   | None ->
-    let r = ref Atom_set.empty in
+    let r = { facts = Atom_set.empty; count = 0 } in
     Hashtbl.add m.by_pred pred_id r;
     r
 
@@ -62,10 +66,11 @@ let find_first m key =
 
 let m_add m fact =
   if not (Atom.is_ground fact) then invalid_arg "Database.add: non-ground fact";
-  let set = find_pred m (Symbol.id fact.Atom.pred) in
-  if Atom_set.mem fact !set then false
+  let pf = find_pred m (Symbol.id fact.Atom.pred) in
+  if Atom_set.mem fact pf.facts then false
   else begin
-    set := Atom_set.add fact !set;
+    pf.facts <- Atom_set.add fact pf.facts;
+    pf.count <- pf.count + 1;
     (match first_key fact with
     | Some key ->
       let s = find_first m key in
@@ -79,10 +84,11 @@ let m_add m fact =
 let m_remove m fact =
   match Hashtbl.find_opt m.by_pred (Symbol.id fact.Atom.pred) with
   | None -> false
-  | Some set ->
-    if not (Atom_set.mem fact !set) then false
+  | Some pf ->
+    if not (Atom_set.mem fact pf.facts) then false
     else begin
-      set := Atom_set.remove fact !set;
+      pf.facts <- Atom_set.remove fact pf.facts;
+      pf.count <- pf.count - 1;
       (match first_key fact with
       | Some key -> (
         match First_tbl.find_opt m.by_first key with
@@ -97,7 +103,7 @@ let m_remove m fact =
 let m_mem m fact =
   match Hashtbl.find_opt m.by_pred (Symbol.id fact.Atom.pred) with
   | None -> false
-  | Some set -> Atom_set.mem fact !set
+  | Some pf -> Atom_set.mem fact pf.facts
 
 let m_candidates m pattern =
   match pattern.Atom.args with
@@ -109,12 +115,12 @@ let m_candidates m pattern =
     | None -> Atom_set.empty)
   | _ -> (
     match Hashtbl.find_opt m.by_pred (Symbol.id pattern.Atom.pred) with
-    | Some s -> !s
+    | Some pf -> pf.facts
     | None -> Atom_set.empty)
 
 let m_count_pred_id m pred_id =
   match Hashtbl.find_opt m.by_pred pred_id with
-  | Some s -> Atom_set.cardinal !s
+  | Some pf -> pf.count
   | None -> 0
 
 (* ---------- the paged backend ---------- *)
@@ -369,12 +375,12 @@ let count_pred db name = count_pred_id db (Symbol.id (Symbol.intern name))
 
 let rec iter f db =
   match db with
-  | Mem m -> Hashtbl.iter (fun _ set -> Atom_set.iter f !set) m.by_pred
+  | Mem m -> Hashtbl.iter (fun _ pf -> Atom_set.iter f pf.facts) m.by_pred
   | Paged p ->
     Store.iter_all p.store (fun ~pred args -> f (atom_of p pred args))
   | Overlay o ->
     iter (fun fact -> if not (m_mem o.removed fact) then f fact) o.base;
-    Hashtbl.iter (fun _ set -> Atom_set.iter f !set) o.added.by_pred
+    Hashtbl.iter (fun _ pf -> Atom_set.iter f pf.facts) o.added.by_pred
 
 let fold f db init =
   let acc = ref init in
@@ -405,10 +411,10 @@ let predicates db =
   match db with
   | Mem m ->
     Hashtbl.fold
-      (fun _ set acc ->
-        match Atom_set.choose_opt !set with
+      (fun _ pf acc ->
+        match Atom_set.choose_opt pf.facts with
         | None -> acc
-        | Some fact -> (fact.Atom.pred, Atom_set.cardinal !set) :: acc)
+        | Some fact -> (fact.Atom.pred, pf.count) :: acc)
       m.by_pred []
     |> List.sort (fun (a, _) (b, _) -> Symbol.compare a b)
   | Paged p ->

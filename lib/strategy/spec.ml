@@ -49,6 +49,8 @@ let dfs_paths d =
   go [] (Graph.root d.graph);
   List.rev !acc
 
+let compile d = Paths { graph = d.graph; order = dfs_paths d }
+
 let canonical_paths g =
   List.sort compare (Graph.leaf_paths g)
 

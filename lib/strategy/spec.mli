@@ -46,6 +46,12 @@ val of_paths : Graph.t -> int list list -> t
     depth-first path order. *)
 val to_paths : t -> int list list
 
+(** [compile d] is [d] in path form: [Paths] holding its depth-first
+    path order, so a caller that runs one strategy on many contexts
+    decomposes it once. {!Exec} gives [compile d] and [Dfs d] the same
+    outcome on every context. *)
+val compile : dfs -> t
+
 (** The paper's flat arc-sequence rendering: paths concatenated, each arc
     listed at its first occurrence, e.g. Θ₁ = ⟨R_p D_p R_g D_g⟩. *)
 val arc_sequence : t -> int list

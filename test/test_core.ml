@@ -268,6 +268,205 @@ let pib_budget_accounting () =
   check_int "500 samples seen" 500 (C.Pib.samples_total pib);
   check_int "still on sample set" 500 (C.Pib.samples_current pib)
 
+(* PIB before its Δ̃ memo, kept as the reference: every candidate's Δ̃ is
+   recomputed with [Delta.underestimate] from every outcome, and
+   Equation 6 is applied as [Pib] applies it. *)
+module Ref_pib = struct
+  type cand = { mv : Moves.t; spec' : Spec.dfs; lambda : float; mutable sum : float }
+
+  type t = {
+    cfg : C.Pib.config;
+    mutable theta : Spec.dfs;
+    mutable cands : cand list;
+    mutable n : int;
+    mutable since_check : int;
+    seq : Stats.Sequential.t;
+    mutable climbs : C.Pib.climb list; (* newest first *)
+  }
+
+  let cands cfg theta =
+    List.map
+      (fun (mv, spec') -> { mv; spec'; lambda = Moves.lambda theta mv; sum = 0. })
+      (Moves.neighbors cfg.C.Pib.moves theta)
+
+  let create cfg theta =
+    {
+      cfg;
+      theta;
+      cands = cands cfg theta;
+      n = 0;
+      since_check = 0;
+      seq = Stats.Sequential.create ~delta:cfg.C.Pib.delta;
+      climbs = [];
+    }
+
+  let try_climb t =
+    if t.cands <> [] then begin
+      let i = Stats.Sequential.advance t.seq ~count:(List.length t.cands) in
+      let passing =
+        List.filter_map
+          (fun c ->
+            let th =
+              Stats.Chernoff.switch_threshold_seq ~n:t.n ~delta:t.cfg.C.Pib.delta
+                ~test_index:i ~range:c.lambda
+            in
+            if c.sum >= th && c.sum > 0. then Some (c, th) else None)
+          t.cands
+      in
+      match passing with
+      | [] -> ()
+      | first :: rest ->
+        let best, threshold =
+          List.fold_left
+            (fun (bc, bt) (c, th) ->
+              if c.sum -. th > bc.sum -. bt then (c, th) else (bc, bt))
+            first rest
+        in
+        t.climbs <-
+          {
+            C.Pib.step = List.length t.climbs + 1;
+            samples = t.n;
+            tests_charged = i;
+            move = best.mv;
+            from_strategy = t.theta;
+            to_strategy = best.spec';
+            delta_sum = best.sum;
+            threshold;
+          }
+          :: t.climbs;
+        t.theta <- best.spec';
+        t.cands <- cands t.cfg t.theta;
+        t.n <- 0
+    end
+
+  let step t ctx =
+    let k = t.cfg.C.Pib.answers_required in
+    let theta = Spec.Dfs t.theta in
+    let outcome = Exec.first_k k theta ctx in
+    List.iter
+      (fun c ->
+        c.sum <-
+          c.sum
+          +. C.Delta.underestimate ~k ~theta ~theta':(Spec.Dfs c.spec') outcome)
+      t.cands;
+    t.n <- t.n + 1;
+    t.since_check <- t.since_check + 1;
+    if t.since_check >= t.cfg.C.Pib.check_every then begin
+      t.since_check <- 0;
+      try_climb t
+    end;
+    outcome
+end
+
+let same_climb (a : C.Pib.climb) (b : C.Pib.climb) =
+  a.step = b.step && a.samples = b.samples
+  && a.tests_charged = b.tests_charged
+  && a.move = b.move
+  && Spec.equal_dfs a.from_strategy b.from_strategy
+  && Spec.equal_dfs a.to_strategy b.to_strategy
+  && Float.equal a.delta_sum b.delta_sum
+  && Float.equal a.threshold b.threshold
+
+(* Drive [Pib] and [Ref_pib] over the same contexts, checking [Pib.check]
+   after every step. Returns whether the two stayed bit-identical, and the
+   number of climbs they made. *)
+let pib_matches_reference ?(config = C.Pib.default_config) start next_context
+    ~n =
+  let pib = C.Pib.create ~config start in
+  let reference = Ref_pib.create config start in
+  let same = ref true in
+  for _ = 1 to n do
+    let ctx = next_context () in
+    let outcome, _ = C.Pib.step pib ctx in
+    C.Pib.check pib;
+    let ref_outcome = Ref_pib.step reference ctx in
+    same :=
+      !same
+      && Float.equal outcome.Exec.cost ref_outcome.Exec.cost
+      && outcome.Exec.observations = ref_outcome.Exec.observations
+      && List.for_all2
+           (fun (mv, sum, lambda) (c : Ref_pib.cand) ->
+             mv = c.mv && Float.equal sum c.sum && Float.equal lambda c.lambda)
+           (C.Pib.candidates pib) reference.Ref_pib.cands
+  done;
+  let climbs = C.Pib.climbs pib in
+  ( !same
+    && List.length climbs = List.length reference.Ref_pib.climbs
+    && List.for_all2 same_climb climbs (List.rev reference.Ref_pib.climbs),
+    List.length climbs )
+
+let pib_memo_bit_identical_ga () =
+  let ga = make_ga () in
+  List.iter
+    (fun k ->
+      let model = ga_model ga ~pp:0.1 ~pg:0.8 in
+      let r = rng (300 + k) in
+      let config = { C.Pib.default_config with answers_required = k } in
+      let same, climbs =
+        pib_matches_reference ~config (ga_theta1 ga)
+          (fun () -> Bernoulli_model.sample model r)
+          ~n:2000
+      in
+      check_bool (Printf.sprintf "k=%d bit-identical" k) true same;
+      if k = 1 then check_bool "k=1 climbs" true (climbs >= 1))
+    [ 1; 2 ]
+
+let pib_memo_bit_identical_genealogy_firstk () =
+  let result = Workload.Genealogy.build () in
+  let pop = Workload.Genealogy.populate (rng 301) ~n_people:200 in
+  List.iter
+    (fun k ->
+      let oracle = Workload.Genealogy.oracle result pop (rng (302 + k)) in
+      let config = { C.Pib.default_config with answers_required = k } in
+      let same, climbs =
+        pib_matches_reference ~config
+          (Spec.default result.Build.graph)
+          (fun () -> C.Oracle.next oracle)
+          ~n:3000
+      in
+      check_bool (Printf.sprintf "k=%d bit-identical" k) true same;
+      if k = 1 then check_bool "k=1 climbs" true (climbs >= 1))
+    [ 1; 2 ];
+  (* Section 5.2's scan-order workload, where k = 2 climbs quickly. *)
+  let f =
+    Workload.Firstk.make
+      ~sources:[ ("slow", 5.0, 0.5); ("fast", 1.0, 0.9); ("mid", 2.0, 0.8) ]
+      ~k:2
+  in
+  let g = Workload.Firstk.graph f in
+  let model = Workload.Firstk.model f in
+  let r = rng 304 in
+  let same, climbs =
+    pib_matches_reference
+      ~config:{ C.Pib.default_config with answers_required = 2 }
+      (Spec.default g)
+      (fun () -> Bernoulli_model.sample model r)
+      ~n:5000
+  in
+  check_bool "first-k (k=2) bit-identical" true same;
+  check_bool "first-k (k=2) climbs" true (climbs >= 1)
+
+let pib_memo_bit_identical_random =
+  qcheck "memoized Δ̃ sums and climbs equal the per-context reference"
+    ~count:30
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 2))
+    (fun (seed, k) ->
+      let r = rng seed in
+      let g, _ = Workload.Synth.small_instance ~max_leaves:5 r in
+      (* A small support of correlated contexts, so traces repeat. *)
+      let contexts =
+        Array.init (2 + Stats.Rng.int r 4) (fun _ ->
+            Context.make g
+              ~unblocked:
+                (Array.init (Graph.n_arcs g) (fun _ ->
+                     Stats.Rng.bernoulli r 0.4)))
+      in
+      let config = { C.Pib.default_config with answers_required = k } in
+      fst
+        (pib_matches_reference ~config (Spec.default g)
+           (fun () -> contexts.(Stats.Rng.int r (Array.length contexts)))
+           ~n:1500))
+
 let pib_first_k_learning () =
   (* Section 5.2's first-k variant: learn the scan order that minimizes
      the cost of collecting k = 2 answers. *)
@@ -776,6 +975,10 @@ let suite =
         case "richer move families" pib_richer_moves_no_worse;
         pib_sound_without_independence;
         case "budget accounting" pib_budget_accounting;
+        case "Δ̃ memo bit-identical on G_A (k = 1, 2)" pib_memo_bit_identical_ga;
+        case "Δ̃ memo bit-identical on genealogy and first-k (k = 1, 2)"
+          pib_memo_bit_identical_genealogy_firstk;
+        pib_memo_bit_identical_random;
       ] );
     ( "core.palo",
       [

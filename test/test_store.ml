@@ -463,6 +463,50 @@ let db_paged_copy_cow () =
         (D.Database.count_pred copy "prof");
       D.Database.close db)
 
+(* [count_pred_id] is kept incrementally by the Mem backend, and so by an
+   overlay's added/removed deltas; after any interleaving of adds and
+   removes it must equal counting the facts. *)
+let db_count_matches_fold () =
+  with_dir (fun dir ->
+      let paged = D.Database.open_paged ~dir ~wal_sync:Store.Never () in
+      let r = rng 17 in
+      let preds = [| "p"; "q"; "r" |] in
+      let random_fact () =
+        atom
+          (Printf.sprintf "%s(c%d, d%d)"
+             preds.(Stats.Rng.int r 3)
+             (Stats.Rng.int r 6) (Stats.Rng.int r 3))
+      in
+      for _ = 1 to 60 do
+        ignore (D.Database.add paged (random_fact ()))
+      done;
+      let mem = D.Database.of_list (D.Database.to_list paged) in
+      let overlay = D.Database.copy paged in
+      let fold_count db name =
+        D.Database.fold
+          (fun f n ->
+            if D.Symbol.to_string f.D.Atom.pred = name then n + 1 else n)
+          db 0
+      in
+      for step = 1 to 400 do
+        let fact = random_fact () in
+        let add = Stats.Rng.bernoulli r 0.5 in
+        List.iter
+          (fun db ->
+            ignore
+              ((if add then D.Database.add else D.Database.remove) db fact);
+            Array.iter
+              (fun p ->
+                check_int
+                  (Printf.sprintf "%s %s after step %d"
+                     (D.Database.backend_name db) p step)
+                  (fold_count db p)
+                  (D.Database.count_pred db p))
+              preds)
+          [ mem; overlay ]
+      done;
+      D.Database.close paged)
+
 let db_paged_persistence () =
   with_dir (fun dir ->
       let db = D.Database.open_paged ~dir ~wal_sync:Store.Always () in
@@ -501,5 +545,7 @@ let suite =
         case "database: SLD over the paged backend" db_paged_sld;
         case "database: COW copy never perturbs the base" db_paged_copy_cow;
         case "database: token/generation survive restart" db_paged_persistence;
+        case "database: per-predicate counts match a fold (mem, overlay)"
+          db_count_matches_fold;
       ] );
   ]

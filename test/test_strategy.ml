@@ -212,6 +212,27 @@ let exec_invariants =
                (Graph.path_above g id))
            o.Exec.attempted)
 
+(* A compiled strategy executes exactly like its DFS form: same cost,
+   observations, attempted arcs and success arc, for every k. *)
+let exec_compiled_paths_agree =
+  qcheck "compiled paths execute like the DFS strategy" ~count:200
+    QCheck2.Gen.(triple gen_experiment_instance small_nat (int_range 1 3))
+    (fun ((g, model), seed, k) ->
+      let ds = Array.of_list (dfs_strategies g) in
+      let d = ds.(seed mod Array.length ds) in
+      let compiled = Spec.compile d in
+      List.for_all
+        (fun i ->
+          let ctx = any_context model (seed + i) in
+          let a = Exec.first_k k (Spec.Dfs d) ctx in
+          let b = Exec.first_k k compiled ctx in
+          Float.equal a.Exec.cost b.Exec.cost
+          && a.Exec.observations = b.Exec.observations
+          && a.Exec.attempted = b.Exec.attempted
+          && a.Exec.success_arc = b.Exec.success_arc
+          && a.Exec.succeeded = b.Exec.succeeded)
+        [ 0; 1; 2; 3; 4 ])
+
 let exec_first_k_monotone =
   qcheck "first-k cost is monotone in k and in successes" ~count:150
     (QCheck2.Gen.pair gen_small_instance QCheck2.Gen.small_nat)
@@ -553,6 +574,7 @@ let suite =
         case "first k" exec_first_k;
         exec_invariants;
         exec_first_k_monotone;
+        exec_compiled_paths_agree;
       ] );
     ( "strategy.cost",
       [
