@@ -261,6 +261,348 @@ let metrics_counters_and_histogram () =
   check_bool "json has form" true (contains "\"f_1_b\"" json);
   check_bool "json has climbs" true (contains "\"climbs\":1" json)
 
+(* Golden lock on the cache, memo, subsumption and store statistics: the
+   STATS lines, the STATS JSON blocks and the Prometheus families, byte
+   for byte. Every reading is distinct and non-zero so a field read from
+   the wrong counter shows; the checkpoint lies in the future so its age
+   clamps to 0. *)
+
+let golden_cache =
+  {
+    Serve.Metrics.enabled = true;
+    hits = 11;
+    misses = 12;
+    evictions = 13;
+    invalidations = 14;
+    entries = 15;
+    bytes = 16;
+    capacity_bytes = 17;
+    memo_hits = 18;
+    memo_misses = 19;
+    memo_invalidations = 20;
+    memo_entries = 21;
+    subsume = true;
+    derived_hits = 22;
+    derived_scan_entries = 23;
+    subsume_misses = 24;
+    index_keys = 25;
+  }
+
+let golden_store () =
+  {
+    Store.page_size = 4096;
+    pages = 31;
+    pool_pages = 32;
+    pool_hits = 33;
+    pool_misses = 34;
+    pool_evictions = 35;
+    page_reads = 36;
+    page_writes = 37;
+    wal_bytes = 38;
+    wal_appends = 39;
+    wal_syncs = 40;
+    checkpoints = 41;
+    checkpoint_unix = Unix.gettimeofday () +. 3600.0;
+    facts = 42;
+    symbols = 43;
+    generation = 44;
+  }
+
+let has_prefix p s =
+  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+let block_lines m =
+  List.filter
+    (fun l ->
+      List.exists (fun p -> has_prefix p l) [ "cache_"; "memo_"; "store_" ])
+    (Serve.Metrics.render_text m)
+
+(* From the ["cache"] key up to the ["forms"] block: the cache and store
+   JSON blocks, or [""] when neither is rendered. *)
+let json_blocks m =
+  let json = Serve.Metrics.render_json m in
+  let find needle =
+    let n = String.length needle in
+    let rec go i =
+      if i + n > String.length json then None
+      else if String.sub json i n = needle then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  match (find "\"cache\":", find "\"forms\":") with
+  | Some a, Some b -> String.sub json a (b - a)
+  | None, Some b -> (
+    match find "\"store\":" with
+    | Some a -> String.sub json a (b - a)
+    | None -> "")
+  | _ -> Alcotest.fail "no forms block"
+
+(* The exposition lines of the 34 block families (HELP, TYPE and sample),
+   or only their samples. *)
+let prom_lines ?(samples_only = false) m =
+  String.split_on_char '\n' (Serve.Metrics.render_prometheus m)
+  |> List.filter (fun l ->
+         let l' =
+           if has_prefix "# HELP " l || has_prefix "# TYPE " l then
+             if samples_only then "" else String.sub l 7 (String.length l - 7)
+           else l
+         in
+         List.exists
+           (fun p -> has_prefix p l')
+           [ "strategem_cache_"; "strategem_memo_"; "strategem_store_" ]
+         && not (has_prefix "strategem_cache_filter_latency_us" l'))
+
+let check_lines name expected got =
+  Alcotest.(check (list string)) name expected got
+
+let metrics_blocks_golden () =
+  let m = Serve.Metrics.create () in
+  Serve.Metrics.set_cache_provider m (fun () -> golden_cache);
+  Serve.Metrics.set_store_provider m golden_store;
+  check_lines "STATS block lines"
+    [
+      "cache_enabled 1";
+      "cache_hits 11";
+      "cache_misses 12";
+      "cache_evictions 13";
+      "cache_invalidations 14";
+      "cache_entries 15";
+      "cache_bytes 16";
+      "cache_capacity_bytes 17";
+      "memo_hits 18";
+      "memo_misses 19";
+      "memo_invalidations 20";
+      "memo_entries 21";
+      "cache_subsume_enabled 1";
+      "cache_derived_hits 22";
+      "cache_derived_scan_entries 23";
+      "cache_subsume_misses 24";
+      "cache_index_keys 25";
+      "store_enabled 1";
+      "store_page_size_bytes 4096";
+      "store_pages 31";
+      "store_pool_pages 32";
+      "store_pool_hits 33";
+      "store_pool_misses 34";
+      "store_pool_evictions 35";
+      "store_page_reads 36";
+      "store_page_writes 37";
+      "store_wal_bytes 38";
+      "store_wal_appends 39";
+      "store_wal_syncs 40";
+      "store_checkpoints 41";
+      "store_checkpoint_age_seconds 0";
+      "store_facts 42";
+      "store_symbols 43";
+      "store_generation 44";
+    ]
+    (block_lines m);
+  check_string "STATS JSON blocks"
+    "\"cache\":{\"version\":1,\"enabled\":true,\"hits\":11,\"misses\":12,\
+     \"evictions\":13,\"invalidations\":14,\"entries\":15,\"bytes\":16,\
+     \"capacity_bytes\":17,\"memo\":{\"hits\":18,\"misses\":19,\
+     \"invalidations\":20,\"entries\":21},\"subsume\":{\"enabled\":true,\
+     \"derived_hits\":22,\"derived_scan_entries\":23,\"subsume_misses\":24,\
+     \"index_keys\":25}},\"store\":{\"version\":1,\"page_size_bytes\":4096,\
+     \"pages\":31,\"pool_pages\":32,\"pool_hits\":33,\"pool_misses\":34,\
+     \"pool_evictions\":35,\"page_reads\":36,\"page_writes\":37,\
+     \"wal_bytes\":38,\"wal_appends\":39,\"wal_syncs\":40,\
+     \"checkpoints\":41,\"checkpoint_age_seconds\":0,\"facts\":42,\
+     \"symbols\":43,\"generation\":44},"
+    (json_blocks m);
+  check_lines "Prometheus block families"
+    [
+      "# HELP strategem_cache_bytes Answer-cache resident bytes (estimated)";
+      "# TYPE strategem_cache_bytes gauge";
+      "strategem_cache_bytes 16";
+      "# HELP strategem_cache_capacity_bytes Answer-cache capacity in bytes";
+      "# TYPE strategem_cache_capacity_bytes gauge";
+      "strategem_cache_capacity_bytes 17";
+      "# HELP strategem_cache_derived_hits_total Answer-cache derived hits \
+       (answered by filtering a more general cached entry's answer set)";
+      "# TYPE strategem_cache_derived_hits_total counter";
+      "strategem_cache_derived_hits_total 22";
+      "# HELP strategem_cache_derived_scan_entries_total Candidate \
+       generalizations examined across subsumption probes";
+      "# TYPE strategem_cache_derived_scan_entries_total counter";
+      "strategem_cache_derived_scan_entries_total 23";
+      "# HELP strategem_cache_enabled 1 when the answer cache is on";
+      "# TYPE strategem_cache_enabled gauge";
+      "strategem_cache_enabled 1";
+      "# HELP strategem_cache_entries Answer-cache resident entries";
+      "# TYPE strategem_cache_entries gauge";
+      "strategem_cache_entries 15";
+      "# HELP strategem_cache_evictions_total Answer-cache LRU evictions";
+      "# TYPE strategem_cache_evictions_total counter";
+      "strategem_cache_evictions_total 13";
+      "# HELP strategem_cache_hits_total Answer-cache hits";
+      "# TYPE strategem_cache_hits_total counter";
+      "strategem_cache_hits_total 11";
+      "# HELP strategem_cache_index_keys Keys registered in the subsumption \
+       index";
+      "# TYPE strategem_cache_index_keys gauge";
+      "strategem_cache_index_keys 25";
+      "# HELP strategem_cache_invalidations_total Answer-cache entries \
+       dropped after DB mutations";
+      "# TYPE strategem_cache_invalidations_total counter";
+      "strategem_cache_invalidations_total 14";
+      "# HELP strategem_cache_misses_total Answer-cache misses";
+      "# TYPE strategem_cache_misses_total counter";
+      "strategem_cache_misses_total 12";
+      "# HELP strategem_cache_subsume_enabled 1 when subsumption-based answer \
+       reuse is on";
+      "# TYPE strategem_cache_subsume_enabled gauge";
+      "strategem_cache_subsume_enabled 1";
+      "# HELP strategem_cache_subsume_misses_total Subsumption probes that \
+       found no usable generalization";
+      "# TYPE strategem_cache_subsume_misses_total counter";
+      "strategem_cache_subsume_misses_total 24";
+      "# HELP strategem_memo_entries Subgoal-memo resident entries";
+      "# TYPE strategem_memo_entries gauge";
+      "strategem_memo_entries 21";
+      "# HELP strategem_memo_hits_total Subgoal-memo hits";
+      "# TYPE strategem_memo_hits_total counter";
+      "strategem_memo_hits_total 18";
+      "# HELP strategem_memo_invalidations_total Subgoal-memo invalidations";
+      "# TYPE strategem_memo_invalidations_total counter";
+      "strategem_memo_invalidations_total 20";
+      "# HELP strategem_memo_misses_total Subgoal-memo misses";
+      "# TYPE strategem_memo_misses_total counter";
+      "strategem_memo_misses_total 19";
+      "# HELP strategem_store_checkpoint_age_seconds Seconds since the last \
+       checkpoint (or open)";
+      "# TYPE strategem_store_checkpoint_age_seconds gauge";
+      "strategem_store_checkpoint_age_seconds 0";
+      "# HELP strategem_store_checkpoints_total Checkpoints taken this run";
+      "# TYPE strategem_store_checkpoints_total counter";
+      "strategem_store_checkpoints_total 41";
+      "# HELP strategem_store_enabled 1 when the database is backed by the \
+       paged store";
+      "# TYPE strategem_store_enabled gauge";
+      "strategem_store_enabled 1";
+      "# HELP strategem_store_facts Facts in the paged store";
+      "# TYPE strategem_store_facts gauge";
+      "strategem_store_facts 42";
+      "# HELP strategem_store_generation Persistent database generation";
+      "# TYPE strategem_store_generation gauge";
+      "strategem_store_generation 44";
+      "# HELP strategem_store_page_reads_total Pages read from disk";
+      "# TYPE strategem_store_page_reads_total counter";
+      "strategem_store_page_reads_total 36";
+      "# HELP strategem_store_page_size_bytes Paged-store page size";
+      "# TYPE strategem_store_page_size_bytes gauge";
+      "strategem_store_page_size_bytes 4096";
+      "# HELP strategem_store_page_writes_total Dirty pages spilled to disk";
+      "# TYPE strategem_store_page_writes_total counter";
+      "strategem_store_page_writes_total 37";
+      "# HELP strategem_store_pages Pages allocated (checkpoint image plus \
+       growth)";
+      "# TYPE strategem_store_pages gauge";
+      "strategem_store_pages 31";
+      "# HELP strategem_store_pool_evictions_total Buffer-pool evictions";
+      "# TYPE strategem_store_pool_evictions_total counter";
+      "strategem_store_pool_evictions_total 35";
+      "# HELP strategem_store_pool_hits_total Buffer-pool hits";
+      "# TYPE strategem_store_pool_hits_total counter";
+      "strategem_store_pool_hits_total 33";
+      "# HELP strategem_store_pool_misses_total Buffer-pool misses";
+      "# TYPE strategem_store_pool_misses_total counter";
+      "strategem_store_pool_misses_total 34";
+      "# HELP strategem_store_pool_pages Buffer-pool frames";
+      "# TYPE strategem_store_pool_pages gauge";
+      "strategem_store_pool_pages 32";
+      "# HELP strategem_store_symbols Symbols in the persistent catalog";
+      "# TYPE strategem_store_symbols gauge";
+      "strategem_store_symbols 43";
+      "# HELP strategem_store_wal_appends_total WAL records appended";
+      "# TYPE strategem_store_wal_appends_total counter";
+      "strategem_store_wal_appends_total 39";
+      "# HELP strategem_store_wal_bytes WAL bytes since the last checkpoint";
+      "# TYPE strategem_store_wal_bytes gauge";
+      "strategem_store_wal_bytes 38";
+      "# HELP strategem_store_wal_syncs_total WAL group-commit fsyncs";
+      "# TYPE strategem_store_wal_syncs_total counter";
+      "strategem_store_wal_syncs_total 40";
+    ]
+    (prom_lines m)
+
+let metrics_blocks_golden_off () =
+  (* A cacheless daemon: the provider reports all zeros, no store. *)
+  let m = Serve.Metrics.create () in
+  Serve.Metrics.set_cache_provider m (fun () -> Serve.Metrics.no_cache_stats);
+  check_lines "STATS block lines, cache off"
+    [
+      "cache_enabled 0";
+      "cache_hits 0";
+      "cache_misses 0";
+      "cache_evictions 0";
+      "cache_invalidations 0";
+      "cache_entries 0";
+      "cache_bytes 0";
+      "cache_capacity_bytes 0";
+      "memo_hits 0";
+      "memo_misses 0";
+      "memo_invalidations 0";
+      "memo_entries 0";
+      "cache_subsume_enabled 0";
+      "cache_derived_hits 0";
+      "cache_derived_scan_entries 0";
+      "cache_subsume_misses 0";
+      "cache_index_keys 0";
+    ]
+    (block_lines m);
+  check_string "STATS JSON blocks, cache off"
+    "\"cache\":{\"version\":1,\"enabled\":false,\"hits\":0,\"misses\":0,\
+     \"evictions\":0,\"invalidations\":0,\"entries\":0,\"bytes\":0,\
+     \"capacity_bytes\":0,\"memo\":{\"hits\":0,\"misses\":0,\
+     \"invalidations\":0,\"entries\":0},\"subsume\":{\"enabled\":false,\
+     \"derived_hits\":0,\"derived_scan_entries\":0,\"subsume_misses\":0,\
+     \"index_keys\":0}},"
+    (json_blocks m);
+  check_lines "Prometheus block samples, cache off, no store"
+    [
+      "strategem_cache_bytes 0";
+      "strategem_cache_capacity_bytes 0";
+      "strategem_cache_derived_hits_total 0";
+      "strategem_cache_derived_scan_entries_total 0";
+      "strategem_cache_enabled 0";
+      "strategem_cache_entries 0";
+      "strategem_cache_evictions_total 0";
+      "strategem_cache_hits_total 0";
+      "strategem_cache_index_keys 0";
+      "strategem_cache_invalidations_total 0";
+      "strategem_cache_misses_total 0";
+      "strategem_cache_subsume_enabled 0";
+      "strategem_cache_subsume_misses_total 0";
+      "strategem_memo_entries 0";
+      "strategem_memo_hits_total 0";
+      "strategem_memo_invalidations_total 0";
+      "strategem_memo_misses_total 0";
+      "strategem_store_checkpoint_age_seconds 0";
+      "strategem_store_checkpoints_total 0";
+      "strategem_store_enabled 0";
+      "strategem_store_facts 0";
+      "strategem_store_generation 0";
+      "strategem_store_page_reads_total 0";
+      "strategem_store_page_size_bytes 0";
+      "strategem_store_page_writes_total 0";
+      "strategem_store_pages 0";
+      "strategem_store_pool_evictions_total 0";
+      "strategem_store_pool_hits_total 0";
+      "strategem_store_pool_misses_total 0";
+      "strategem_store_pool_pages 0";
+      "strategem_store_symbols 0";
+      "strategem_store_wal_appends_total 0";
+      "strategem_store_wal_bytes 0";
+      "strategem_store_wal_syncs_total 0";
+    ]
+    (prom_lines ~samples_only:true m);
+  (* No provider at all: neither block is rendered. *)
+  let bare = Serve.Metrics.create () in
+  check_lines "STATS block lines, no providers" [] (block_lines bare);
+  check_string "STATS JSON blocks, no providers" "" (json_blocks bare)
+
 (* ---------- Registry ---------- *)
 
 let registry_forms () =
@@ -1279,5 +1621,8 @@ let suite =
           server_lifecycle_flight_e2e;
         slow_case "lifecycle layer off: serving unaffected"
           server_lifecycle_off_still_serves;
+        case "metrics blocks golden: cache, memo, store" metrics_blocks_golden;
+        case "metrics blocks golden: cache off, no store"
+          metrics_blocks_golden_off;
       ] );
   ]
