@@ -1,58 +1,200 @@
 (* The STATS facade: every counter the daemon reports lives in an
    Obs.Registry instrument, so the same underlying numbers feed both
    the TCP STATS/STATS JSON renderers (byte-stable for existing
-   clients) and the Prometheus /metrics endpoint. This module owns the
-   metric-name inventory (everything is prefixed [strategem_]; see
-   docs/OBSERVABILITY.md) plus the few STATS-only bits a scraper has no
-   use for: per-form strategy strings and the sampled-trace ring. *)
+   clients) and the Prometheus /metrics endpoint. This module is the
+   single registration site of the metric-name inventory (everything is
+   prefixed [strategem_]; see docs/OBSERVABILITY.md) plus the few
+   STATS-only bits a scraper has no use for: per-form strategy strings
+   and the sampled-trace ring. *)
 
 module R = Obs.Registry
 
-type cache_stats = {
-  enabled : bool;
-  hits : int;
-  misses : int;
-  evictions : int;
-  invalidations : int;
-  entries : int;
-  bytes : int;
-  capacity_bytes : int;
-  memo_hits : int;
-  memo_misses : int;
-  memo_invalidations : int;
-  memo_entries : int;
+type cache_reading = {
+  answers : Cache.Answers.counters;
+  memo : Datalog.Sld.Memo.counters;
   subsume : bool;
-  derived_hits : int;
-  derived_scan_entries : int;
-  subsume_misses : int;
-  index_keys : int;
 }
 
-let no_cache_stats =
-  {
-    enabled = false;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    invalidations = 0;
-    entries = 0;
-    bytes = 0;
-    capacity_bytes = 0;
-    memo_hits = 0;
-    memo_misses = 0;
-    memo_invalidations = 0;
-    memo_entries = 0;
-    subsume = false;
-    derived_hits = 0;
-    derived_scan_entries = 0;
-    subsume_misses = 0;
-    index_keys = 0;
-  }
+(* The cache, subgoal-memo, subsumption and paged-store statistics, one
+   row each. A row names its STATS key, its Prometheus family, help text
+   and kind, its place in the STATS JSON block (["key"], ["sub.key"]
+   inside a sub-object, or [""] for none) and a reader over the layer's
+   own record. Registration, the collect-time mirror, the STATS lines
+   and the JSON blocks all walk the rows; their order is the frozen
+   STATS and JSON field order. A block whose reading is [None] (its
+   layer is off) reads 0 everywhere. *)
+type kind =
+  | Counter
+  | Gauge
+  | Flag  (* a 0/1 gauge, rendered [true]/[false] in JSON *)
 
-(* The paged store's counters, pulled straight from [Store.stats] (the
-   store keeps its own counters under its own lock; metrics never
-   double-count). *)
-type store_stats = Store.stats
+type 'r stat = {
+  kind : kind;
+  key : string;
+  name : string;
+  json : string;
+  help : string;
+  read : 'r -> float;
+}
+
+let stat kind key name json help read = { kind; key; name; json; help; read }
+
+let cache_stats : cache_reading stat list =
+  let answers f c = float_of_int (f c.answers) in
+  let memo f c = float_of_int (f c.memo) in
+  [
+    stat Flag "cache_enabled" "strategem_cache_enabled" "enabled"
+      "1 when the answer cache is on" (fun _ -> 1.0);
+    stat Counter "cache_hits" "strategem_cache_hits_total" "hits"
+      "Answer-cache hits" (answers (fun a -> a.hits));
+    stat Counter "cache_misses" "strategem_cache_misses_total" "misses"
+      "Answer-cache misses" (answers (fun a -> a.misses));
+    stat Counter "cache_evictions" "strategem_cache_evictions_total"
+      "evictions" "Answer-cache LRU evictions" (answers (fun a -> a.evictions));
+    stat Counter "cache_invalidations" "strategem_cache_invalidations_total"
+      "invalidations" "Answer-cache entries dropped after DB mutations"
+      (answers (fun a -> a.invalidations));
+    stat Gauge "cache_entries" "strategem_cache_entries" "entries"
+      "Answer-cache resident entries" (answers (fun a -> a.entries));
+    stat Gauge "cache_bytes" "strategem_cache_bytes" "bytes"
+      "Answer-cache resident bytes (estimated)" (answers (fun a -> a.bytes));
+    stat Gauge "cache_capacity_bytes" "strategem_cache_capacity_bytes"
+      "capacity_bytes" "Answer-cache capacity in bytes"
+      (answers (fun a -> a.capacity_bytes));
+    stat Counter "memo_hits" "strategem_memo_hits_total" "memo.hits"
+      "Subgoal-memo hits" (memo (fun m -> m.hits));
+    stat Counter "memo_misses" "strategem_memo_misses_total" "memo.misses"
+      "Subgoal-memo misses" (memo (fun m -> m.misses));
+    stat Counter "memo_invalidations" "strategem_memo_invalidations_total"
+      "memo.invalidations" "Subgoal-memo invalidations"
+      (memo (fun m -> m.invalidations));
+    stat Gauge "memo_entries" "strategem_memo_entries" "memo.entries"
+      "Subgoal-memo resident entries" (memo (fun m -> m.entries));
+    (* Additive (subsumption-based answer reuse). *)
+    stat Flag "cache_subsume_enabled" "strategem_cache_subsume_enabled"
+      "subsume.enabled" "1 when subsumption-based answer reuse is on"
+      (fun c -> if c.subsume then 1.0 else 0.0);
+    stat Counter "cache_derived_hits" "strategem_cache_derived_hits_total"
+      "subsume.derived_hits"
+      "Answer-cache derived hits (answered by filtering a more general \
+       cached entry's answer set)"
+      (answers (fun a -> a.derived_hits));
+    stat Counter "cache_derived_scan_entries"
+      "strategem_cache_derived_scan_entries_total"
+      "subsume.derived_scan_entries"
+      "Candidate generalizations examined across subsumption probes"
+      (answers (fun a -> a.derived_scanned));
+    stat Counter "cache_subsume_misses" "strategem_cache_subsume_misses_total"
+      "subsume.subsume_misses"
+      "Subsumption probes that found no usable generalization"
+      (answers (fun a -> a.subsume_misses));
+    stat Gauge "cache_index_keys" "strategem_cache_index_keys"
+      "subsume.index_keys" "Keys registered in the subsumption index"
+      (answers (fun a -> a.index_keys));
+  ]
+
+(* Additive, like the cache block: rendered only when serving from a
+   paged store. *)
+let store_stats : Store.stats stat list =
+  let store f (s : Store.stats) = float_of_int (f s) in
+  [
+    stat Flag "store_enabled" "strategem_store_enabled" ""
+      "1 when the database is backed by the paged store" (fun _ -> 1.0);
+    stat Gauge "store_page_size_bytes" "strategem_store_page_size_bytes"
+      "page_size_bytes" "Paged-store page size" (store (fun s -> s.page_size));
+    stat Gauge "store_pages" "strategem_store_pages" "pages"
+      "Pages allocated (checkpoint image plus growth)"
+      (store (fun s -> s.pages));
+    stat Gauge "store_pool_pages" "strategem_store_pool_pages" "pool_pages"
+      "Buffer-pool frames" (store (fun s -> s.pool_pages));
+    stat Counter "store_pool_hits" "strategem_store_pool_hits_total"
+      "pool_hits" "Buffer-pool hits" (store (fun s -> s.pool_hits));
+    stat Counter "store_pool_misses" "strategem_store_pool_misses_total"
+      "pool_misses" "Buffer-pool misses" (store (fun s -> s.pool_misses));
+    stat Counter "store_pool_evictions" "strategem_store_pool_evictions_total"
+      "pool_evictions" "Buffer-pool evictions"
+      (store (fun s -> s.pool_evictions));
+    stat Counter "store_page_reads" "strategem_store_page_reads_total"
+      "page_reads" "Pages read from disk" (store (fun s -> s.page_reads));
+    stat Counter "store_page_writes" "strategem_store_page_writes_total"
+      "page_writes" "Dirty pages spilled to disk"
+      (store (fun s -> s.page_writes));
+    stat Gauge "store_wal_bytes" "strategem_store_wal_bytes" "wal_bytes"
+      "WAL bytes since the last checkpoint" (store (fun s -> s.wal_bytes));
+    stat Counter "store_wal_appends" "strategem_store_wal_appends_total"
+      "wal_appends" "WAL records appended" (store (fun s -> s.wal_appends));
+    stat Counter "store_wal_syncs" "strategem_store_wal_syncs_total"
+      "wal_syncs" "WAL group-commit fsyncs" (store (fun s -> s.wal_syncs));
+    stat Counter "store_checkpoints" "strategem_store_checkpoints_total"
+      "checkpoints" "Checkpoints taken this run"
+      (store (fun s -> s.checkpoints));
+    (* A float gauge in Prometheus, whole seconds in STATS and JSON. *)
+    stat Gauge "store_checkpoint_age_seconds"
+      "strategem_store_checkpoint_age_seconds" "checkpoint_age_seconds"
+      "Seconds since the last checkpoint (or open)" (fun (s : Store.stats) ->
+        Float.max 0.0 (Unix.gettimeofday () -. s.checkpoint_unix));
+    stat Gauge "store_facts" "strategem_store_facts" "facts"
+      "Facts in the paged store" (store (fun s -> s.facts));
+    stat Gauge "store_symbols" "strategem_store_symbols" "symbols"
+      "Symbols in the persistent catalog" (store (fun s -> s.symbols));
+    stat Gauge "store_generation" "strategem_store_generation" "generation"
+      "Persistent database generation" (store (fun s -> s.generation));
+  ]
+
+let value s = function None -> 0.0 | Some r -> s.read r
+
+(* One instrument per row; returns the collect-time mirror. *)
+let register reg stats =
+  let setters =
+    List.map
+      (fun s ->
+        match s.kind with
+        | Counter ->
+          let c = R.Counter.solo (R.Counter.v reg ~help:s.help s.name) in
+          fun v -> R.Counter.set c (int_of_float v)
+        | Gauge | Flag ->
+          R.Gauge.set (R.Gauge.solo (R.Gauge.v reg ~help:s.help s.name)))
+      stats
+  in
+  fun r -> List.iter2 (fun s set -> set (value s r)) stats setters
+
+let stat_lines stats r =
+  List.map
+    (fun s -> Printf.sprintf "%s %d" s.key (int_of_float (value s r)))
+    stats
+
+(* Both blocks are additive under schema 1 and carry their own version,
+   so their fields can evolve without a top-level bump. *)
+let block_version = 1
+
+let json_block buf name stats r =
+  Printf.bprintf buf "\"%s\":{\"version\":%d" name block_version;
+  let last =
+    List.fold_left
+      (fun cur s ->
+        if s.json = "" then cur
+        else begin
+          let sub, key =
+            match String.index_opt s.json '.' with
+            | None -> ("", s.json)
+            | Some i ->
+              ( String.sub s.json 0 i,
+                String.sub s.json (i + 1) (String.length s.json - i - 1) )
+          in
+          if sub <> cur && cur <> "" then Buffer.add_char buf '}';
+          Buffer.add_char buf ',';
+          if sub <> cur && sub <> "" then Printf.bprintf buf "\"%s\":{" sub;
+          let v = value s r in
+          (match s.kind with
+          | Flag -> Printf.bprintf buf "\"%s\":%b" key (v <> 0.0)
+          | Counter | Gauge ->
+            Printf.bprintf buf "\"%s\":%d" key (int_of_float v));
+          sub
+        end)
+      "" stats
+  in
+  if last <> "" then Buffer.add_char buf '}';
+  Buffer.add_string buf "},"
 
 (* Per-loop hot-path handles, obtained once by each event loop of the
    reactor fleet at spawn — the loop updates only its own (uncontended)
@@ -86,12 +228,14 @@ type form_handles = {
 type t = {
   reg : R.t;
   started : float;
-  lock : Mutex.t;  (* guards [forms] creation and [cache_provider] *)
+  lock : Mutex.t;  (* guards [forms] creation and the providers *)
   forms : (string, form_handles) Hashtbl.t;
   trace_lock : Mutex.t;
   traces : Trace.Ring.t option;
-  mutable cache_provider : (unit -> cache_stats) option;
-  mutable store_provider : (unit -> store_stats) option;
+  mutable cache_provider : (unit -> cache_reading option) option;
+  mutable store_provider : (unit -> Store.stats option) option;
+  mirror_cache : cache_reading option -> unit;
+  mirror_store : Store.stats option -> unit;
   (* Window high-water accumulator, consumed (reset) by whichever of
      STATS or a /metrics scrape reads it first — "max depth since the
      last read". The all-time high-water gauge never resets. *)
@@ -130,43 +274,10 @@ type t = {
   c_write_shed_bytes : R.Counter.t;
   c_idle_closed : R.Counter.t;
   c_ip_limited : R.Counter.t;
+  c_slow : R.Counter.t;
   mutable backend : string;  (* reactor backend: "epoll" / "select" *)
   h_queue_wait : R.Histogram.t;
-  g_cache_enabled : R.Gauge.t;
-  c_cache_hits : R.Counter.t;
-  c_cache_misses : R.Counter.t;
-  c_cache_evictions : R.Counter.t;
-  c_cache_invalidations : R.Counter.t;
-  g_cache_entries : R.Gauge.t;
-  g_cache_bytes : R.Gauge.t;
-  g_cache_capacity : R.Gauge.t;
-  c_memo_hits : R.Counter.t;
-  c_memo_misses : R.Counter.t;
-  c_memo_invalidations : R.Counter.t;
-  g_memo_entries : R.Gauge.t;
-  g_cache_subsume : R.Gauge.t;
-  c_cache_derived_hits : R.Counter.t;
-  c_cache_derived_scan : R.Counter.t;
-  c_cache_subsume_misses : R.Counter.t;
-  g_cache_index_keys : R.Gauge.t;
   h_cache_filter : R.Histogram.t;
-  g_store_enabled : R.Gauge.t;
-  g_store_page_size : R.Gauge.t;
-  g_store_pages : R.Gauge.t;
-  g_store_pool_pages : R.Gauge.t;
-  c_store_pool_hits : R.Counter.t;
-  c_store_pool_misses : R.Counter.t;
-  c_store_pool_evictions : R.Counter.t;
-  c_store_page_reads : R.Counter.t;
-  c_store_page_writes : R.Counter.t;
-  g_store_wal_bytes : R.Gauge.t;
-  c_store_wal_appends : R.Counter.t;
-  c_store_wal_syncs : R.Counter.t;
-  c_store_checkpoints : R.Counter.t;
-  g_store_checkpoint_age : R.Gauge.t;
-  g_store_facts : R.Gauge.t;
-  g_store_symbols : R.Gauge.t;
-  g_store_generation : R.Gauge.t;
   f_queries : R.Counter.fam;
   f_answered : R.Counter.fam;
   f_climbs : R.Counter.fam;
@@ -179,44 +290,17 @@ type t = {
   f_learner_finished : R.Gauge.fam;
 }
 
-let mirror_cache t cs =
-  R.Gauge.set t.g_cache_enabled (if cs.enabled then 1.0 else 0.0);
-  R.Counter.set t.c_cache_hits cs.hits;
-  R.Counter.set t.c_cache_misses cs.misses;
-  R.Counter.set t.c_cache_evictions cs.evictions;
-  R.Counter.set t.c_cache_invalidations cs.invalidations;
-  R.Gauge.set t.g_cache_entries (float_of_int cs.entries);
-  R.Gauge.set t.g_cache_bytes (float_of_int cs.bytes);
-  R.Gauge.set t.g_cache_capacity (float_of_int cs.capacity_bytes);
-  R.Counter.set t.c_memo_hits cs.memo_hits;
-  R.Counter.set t.c_memo_misses cs.memo_misses;
-  R.Counter.set t.c_memo_invalidations cs.memo_invalidations;
-  R.Gauge.set t.g_memo_entries (float_of_int cs.memo_entries);
-  R.Gauge.set t.g_cache_subsume (if cs.subsume then 1.0 else 0.0);
-  R.Counter.set t.c_cache_derived_hits cs.derived_hits;
-  R.Counter.set t.c_cache_derived_scan cs.derived_scan_entries;
-  R.Counter.set t.c_cache_subsume_misses cs.subsume_misses;
-  R.Gauge.set t.g_cache_index_keys (float_of_int cs.index_keys)
+let with_lock t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let mirror_store t (ss : store_stats) =
-  R.Gauge.set t.g_store_enabled 1.0;
-  R.Gauge.set t.g_store_page_size (float_of_int ss.Store.page_size);
-  R.Gauge.set t.g_store_pages (float_of_int ss.Store.pages);
-  R.Gauge.set t.g_store_pool_pages (float_of_int ss.Store.pool_pages);
-  R.Counter.set t.c_store_pool_hits ss.Store.pool_hits;
-  R.Counter.set t.c_store_pool_misses ss.Store.pool_misses;
-  R.Counter.set t.c_store_pool_evictions ss.Store.pool_evictions;
-  R.Counter.set t.c_store_page_reads ss.Store.page_reads;
-  R.Counter.set t.c_store_page_writes ss.Store.page_writes;
-  R.Gauge.set t.g_store_wal_bytes (float_of_int ss.Store.wal_bytes);
-  R.Counter.set t.c_store_wal_appends ss.Store.wal_appends;
-  R.Counter.set t.c_store_wal_syncs ss.Store.wal_syncs;
-  R.Counter.set t.c_store_checkpoints ss.Store.checkpoints;
-  R.Gauge.set t.g_store_checkpoint_age
-    (Float.max 0.0 (Unix.gettimeofday () -. ss.Store.checkpoint_unix));
-  R.Gauge.set t.g_store_facts (float_of_int ss.Store.facts);
-  R.Gauge.set t.g_store_symbols (float_of_int ss.Store.symbols);
-  R.Gauge.set t.g_store_generation (float_of_int ss.Store.generation)
+(* Each block's reading, [None] when no provider is installed. The
+   providers have their own locks; they are called outside ours. *)
+let readings t =
+  let cache, store =
+    with_lock t (fun () -> (t.cache_provider, t.store_provider))
+  in
+  (Option.map (fun f -> f ()) cache, Option.map (fun f -> f ()) store)
 
 let create ?(trace_capacity = 0) () =
   let reg = R.create () in
@@ -242,6 +326,8 @@ let create ?(trace_capacity = 0) () =
          else None);
       cache_provider = None;
       store_provider = None;
+      mirror_cache = register reg cache_stats;
+      mirror_store = register reg store_stats;
       window_hwm = Atomic.make 0.0;
       g_domains =
         gauge "Worker domains running (after clamping to the host's \
@@ -333,53 +419,14 @@ let create ?(trace_capacity = 0) () =
       c_ip_limited =
         counter "Connections refused by the per-IP cap"
           "strategem_ip_limited_total";
+      c_slow =
+        counter "Queries at or over the slow-query threshold"
+          "strategem_slow_queries_total";
       backend = "";
       h_queue_wait =
         R.Histogram.solo
           (R.Histogram.v reg ~help:"Admission-queue wait (microseconds)"
              "strategem_queue_wait_us");
-      g_cache_enabled =
-        gauge "1 when the answer cache is on" "strategem_cache_enabled";
-      c_cache_hits = counter "Answer-cache hits" "strategem_cache_hits_total";
-      c_cache_misses =
-        counter "Answer-cache misses" "strategem_cache_misses_total";
-      c_cache_evictions =
-        counter "Answer-cache LRU evictions" "strategem_cache_evictions_total";
-      c_cache_invalidations =
-        counter "Answer-cache entries dropped after DB mutations"
-          "strategem_cache_invalidations_total";
-      g_cache_entries =
-        gauge "Answer-cache resident entries" "strategem_cache_entries";
-      g_cache_bytes =
-        gauge "Answer-cache resident bytes (estimated)" "strategem_cache_bytes";
-      g_cache_capacity =
-        gauge "Answer-cache capacity in bytes" "strategem_cache_capacity_bytes";
-      c_memo_hits = counter "Subgoal-memo hits" "strategem_memo_hits_total";
-      c_memo_misses =
-        counter "Subgoal-memo misses" "strategem_memo_misses_total";
-      c_memo_invalidations =
-        counter "Subgoal-memo invalidations" "strategem_memo_invalidations_total";
-      g_memo_entries =
-        gauge "Subgoal-memo resident entries" "strategem_memo_entries";
-      g_cache_subsume =
-        gauge "1 when subsumption-based answer reuse is on"
-          "strategem_cache_subsume_enabled";
-      c_cache_derived_hits =
-        counter
-          "Answer-cache derived hits (answered by filtering a more \
-           general cached entry's answer set)"
-          "strategem_cache_derived_hits_total";
-      c_cache_derived_scan =
-        counter
-          "Candidate generalizations examined across subsumption probes"
-          "strategem_cache_derived_scan_entries_total";
-      c_cache_subsume_misses =
-        counter
-          "Subsumption probes that found no usable generalization"
-          "strategem_cache_subsume_misses_total";
-      g_cache_index_keys =
-        gauge "Keys registered in the subsumption index"
-          "strategem_cache_index_keys";
       h_cache_filter =
         R.Histogram.solo
           (R.Histogram.v reg
@@ -387,43 +434,6 @@ let create ?(trace_capacity = 0) () =
                "Latency of subsumption probes (candidate walk + answer-set \
                 filtering) on exact-key misses (microseconds)"
              "strategem_cache_filter_latency_us");
-      g_store_enabled =
-        gauge "1 when the database is backed by the paged store"
-          "strategem_store_enabled";
-      g_store_page_size =
-        gauge "Paged-store page size" "strategem_store_page_size_bytes";
-      g_store_pages =
-        gauge "Pages allocated (checkpoint image plus growth)"
-          "strategem_store_pages";
-      g_store_pool_pages =
-        gauge "Buffer-pool frames" "strategem_store_pool_pages";
-      c_store_pool_hits =
-        counter "Buffer-pool hits" "strategem_store_pool_hits_total";
-      c_store_pool_misses =
-        counter "Buffer-pool misses" "strategem_store_pool_misses_total";
-      c_store_pool_evictions =
-        counter "Buffer-pool evictions" "strategem_store_pool_evictions_total";
-      c_store_page_reads =
-        counter "Pages read from disk" "strategem_store_page_reads_total";
-      c_store_page_writes =
-        counter "Dirty pages spilled to disk"
-          "strategem_store_page_writes_total";
-      g_store_wal_bytes =
-        gauge "WAL bytes since the last checkpoint" "strategem_store_wal_bytes";
-      c_store_wal_appends =
-        counter "WAL records appended" "strategem_store_wal_appends_total";
-      c_store_wal_syncs =
-        counter "WAL group-commit fsyncs" "strategem_store_wal_syncs_total";
-      c_store_checkpoints =
-        counter "Checkpoints taken this run" "strategem_store_checkpoints_total";
-      g_store_checkpoint_age =
-        gauge "Seconds since the last checkpoint (or open)"
-          "strategem_store_checkpoint_age_seconds";
-      g_store_facts = gauge "Facts in the paged store" "strategem_store_facts";
-      g_store_symbols =
-        gauge "Symbols in the persistent catalog" "strategem_store_symbols";
-      g_store_generation =
-        gauge "Persistent database generation" "strategem_store_generation";
       f_queries =
         R.Counter.v reg ~help:"Queries answered" ~labels:[ "form" ]
           "strategem_queries_total";
@@ -462,24 +472,15 @@ let create ?(trace_capacity = 0) () =
   in
   R.on_collect reg (fun () ->
       R.Gauge.set t.g_uptime (Unix.gettimeofday () -. t.started);
-      Mutex.lock t.lock;
-      let n_forms = Hashtbl.length t.forms in
-      let provider = t.cache_provider in
-      let sprovider = t.store_provider in
-      Mutex.unlock t.lock;
+      let n_forms = with_lock t (fun () -> Hashtbl.length t.forms) in
       R.Gauge.set t.g_forms_active (float_of_int n_forms);
       R.Gauge.set t.g_queue_hwm_window (Atomic.exchange t.window_hwm 0.0);
-      (* The providers have their own locks; called outside ours. *)
-      (match provider with Some f -> mirror_cache t (f ()) | None -> ());
-      match sprovider with Some f -> mirror_store t (f ()) | None -> ());
+      let cache, store = readings t in
+      Option.iter t.mirror_cache cache;
+      Option.iter t.mirror_store store);
   t
 
-let registry t = t.reg
 let render_prometheus t = Obs.Expo.render t.reg
-
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let form_handles t key =
   with_lock t (fun () ->
@@ -564,7 +565,6 @@ let observe_stage lh ~stage us =
   R.Histogram.observe h us
 
 let lifecycle_finalized t = R.Counter.inc t.c_lifecycle
-let lifecycle_requests t = R.Counter.value t.c_lifecycle
 
 let trace_retained t lh ~reason ~seq =
   (match List.assoc_opt reason t.retained_by with
@@ -573,11 +573,8 @@ let trace_retained t lh ~reason ~seq =
   R.Gauge.set lh.lg_exemplar (float_of_int seq);
   ignore (Atomic.fetch_and_add t.retained_count 1)
 
-let traces_retained t = Atomic.get t.retained_count
-
 let loop_conn_opened lh = R.Gauge.add lh.lg_conns 1.0
 let loop_conn_closed lh = R.Gauge.add lh.lg_conns (-1.0)
-let loop_conns lh = int_of_float (R.Gauge.value lh.lg_conns)
 
 (* The loop owns the monotonic count (Eventloop.wakeups); the series
    mirrors it. *)
@@ -588,7 +585,6 @@ let write_overflow t ~shed_bytes =
   R.Counter.inc t.c_write_overflow;
   R.Counter.add t.c_write_shed_bytes shed_bytes
 
-let write_shed_bytes t n = R.Counter.add t.c_write_shed_bytes n
 let idle_closed t = R.Counter.inc t.c_idle_closed
 let ip_limited t = R.Counter.inc t.c_ip_limited
 
@@ -628,6 +624,7 @@ let observe_queue_depth t d =
 
 let queue_waited t ~wait_us = R.Histogram.observe t.h_queue_wait wait_us
 let cache_filter t us = R.Histogram.observe t.h_cache_filter us
+let slow_query t = R.Counter.inc t.c_slow
 
 let trace_sampling t = t.traces <> None
 
@@ -671,19 +668,7 @@ let learner_progress t ~form ~samples ~samples_total ~climbs ~epsilon ~delta
   R.Gauge.set fh.g_finished (if finished then 1.0 else 0.0)
 
 let set_cache_provider t f = with_lock t (fun () -> t.cache_provider <- Some f)
-
-let cache_stats t =
-  match with_lock t (fun () -> t.cache_provider) with
-  | None -> None
-  | Some f -> Some (f ())
-
-let set_store_provider t f =
-  with_lock t (fun () -> t.store_provider <- Some f)
-
-let store_stats t =
-  match with_lock t (fun () -> t.store_provider) with
-  | None -> None
-  | Some f -> Some (f ())
+let set_store_provider t f = with_lock t (fun () -> t.store_provider <- Some f)
 
 let sorted_forms t =
   with_lock t (fun () ->
@@ -701,60 +686,12 @@ let climbs_total t =
 let busy_total t = R.Counter.value t.c_busy
 let queue_high_water t = int_of_float (R.Gauge.value t.g_queue_hwm)
 
-let cache_lines cs =
-  [
-    Printf.sprintf "cache_enabled %d" (if cs.enabled then 1 else 0);
-    Printf.sprintf "cache_hits %d" cs.hits;
-    Printf.sprintf "cache_misses %d" cs.misses;
-    Printf.sprintf "cache_evictions %d" cs.evictions;
-    Printf.sprintf "cache_invalidations %d" cs.invalidations;
-    Printf.sprintf "cache_entries %d" cs.entries;
-    Printf.sprintf "cache_bytes %d" cs.bytes;
-    Printf.sprintf "cache_capacity_bytes %d" cs.capacity_bytes;
-    Printf.sprintf "memo_hits %d" cs.memo_hits;
-    Printf.sprintf "memo_misses %d" cs.memo_misses;
-    Printf.sprintf "memo_invalidations %d" cs.memo_invalidations;
-    Printf.sprintf "memo_entries %d" cs.memo_entries;
-    (* Additive (subsumption-based answer reuse). *)
-    Printf.sprintf "cache_subsume_enabled %d" (if cs.subsume then 1 else 0);
-    Printf.sprintf "cache_derived_hits %d" cs.derived_hits;
-    Printf.sprintf "cache_derived_scan_entries %d" cs.derived_scan_entries;
-    Printf.sprintf "cache_subsume_misses %d" cs.subsume_misses;
-    Printf.sprintf "cache_index_keys %d" cs.index_keys;
-  ]
-
-(* Additive, like [cache_lines]: present only when serving from a paged
-   store. *)
-let store_lines (ss : store_stats) =
-  [
-    Printf.sprintf "store_enabled 1";
-    Printf.sprintf "store_page_size_bytes %d" ss.Store.page_size;
-    Printf.sprintf "store_pages %d" ss.Store.pages;
-    Printf.sprintf "store_pool_pages %d" ss.Store.pool_pages;
-    Printf.sprintf "store_pool_hits %d" ss.Store.pool_hits;
-    Printf.sprintf "store_pool_misses %d" ss.Store.pool_misses;
-    Printf.sprintf "store_pool_evictions %d" ss.Store.pool_evictions;
-    Printf.sprintf "store_page_reads %d" ss.Store.page_reads;
-    Printf.sprintf "store_page_writes %d" ss.Store.page_writes;
-    Printf.sprintf "store_wal_bytes %d" ss.Store.wal_bytes;
-    Printf.sprintf "store_wal_appends %d" ss.Store.wal_appends;
-    Printf.sprintf "store_wal_syncs %d" ss.Store.wal_syncs;
-    Printf.sprintf "store_checkpoints %d" ss.Store.checkpoints;
-    Printf.sprintf "store_checkpoint_age_seconds %d"
-      (int_of_float
-         (Float.max 0.0 (Unix.gettimeofday () -. ss.Store.checkpoint_unix)));
-    Printf.sprintf "store_facts %d" ss.Store.facts;
-    Printf.sprintf "store_symbols %d" ss.Store.symbols;
-    Printf.sprintf "store_generation %d" ss.Store.generation;
-  ]
-
 (* Every STATS field and its order is part of the frozen text contract;
    values are read out of the registry instruments. New fields are only
    ever appended next to their kin (queue_depth and
    queue_high_water_window arrived after queue_high_water). *)
 let render_text t =
-  let cache = cache_stats t in
-  let store = store_stats t in
+  let cache, store = readings t in
   let forms = sorted_forms t in
   let qw = R.Histogram.snapshot t.h_queue_wait in
   let counters =
@@ -808,12 +745,8 @@ let render_text t =
         (Atomic.get t.retained_count);
     ]
   in
-  let counters =
-    match cache with None -> counters | Some cs -> counters @ cache_lines cs
-  in
-  let counters =
-    match store with None -> counters | Some ss -> counters @ store_lines ss
-  in
+  let block stats = Option.fold ~none:[] ~some:(stat_lines stats) in
+  let counters = counters @ block cache_stats cache @ block store_stats store in
   let form_lines =
     List.map
       (fun (key, fh) ->
@@ -850,49 +783,8 @@ let json_escape s =
 
 let schema_version = 1
 
-(* Versioned independently of the top-level schema: the [cache] block is
-   additive (schema stays 1) but carries its own version so its fields can
-   evolve without a top-level bump. *)
-let cache_block_version = 1
-
-let cache_json cs =
-  (* The [subsume] sub-block is additive under cache-block version 1, like
-     the fields before it. *)
-  Printf.sprintf
-    "\"cache\":{\"version\":%d,\"enabled\":%b,\"hits\":%d,\"misses\":%d,\
-     \"evictions\":%d,\"invalidations\":%d,\"entries\":%d,\"bytes\":%d,\
-     \"capacity_bytes\":%d,\"memo\":{\"hits\":%d,\"misses\":%d,\
-     \"invalidations\":%d,\"entries\":%d},\"subsume\":{\"enabled\":%b,\
-     \"derived_hits\":%d,\"derived_scan_entries\":%d,\"subsume_misses\":%d,\
-     \"index_keys\":%d}},"
-    cache_block_version cs.enabled cs.hits cs.misses cs.evictions
-    cs.invalidations cs.entries cs.bytes cs.capacity_bytes cs.memo_hits
-    cs.memo_misses cs.memo_invalidations cs.memo_entries cs.subsume
-    cs.derived_hits cs.derived_scan_entries cs.subsume_misses cs.index_keys
-
-(* Like the [cache] block: additive under schema 1, independently
-   versioned. *)
-let store_block_version = 1
-
-let store_json (ss : store_stats) =
-  Printf.sprintf
-    "\"store\":{\"version\":%d,\"page_size_bytes\":%d,\"pages\":%d,\
-     \"pool_pages\":%d,\"pool_hits\":%d,\"pool_misses\":%d,\
-     \"pool_evictions\":%d,\"page_reads\":%d,\"page_writes\":%d,\
-     \"wal_bytes\":%d,\"wal_appends\":%d,\"wal_syncs\":%d,\
-     \"checkpoints\":%d,\"checkpoint_age_seconds\":%d,\"facts\":%d,\
-     \"symbols\":%d,\"generation\":%d},"
-    store_block_version ss.Store.page_size ss.Store.pages ss.Store.pool_pages
-    ss.Store.pool_hits ss.Store.pool_misses ss.Store.pool_evictions
-    ss.Store.page_reads ss.Store.page_writes ss.Store.wal_bytes
-    ss.Store.wal_appends ss.Store.wal_syncs ss.Store.checkpoints
-    (int_of_float
-       (Float.max 0.0 (Unix.gettimeofday () -. ss.Store.checkpoint_unix)))
-    ss.Store.facts ss.Store.symbols ss.Store.generation
-
 let render_json t =
-  let cache = cache_stats t in
-  let store = store_stats t in
+  let cache, store = readings t in
   let forms = sorted_forms t in
   let qw = R.Histogram.snapshot t.h_queue_wait in
   let buf = Buffer.create 512 in
@@ -965,12 +857,8 @@ let render_json t =
        "\"lifecycle\":{\"requests_total\":%d,\"traces_retained_total\":%d},"
        (R.Counter.value t.c_lifecycle)
        (Atomic.get t.retained_count));
-  (match cache with
-  | None -> ()
-  | Some cs -> Buffer.add_string buf (cache_json cs));
-  (match store with
-  | None -> ()
-  | Some ss -> Buffer.add_string buf (store_json ss));
+  Option.iter (json_block buf "cache" cache_stats) cache;
+  Option.iter (json_block buf "store" store_stats) store;
   Buffer.add_string buf "\"forms\":{";
   List.iteri
     (fun i (key, fh) ->

@@ -1,10 +1,19 @@
-(** Server observability: a thin facade over an {!Obs.Registry}. Every
-    number the daemon reports lives in a registry instrument, so the
-    same underlying counters feed the TCP [STATS]/[STATS JSON] renderers
-    (byte-stable for existing clients — new fields are only ever
-    additive) and the Prometheus [/metrics] endpoint
-    ({!render_prometheus}). Metric names and labels are inventoried in
-    [docs/OBSERVABILITY.md].
+(** Server observability: a thin facade over an {!Obs.Registry}, and the
+    single place its metrics are registered. Every number the daemon
+    reports lives in a registry instrument, so the same underlying
+    counters feed the TCP [STATS]/[STATS JSON] renderers (byte-stable
+    for existing clients — new fields are only ever additive) and the
+    Prometheus [/metrics] endpoint ({!render_prometheus}). Metric names
+    and labels are inventoried in [docs/OBSERVABILITY.md].
+
+    The cache, subgoal-memo, subsumption and paged-store statistics come
+    from one table inside this module: a row per statistic names its
+    [STATS] key, Prometheus family, help text, kind, place in the
+    [STATS JSON] block and a reader over the layer's own record
+    ({!Cache.Answers.counters}, {!Datalog.Sld.Memo.counters},
+    {!Store.stats}). Registration, the collect-time mirror, the
+    [cache_*]/[memo_*]/[store_*] [STATS] lines and the [cache]/[store]
+    JSON blocks all walk it.
 
     All operations are thread-safe; hot-path updates are lock-sharded
     per time series (see {!Obs.Registry}). Per-form state is created on
@@ -20,15 +29,6 @@ type t
     sampling. *)
 val create : ?trace_capacity:int -> unit -> t
 
-(** Version of the frozen [STATS JSON] schema (the [schema] field;
-    documented field-by-field in [docs/SERVING.md] — derived from the
-    registry since the observability layer landed). *)
-val schema_version : int
-
-(** The backing registry, for callers that add their own instruments
-    (the server's slow-query counter) or render it directly. *)
-val registry : t -> Obs.Registry.t
-
 (** The whole registry in Prometheus text exposition format 0.0.4 —
     the [GET /metrics] body. Runs the collect hooks (cache mirror,
     uptime, windowed high-water). *)
@@ -41,8 +41,6 @@ val render_prometheus : t -> string
     Rendered as the [strategem_domains] gauge and the additive
     [domains] STATS field. *)
 val set_domains : t -> int -> unit
-
-val domains : t -> int
 
 (** Per-domain hot-path handles, obtained once by each worker at spawn:
     [strategem_domain_connections_total{domain}] and
@@ -90,6 +88,10 @@ val queue_waited : t -> wait_us:float -> unit
     observed. Feeds [strategem_cache_filter_latency_us]. *)
 val cache_filter : t -> float -> unit
 
+(** A query took at least the slow-query threshold
+    ([strategem_slow_queries_total]). *)
+val slow_query : t -> unit
+
 (** {1 Reactor (protocol v4)} *)
 
 (** The [strategem_conns_open] gauge: sockets the reactor currently
@@ -97,7 +99,6 @@ val cache_filter : t -> float -> unit
 val conn_opened : t -> unit
 
 val conn_closed : t -> unit
-val conns_open : t -> int
 
 (** The [strategem_pipeline_depth] gauge: requests dispatched to the
     worker pool whose responses have not yet been enqueued, across all
@@ -120,8 +121,6 @@ val set_backend : t -> string -> unit
     field). *)
 val set_loops : t -> int -> unit
 
-val loops : t -> int
-
 (** Per-loop hot-path handles: [strategem_loop_conns_open{loop}],
     [strategem_loop_wakeups_total{loop}],
     [strategem_loop_pipeline_depth{loop}]. *)
@@ -130,7 +129,6 @@ type loop_handles
 val loop_handles : t -> loop:int -> loop_handles
 val loop_conn_opened : loop_handles -> unit
 val loop_conn_closed : loop_handles -> unit
-val loop_conns : loop_handles -> int
 
 (** Mirror the loop's monotonic coalesced-wake count
     ({!Eventloop.wakeups}) into its counter series. *)
@@ -150,25 +148,17 @@ val observe_stage : loop_handles -> stage:string -> float -> unit
     ([strategem_lifecycle_requests_total]). *)
 val lifecycle_finalized : t -> unit
 
-val lifecycle_requests : t -> int
-
 (** A finalized request's trace was kept by tail-based retention
     ([strategem_traces_retained_total{reason}]); [seq] becomes the
     loop's exemplar gauge ([strategem_trace_retained_exemplar{loop}]).
     [reason] is one of [slow], [error], [shed]. *)
 val trace_retained : t -> loop_handles -> reason:string -> seq:int -> unit
 
-(** Traces retained across all reasons since start. *)
-val traces_retained : t -> int
-
 (** A connection breached a write-buffer cap: its buffered output
     ([shed_bytes]) was dropped, one [BUSY] took its place, and the loop
     disconnected it ([strategem_write_overflow_total],
     [strategem_write_shed_bytes_total]). *)
 val write_overflow : t -> shed_bytes:int -> unit
-
-(** Late-reported shed bytes (flushed after the overflow was counted). *)
-val write_shed_bytes : t -> int -> unit
 
 (** A connection hit [--idle-timeout-s] ([strategem_idle_closed_total]). *)
 val idle_closed : t -> unit
@@ -183,9 +173,6 @@ val trace_sampling : t -> bool
 (** Add one rendered trace (a {!Trace.to_json} line) to the sample ring;
     no-op when sampling is off. *)
 val trace : t -> string -> unit
-
-(** Sampled traces, oldest first ([[]] when sampling is off). *)
-val recent_traces : t -> string list
 
 (** One answered query: latency, whether an answer was found, and whether
     it triggered a strategy climb. *)
@@ -211,67 +198,27 @@ val learner_progress :
   finished:bool ->
   unit
 
-(** {1 Cache} *)
+(** {1 Cache and paged store}
 
-(** A point-in-time view of the serving caches, pulled from the cache's
-    own counters when rendering (the cache layer is below [Serve] and
-    keeps its own thread-safe counters; metrics never double-count). *)
-type cache_stats = {
-  enabled : bool;
-  hits : int;  (** answer-cache hits *)
-  misses : int;
-  evictions : int;
-  invalidations : int;  (** entries dropped after a DB mutation *)
-  entries : int;
-  bytes : int;  (** estimated resident bytes *)
-  capacity_bytes : int;
-  memo_hits : int;  (** subgoal-memo hits (SLD tabling-lite) *)
-  memo_misses : int;
-  memo_invalidations : int;
-  memo_entries : int;
+    Each layer keeps its own thread-safe counters; the renderers pull a
+    reading through the installed provider (called outside the metrics
+    lock), so metrics never double-count. With no provider the layer's
+    [STATS] lines and [STATS JSON] block are absent and its
+    [strategem_*] series read 0; a provider that returns [None] (the
+    layer is off) reports every statistic as 0 with [enabled] false. *)
+
+(** One reading of the serving caches. *)
+type cache_reading = {
+  answers : Cache.Answers.counters;
+  memo : Datalog.Sld.Memo.counters;
   subsume : bool;  (** subsumption index / derived hits enabled *)
-  derived_hits : int;
-      (** lookups answered by filtering a more general entry's answer set *)
-  derived_scan_entries : int;
-      (** candidate generalizations examined across subsumption probes *)
-  subsume_misses : int;  (** probes that found no usable generalization *)
-  index_keys : int;  (** keys registered in the subsumption index *)
 }
 
-(** All-zero, [enabled = false] — what a cacheless server reports. *)
-val no_cache_stats : cache_stats
+val set_cache_provider : t -> (unit -> cache_reading option) -> unit
 
-(** Install the provider the renderers pull {!cache_stats} through. The
-    provider is called outside the metrics lock. *)
-val set_cache_provider : t -> (unit -> cache_stats) -> unit
-
-(** Current cache stats via the provider, if one is installed. *)
-val cache_stats : t -> cache_stats option
-
-(** Version of the [cache] block inside [STATS JSON] (independent of
-    {!schema_version}; the block is additive). *)
-val cache_block_version : int
-
-(** {1 Paged store}
-
-    When the daemon serves from a paged database ([--data-dir]), its
-    {!Store.stats} counters are mirrored into [strategem_store_*]
-    instruments on every collect, appended as additive [store_*] lines
-    to [STATS], and rendered as the [store] block in [STATS JSON]. An
-    in-memory daemon installs no provider and reports none of them. *)
-
-type store_stats = Store.stats
-
-(** Install the provider the renderers pull {!store_stats} through
-    (typically [Database.store_stats] partially applied). Called outside
-    the metrics lock. *)
-val set_store_provider : t -> (unit -> store_stats) -> unit
-
-(** Current store stats via the provider, if one is installed. *)
-val store_stats : t -> store_stats option
-
-(** Version of the [store] block inside [STATS JSON]. *)
-val store_block_version : int
+(** Typically [Database.store_stats] partially applied; installed only
+    when the daemon serves from a paged database ([--data-dir]). *)
+val set_store_provider : t -> (unit -> Store.stats option) -> unit
 
 (** {1 Reads} *)
 

@@ -156,7 +156,6 @@ type state = {
      tree into the next admitted record at the cost of one traced query
      per record *)
   trace_next : bool Atomic.t;
-  c_slow : Obs.Registry.Counter.t;
   (* global sequence over retained traces, so `strategem tail` can
      dedupe across loops *)
   retained_seq : int Atomic.t;
@@ -376,7 +375,7 @@ let log_query st ~conn ~qid ~latency_us ~tracer atom_text
           ("switched", Obs.Log.B ans.Core.Live.switched);
         ];
   if st.cfg.slow_query_us > 0.0 && latency_us >= st.cfg.slow_query_us then begin
-    Obs.Registry.Counter.inc st.c_slow;
+    Metrics.slow_query st.metrics;
     match
       Obs.Log.Limiter.admit st.slow_limiter ~now:(Unix.gettimeofday ())
     with
@@ -1419,12 +1418,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
     else None
   in
   let memo = if cfg.cache_mb > 0 then Some (D.Sld.Memo.create ()) else None in
-  let c_slow =
-    Obs.Registry.Counter.solo
-      (Obs.Registry.Counter.v (Metrics.registry metrics)
-         ~help:"Queries at or over the slow-query threshold"
-         "strategem_slow_queries_total")
-  in
   let st =
     {
       cfg;
@@ -1434,7 +1427,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
       log;
       slow_limiter = Obs.Log.Limiter.create ~min_interval_s:1.0;
       trace_next = Atomic.make false;
-      c_slow;
       retained_seq = Atomic.make 0;
       flight_limiter = Obs.Log.Limiter.create ~min_interval_s:1.0;
       conn_seq = Atomic.make 1;
@@ -1467,43 +1459,19 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
           | Store.Hooks.Page_read -> Lifecycle.add_page_wait lc ns));
   (* A paged (or copy-of-paged) database exposes its store counters;
      an in-memory one reports no store block at all. *)
-  (match D.Database.store_stats st.db with
-  | Some _ ->
+  if Option.is_some (D.Database.store_stats st.db) then
     Metrics.set_store_provider metrics (fun () ->
-        match D.Database.store_stats st.db with
-        | Some ss -> ss
-        | None -> assert false)
-  | None -> ());
+        D.Database.store_stats st.db);
   Metrics.set_cache_provider metrics (fun () ->
-      match st.cache with
-      | None -> Metrics.no_cache_stats
-      | Some c ->
-        let a = Cache.Answers.counters c in
-        let m =
-          match st.memo with
-          | Some m -> D.Sld.Memo.counters m
-          | None ->
-            D.Sld.Memo.{ hits = 0; misses = 0; invalidations = 0; entries = 0 }
-        in
-        {
-          Metrics.enabled = true;
-          hits = a.Cache.Answers.hits;
-          misses = a.Cache.Answers.misses;
-          evictions = a.Cache.Answers.evictions;
-          invalidations = a.Cache.Answers.invalidations;
-          entries = a.Cache.Answers.entries;
-          bytes = a.Cache.Answers.bytes;
-          capacity_bytes = a.Cache.Answers.capacity_bytes;
-          memo_hits = m.D.Sld.Memo.hits;
-          memo_misses = m.D.Sld.Memo.misses;
-          memo_invalidations = m.D.Sld.Memo.invalidations;
-          memo_entries = m.D.Sld.Memo.entries;
-          subsume = Cache.Answers.subsume_enabled c;
-          derived_hits = a.Cache.Answers.derived_hits;
-          derived_scan_entries = a.Cache.Answers.derived_scanned;
-          subsume_misses = a.Cache.Answers.subsume_misses;
-          index_keys = a.Cache.Answers.index_keys;
-        });
+      match (st.cache, st.memo) with
+      | Some c, Some m ->
+        Some
+          {
+            Metrics.answers = Cache.Answers.counters c;
+            memo = D.Sld.Memo.counters m;
+            subsume = Cache.Answers.subsume_enabled c;
+          }
+      | _ -> None);
   (* The metrics responder is created inside the protected body (after
      the main socket binds, so a busy serve port can't leak it) but must
      be torn down on any exit path, hence the ref. *)

@@ -269,23 +269,28 @@ let metrics_counters_and_histogram () =
 
 let golden_cache =
   {
-    Serve.Metrics.enabled = true;
-    hits = 11;
-    misses = 12;
-    evictions = 13;
-    invalidations = 14;
-    entries = 15;
-    bytes = 16;
-    capacity_bytes = 17;
-    memo_hits = 18;
-    memo_misses = 19;
-    memo_invalidations = 20;
-    memo_entries = 21;
+    Serve.Metrics.answers =
+      {
+        Cache.Answers.hits = 11;
+        misses = 12;
+        evictions = 13;
+        invalidations = 14;
+        entries = 15;
+        bytes = 16;
+        capacity_bytes = 17;
+        derived_hits = 22;
+        derived_scanned = 23;
+        subsume_misses = 24;
+        index_keys = 25;
+      };
+    memo =
+      {
+        D.Sld.Memo.hits = 18;
+        misses = 19;
+        invalidations = 20;
+        entries = 21;
+      };
     subsume = true;
-    derived_hits = 22;
-    derived_scan_entries = 23;
-    subsume_misses = 24;
-    index_keys = 25;
   }
 
 let golden_store () =
@@ -358,8 +363,8 @@ let check_lines name expected got =
 
 let metrics_blocks_golden () =
   let m = Serve.Metrics.create () in
-  Serve.Metrics.set_cache_provider m (fun () -> golden_cache);
-  Serve.Metrics.set_store_provider m golden_store;
+  Serve.Metrics.set_cache_provider m (fun () -> Some golden_cache);
+  Serve.Metrics.set_store_provider m (fun () -> Some (golden_store ()));
   check_lines "STATS block lines"
     [
       "cache_enabled 1";
@@ -530,7 +535,7 @@ let metrics_blocks_golden () =
 let metrics_blocks_golden_off () =
   (* A cacheless daemon: the provider reports all zeros, no store. *)
   let m = Serve.Metrics.create () in
-  Serve.Metrics.set_cache_provider m (fun () -> Serve.Metrics.no_cache_stats);
+  Serve.Metrics.set_cache_provider m (fun () -> None);
   check_lines "STATS block lines, cache off"
     [
       "cache_enabled 0";
