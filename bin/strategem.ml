@@ -517,10 +517,10 @@ let run_serve file host port workers queue_depth max_conns state_dir
     | Some dir ->
       let paged = D.Database.open_paged ~dir ?buffer_pages () in
       if D.Database.size paged = 0 then begin
-        (* Cold start: bulk-load the program's facts, then checkpoint so
-           restarts replay a compact image instead of the load's WAL. *)
-        D.Database.iter (fun fact -> ignore (D.Database.add paged fact)) db;
-        D.Database.checkpoint paged;
+        (* Cold start: write the program's facts as one checkpoint
+           image, so a crash mid-load leaves an empty store that the next
+           start loads again, never a partial one. *)
+        D.Database.bulk_load paged ~src:db;
         Fmt.pr "strategem serve: store: loaded %d fact(s)@."
           (D.Database.size paged)
       end
@@ -731,8 +731,9 @@ let serve_cmd =
       & info [ "data-dir" ] ~docv:"DIR"
           ~doc:
             "Serve facts from a paged persistent store rooted at DIR \
-             instead of in-memory sets. An empty store is bulk-loaded \
-             from FILE's facts and checkpointed; a populated one starts \
+             instead of in-memory sets. An empty store is filled with \
+             FILE's facts, written as one checkpoint image; a populated \
+             one starts \
              warm (FILE's facts are not re-added) after WAL recovery. \
              See docs/STORAGE.md.")
   in

@@ -192,12 +192,14 @@ let atom_of p pred_sid args =
   in
   Atom.make_sym (sym_of_sid p pred_sid) (build (Array.length args - 1) [])
 
-let fact_sids_intern p fact =
-  let pred = sid_intern p fact.Atom.pred in
+(* The predicate's sid is taken before the arguments', left to right:
+   that order fixes the sids a fresh store assigns. *)
+let fact_sids sid_of fact =
+  let pred = sid_of fact.Atom.pred in
   let args =
     List.map
       (function
-        | Term.Const c -> sid_intern p c
+        | Term.Const c -> sid_of c
         | Term.Var _ -> invalid_arg "Database: non-ground fact")
       fact.Atom.args
   in
@@ -219,7 +221,7 @@ let fact_sids_ro p fact =
 
 let p_add p fact =
   if not (Atom.is_ground fact) then invalid_arg "Database.add: non-ground fact";
-  let pred, args = fact_sids_intern p fact in
+  let pred, args = fact_sids (sid_intern p) fact in
   Store.insert p.store ~pred args
 
 let p_remove p fact =
@@ -454,6 +456,38 @@ let open_paged ~dir ?page_size ?buffer_pages ?wal_sync () =
     record_mapping p (Symbol.intern (Store.sid_name store sid)) sid
   done;
   Paged p
+
+let bulk_load db ~src =
+  match db with
+  | Mem _ | Overlay _ -> invalid_arg "Database.bulk_load: not a paged database"
+  | Paged p ->
+    if Store.fact_count p.store > 0 then
+      invalid_arg "Database.bulk_load: the store holds facts";
+    (* Assign sids as [add] would, in order of first appearance, and
+       record each mapping as it is made. *)
+    let next_sid = ref (Store.n_syms p.store) and names = ref [] in
+    let sid_of sym =
+      match sid_ro p sym with
+      | -1 ->
+        let sid = !next_sid in
+        incr next_sid;
+        names := Symbol.to_string sym :: !names;
+        record_mapping p sym sid;
+        sid
+      | sid -> sid
+    in
+    let rows = Hashtbl.create 64 in
+    iter
+      (fun fact ->
+        let pred, args = fact_sids sid_of fact in
+        match Hashtbl.find_opt rows pred with
+        | Some r -> r := args :: !r
+        | None -> Hashtbl.add rows pred (ref [ args ]))
+      src;
+    Store.bulk_load p.store ~names:(List.rev !names)
+      (Hashtbl.fold
+         (fun pred r acc -> (pred, fun f -> List.iter f (List.rev !r)) :: acc)
+         rows [])
 
 let rec store_stats = function
   | Mem _ -> None

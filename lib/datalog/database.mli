@@ -90,6 +90,15 @@ val open_paged :
   unit ->
   t
 
+(** [bulk_load db ~src] fills the paged database [db], which must hold
+    no facts, with every fact of [src], committed as one checkpoint
+    image and without a WAL record. The store ends up byte-identical to
+    adding [src]'s facts one by one in [iter] order and then calling
+    [checkpoint], with the same generation; a crash part-way leaves
+    either no facts or all of them. Raises [Invalid_argument] if [db]
+    is not paged or already holds facts. *)
+val bulk_load : t -> src:t -> unit
+
 (** Release the paged backend's file handles (no-op for in-memory).
     Unflushed mutations are recovered from the WAL on the next open. *)
 val close : t -> unit

@@ -31,82 +31,115 @@ let is_upper c = (c >= 'A' && c <= 'Z')
 let is_digit c = c >= '0' && c <= '9'
 let is_ident_char c = is_lower c || is_upper c || is_digit c || c = '_'
 
-let tokenize input =
-  let n = String.length input in
-  let tokens = ref [] in
-  let line = ref 1 and col = ref 1 in
-  let i = ref 0 in
-  let pos () = { line = !line; col = !col } in
-  let advance () =
-    if !i < n then begin
-      if input.[!i] = '\n' then begin
-        incr line;
-        col := 1
-      end
-      else incr col;
-      incr i
-    end
-  in
-  let push tok p = tokens := (tok, p) :: !tokens in
-  let read_while pred =
-    let start = !i in
-    while !i < n && pred input.[!i] do
-      advance ()
-    done;
-    String.sub input start (!i - start)
-  in
-  while !i < n do
-    let c = input.[!i] in
-    let p = pos () in
-    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then advance ()
-    else if c = '%' then
-      while !i < n && input.[!i] <> '\n' do
-        advance ()
-      done
-    else if c = '(' then (advance (); push Lparen p)
-    else if c = ')' then (advance (); push Rparen p)
-    else if c = ',' then (advance (); push Comma p)
-    else if c = '.' then (advance (); push Dot p)
-    else if c = ':' then begin
-      advance ();
-      if !i < n && input.[!i] = '-' then (advance (); push Turnstile p)
-      else raise (Lex_error ("expected '-' after ':'", p))
-    end
-    else if c = '?' then begin
-      advance ();
-      if !i < n && input.[!i] = '-' then (advance (); push Query p)
-      else raise (Lex_error ("expected '-' after '?'", p))
-    end
-    else if c = '\\' then begin
-      advance ();
-      if !i < n && input.[!i] = '+' then (advance (); push Not p)
-      else raise (Lex_error ("expected '+' after '\\\\'", p))
-    end
-    else if c = '\'' then begin
-      advance ();
-      let start = !i in
-      while !i < n && input.[!i] <> '\'' do
-        advance ()
-      done;
-      if !i >= n then raise (Lex_error ("unterminated quoted atom", p));
-      let s = String.sub input start (!i - start) in
-      advance ();
-      push (Ident s) p
-    end
-    else if is_lower c then begin
-      let s = read_while is_ident_char in
-      if s = "not" then push Not p else push (Ident s) p
-    end
-    else if is_upper c || c = '_' then begin
-      let s = read_while is_ident_char in
-      push (Variable s) p
-    end
-    else if is_digit c then begin
-      let s = read_while is_digit in
-      push (Ident s) p
-    end
-    else
-      raise (Lex_error (Printf.sprintf "unexpected character %C" c, p))
+(* The lexer holds one token of lookahead. A column is a byte offset
+   from the start of its line, so only newlines need bookkeeping and a
+   position is allocated only when someone asks for one (errors). *)
+type t = {
+  input : string;
+  len : int;
+  mutable i : int; (* next unread byte *)
+  mutable line : int; (* line of byte [i] *)
+  mutable bol : int; (* offset where that line begins *)
+  mutable tok : token;
+  mutable tok_line : int;
+  mutable tok_col : int;
+}
+
+let read_while lx pred =
+  let start = lx.i in
+  while lx.i < lx.len && pred (String.unsafe_get lx.input lx.i) do
+    lx.i <- lx.i + 1
   done;
-  push Eof (pos ());
-  List.rev !tokens
+  String.sub lx.input start (lx.i - start)
+
+let rec skip_blank lx =
+  if lx.i < lx.len then
+    match String.unsafe_get lx.input lx.i with
+    | ' ' | '\t' | '\r' ->
+      lx.i <- lx.i + 1;
+      skip_blank lx
+    | '\n' ->
+      lx.i <- lx.i + 1;
+      lx.line <- lx.line + 1;
+      lx.bol <- lx.i;
+      skip_blank lx
+    | '%' ->
+      while lx.i < lx.len && String.unsafe_get lx.input lx.i <> '\n' do
+        lx.i <- lx.i + 1
+      done;
+      skip_blank lx
+    | _ -> ()
+
+let fail lx msg =
+  raise (Lex_error (msg, { line = lx.tok_line; col = lx.tok_col }))
+
+(* The current byte followed by [next] makes [tok]; anything else is an
+   error. *)
+let pair lx next tok msg =
+  lx.i <- lx.i + 1;
+  if lx.i < lx.len && String.unsafe_get lx.input lx.i = next then begin
+    lx.i <- lx.i + 1;
+    tok
+  end
+  else fail lx msg
+
+let quoted lx =
+  let start = lx.i + 1 in
+  match String.index_from_opt lx.input start '\'' with
+  | None -> fail lx "unterminated quoted atom"
+  | Some stop ->
+    (* A quoted atom may span lines. *)
+    for j = start to stop - 1 do
+      if String.unsafe_get lx.input j = '\n' then begin
+        lx.line <- lx.line + 1;
+        lx.bol <- j + 1
+      end
+    done;
+    lx.i <- stop + 1;
+    Ident (String.sub lx.input start (stop - start))
+
+let single lx tok =
+  lx.i <- lx.i + 1;
+  tok
+
+let advance lx =
+  skip_blank lx;
+  lx.tok_line <- lx.line;
+  lx.tok_col <- lx.i - lx.bol + 1;
+  lx.tok <-
+    (if lx.i >= lx.len then Eof
+     else
+       match String.unsafe_get lx.input lx.i with
+       | '(' -> single lx Lparen
+       | ')' -> single lx Rparen
+       | ',' -> single lx Comma
+       | '.' -> single lx Dot
+       | ':' -> pair lx '-' Turnstile "expected '-' after ':'"
+       | '?' -> pair lx '-' Query "expected '-' after '?'"
+       | '\\' -> pair lx '+' Not "expected '+' after '\\\\'"
+       | '\'' -> quoted lx
+       | c when is_lower c ->
+         let s = read_while lx is_ident_char in
+         if s = "not" then Not else Ident s
+       | c when is_upper c || c = '_' -> Variable (read_while lx is_ident_char)
+       | c when is_digit c -> Ident (read_while lx is_digit)
+       | c -> fail lx (Printf.sprintf "unexpected character %C" c))
+
+let of_string input =
+  let lx =
+    {
+      input;
+      len = String.length input;
+      i = 0;
+      line = 1;
+      bol = 0;
+      tok = Eof;
+      tok_line = 1;
+      tok_col = 1;
+    }
+  in
+  advance lx;
+  lx
+
+let token lx = lx.tok
+let position lx = { line = lx.tok_line; col = lx.tok_col }

@@ -18,5 +18,26 @@ exception Lex_error of string * position
 
 val pp_token : Format.formatter -> token -> unit
 
-(** Tokenize a whole string. [%] starts a comment running to end of line. *)
-val tokenize : string -> (token * position) list
+(** {1 The pull lexer}
+
+    A lexer over one input string that produces tokens on demand: the
+    parser reads the current token, then asks for the next, so no token
+    list is ever built. Blanks are skipped, and [%] starts a comment
+    running to end of line. A column counts bytes from the start of its
+    line, both from 1. *)
+
+type t
+
+(** A lexer positioned on the first token of the input. Raises
+    [Lex_error] if that token is malformed. *)
+val of_string : string -> t
+
+(** The current token; [Eof] once the input is exhausted. *)
+val token : t -> token
+
+(** Where the current token starts. *)
+val position : t -> position
+
+(** Move to the next token. At [Eof] it stays there. Raises [Lex_error]
+    if the next token is malformed. *)
+val advance : t -> unit

@@ -419,7 +419,7 @@ let exec_cost_of_trace tracer =
 
 let with_query st atom_text f =
   match D.Parser.parse_atom atom_text with
-  | exception D.Parser.Parse_error (msg, _) ->
+  | exception (D.Parser.Parse_error (msg, _) | D.Lexer.Lex_error (msg, _)) ->
     Metrics.error st.metrics;
     R_err (`Parse, msg)
   | q -> (
@@ -491,7 +491,7 @@ let handle_trace st ~conn ~qid ~wait_us ~t0 atom_text =
 
 let handle_strategy st atom_text =
   match D.Parser.parse_atom atom_text with
-  | exception D.Parser.Parse_error (msg, _) ->
+  | exception (D.Parser.Parse_error (msg, _) | D.Lexer.Lex_error (msg, _)) ->
     Metrics.error st.metrics;
     R_err (`Parse, msg)
   | q -> (

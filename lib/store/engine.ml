@@ -322,12 +322,11 @@ let token t = t.token
 let magic = "strategem-store"
 let version = 1
 
-let render_header t ~gen =
+let render_header t ~gen ~facts ~pages =
   Printf.sprintf
     "magic %s\nversion %d\npage_size %d\ntoken %d\ngeneration %d\n\
      syms %d\nfacts %d\npages %d\n"
-    magic version t.page_size t.token gen t.n_syms
-    (Atomic.get t.facts) t.npages
+    magic version t.page_size t.token gen t.n_syms facts pages
 
 type header = {
   h_page_size : int;
@@ -514,77 +513,116 @@ let open_ ~dir ?(page_size = 4096) ?(pool_pages = 256) ?(sync = Interval 0.02)
   (match existing with
   | None ->
     (* Commit the newborn store (its token above all) durably. *)
-    Fsync.write_file (header_path t) (render_header t ~gen:0)
+    Fsync.write_file (header_path t)
+      (render_header t ~gen:0 ~facts:(Atomic.get t.facts) ~pages:t.npages)
   | Some _ -> ());
   Fsync.fsync_dir dir;
   t
 
-(* ---------- checkpoint ---------- *)
+(* ---------- checkpoint images ---------- *)
+
+(* The image packer, shared by [checkpoint] and [bulk_load]. [preds]
+   lists [(pred, rows)] in ascending pred order; [rows f] calls [f] on
+   each of the predicate's argument tuples in stored order. Packs them
+   into fresh per-predicate-compacted pages, building the directory as
+   records land; returns the image bytes, its page count and the
+   directory. *)
+let pack_image ~page_size preds =
+  let buf = Buffer.create (1 lsl 20) in
+  let cur = Bytes.create page_size in
+  let flushed = ref 0 in
+  let dir = Hashtbl.create (List.length preds) in
+  List.iter
+    (fun (pred, rows) ->
+      let npi = pred_info_create () in
+      let flush_cur () =
+        Buffer.add_bytes buf cur;
+        npi.pages <- !flushed :: npi.pages;
+        incr flushed
+      in
+      Page.init cur ~pred;
+      rows (fun args ->
+          if not (Page.has_room cur ~nargs:(Array.length args)) then begin
+            flush_cur ();
+            Page.init cur ~pred
+          end;
+          let off = Page.append cur args in
+          bucket_add
+            (find_bucket npi (first_of args))
+            ((!flushed * page_size) + off);
+          npi.count <- npi.count + 1);
+      if npi.count > 0 then begin
+        Hashtbl.add dir pred npi;
+        if Page.has_room cur ~nargs:255 then npi.fill_page <- !flushed;
+        flush_cur ()
+      end)
+    preds;
+  (Buffer.contents buf, !flushed, dir)
+
+(* Commit a packed image holding [facts] facts at generation [gen], then
+   switch the runtime to it; the caller holds the lock. Durable commit
+   order: symtab, pages, header — each an atomic replace — then the WAL
+   reset. A crash at any point leaves a state that recovery
+   reconstructs: until the header lands the old generation rules, and
+   WAL replay is idempotent on top of either image. *)
+let commit_image t ~gen ~facts (pages, npages, dir) =
+  Fsync.write_file (symtab_path t) (render_symtab t);
+  Fsync.write_file (pages_path t) pages;
+  Fsync.write_file (header_path t) (render_header t ~gen ~facts ~pages:npages);
+  Wal.reset t.wal;
+  let fd = Unix.openfile (pages_path t) [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  t.npages <- npages;
+  Pool.set_base t.pool (Some fd) ~base_pages:npages;
+  t.preds <- dir;
+  Atomic.set t.facts facts;
+  Atomic.set t.generation gen;
+  t.checkpoints <- t.checkpoints + 1;
+  t.checkpoint_unix <- Unix.gettimeofday ()
+
+let checkpoint_locked t =
+  let live =
+    Hashtbl.fold
+      (fun pred pi acc -> if pi.count > 0 then (pred, pi) :: acc else acc)
+      t.preds []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  let rows pi f =
+    List.iter
+      (fun page_no ->
+        Pool.with_page t.pool page_no (fun page ->
+            Page.iter page (fun _off args -> f args)))
+      (List.rev pi.pages)
+  in
+  commit_image t ~gen:(Atomic.get t.generation) ~facts:(Atomic.get t.facts)
+    (pack_image ~page_size:t.page_size
+       (List.map (fun (pred, pi) -> (pred, rows pi)) live))
 
 let checkpoint t =
   with_lock t (fun () ->
       check_open t;
-      let gen = Atomic.get t.generation in
-      (* Pack every live fact into a fresh, per-predicate-compacted
-         image, accumulating the new directory as records land. *)
-      let buf = Buffer.create (1 lsl 20) in
-      let cur = Bytes.create t.page_size in
-      let flushed = ref 0 in
-      let new_preds = Hashtbl.create (Hashtbl.length t.preds) in
-      let sorted =
-        Hashtbl.fold (fun pred pi acc -> (pred, pi) :: acc) t.preds []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      in
+      checkpoint_locked t)
+
+let bulk_load t ~names preds =
+  with_lock t (fun () ->
+      check_open t;
+      if Atomic.get t.facts > 0 then
+        invalid_arg "Store.bulk_load: the store holds facts";
       List.iter
-        (fun (pred, pi) ->
-          if pi.count > 0 then begin
-            let npi = pred_info_create () in
-            Hashtbl.add new_preds pred npi;
-            Page.init cur ~pred;
-            let flush_cur () =
-              Buffer.add_bytes buf cur;
-              npi.pages <- !flushed :: npi.pages;
-              incr flushed
-            in
-            let emit args =
-              if not (Page.has_room cur ~nargs:(Array.length args)) then begin
-                flush_cur ();
-                Page.init cur ~pred
-              end;
-              let off = Page.append cur args in
-              let b = find_bucket npi (first_of args) in
-              bucket_add b ((!flushed * t.page_size) + off);
-              npi.count <- npi.count + 1
-            in
-            List.iter
-              (fun page_no ->
-                Pool.with_page t.pool page_no (fun page ->
-                    Page.iter page (fun _off args -> emit args)))
-              (List.rev pi.pages);
-            if Page.count cur > 0 then begin
-              if Page.has_room cur ~nargs:255 then npi.fill_page <- !flushed;
-              flush_cur ()
-            end
-          end)
-        sorted;
-      (* Durable commit order: symtab, pages, header — each an atomic
-         replace — then the WAL reset. A crash at any point leaves a
-         state that recovery reconstructs: until the header lands the
-         old generation rules, and WAL replay is idempotent on top of
-         either image. *)
-      Fsync.write_file (symtab_path t) (render_symtab t);
-      Fsync.write_file (pages_path t) (Buffer.contents buf);
-      Fsync.write_file (header_path t) (render_header t ~gen);
-      Wal.reset t.wal;
-      (* Swap the runtime to the new image. *)
-      let fd =
-        Unix.openfile (pages_path t) [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+        (fun name ->
+          if Hashtbl.mem t.sym_ids name then
+            invalid_arg "Store.bulk_load: name already in the catalog")
+        names;
+      (* Replaying the WAL's history over the new image could undo some
+         of it (a logged add-then-delete deletes a loaded fact), so
+         first fold that history into an image of its own. *)
+      if Wal.size t.wal > 0 then checkpoint_locked t;
+      List.iter (fun name -> ignore (add_name t name)) names;
+      let ((_, _, dir) as image) =
+        pack_image ~page_size:t.page_size
+          (List.sort (fun (a, _) (b, _) -> Int.compare a b) preds)
       in
-      t.npages <- !flushed;
-      Pool.set_base t.pool (Some fd) ~base_pages:!flushed;
-      t.preds <- new_preds;
-      t.checkpoints <- t.checkpoints + 1;
-      t.checkpoint_unix <- Unix.gettimeofday ())
+      let facts = Hashtbl.fold (fun _ pi n -> n + pi.count) dir 0 in
+      commit_image t ~gen:(Atomic.get t.generation + facts) ~facts image)
 
 let sync t = with_lock t (fun () -> check_open t; Wal.sync t.wal)
 

@@ -112,6 +112,21 @@ val token : t -> int
     old/new image plus idempotent replay reconstruct the same state. *)
 val checkpoint : t -> unit
 
+(** [bulk_load t ~names preds] fills a store that holds no facts with
+    one checkpoint image, without logging: [names] extends the catalog
+    with sids [n_syms t], [n_syms t + 1], ... in order (no name may be in
+    it already), and [preds] gives each predicate's rows as
+    [(pred, rows)], where [rows f] calls [f] on every argument tuple in
+    insertion order (no tuple repeated). The image is packed and
+    committed exactly as {!checkpoint} packs and commits one — symtab,
+    pages, header, each an atomic replace — so it is byte-identical to
+    inserting the same tuples one at a time and checkpointing, with the
+    same generation (the old one plus the fact count). A crash before
+    the pages land reopens to a store with no facts; after, to all of
+    them. Raises [Invalid_argument] if the store holds facts. *)
+val bulk_load :
+  t -> names:string list -> (int * ((int array -> unit) -> unit)) list -> unit
+
 (** Force a WAL group-commit fsync now. *)
 val sync : t -> unit
 

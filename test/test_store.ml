@@ -526,6 +526,128 @@ let db_paged_persistence () =
         (D.Database.store_stats db2 <> None);
       D.Database.close db2)
 
+(* ---------- Database: the cold-start bulk image ---------- *)
+
+(* Every fact a reopened store serves, with its predicate, in
+   [iter_all] order (not sorted: the order is part of what must match). *)
+let iter_all_raw dir =
+  let st = Store.open_ ~dir () in
+  let raw = ref [] in
+  Store.iter_all st (fun ~pred args -> raw := (pred, Array.to_list args) :: !raw);
+  let r = (List.rev !raw, Store.generation st, Store.fact_count st, Store.n_syms st) in
+  Store.close st;
+  r
+
+let image_files dir =
+  (read_file (Filename.concat dir "pages"), read_file (Filename.concat dir "symtab"))
+
+let sorted_facts db =
+  List.sort compare (List.map D.Atom.to_string (D.Database.to_list db))
+
+let genealogy_db n_people =
+  Workload.Genealogy.db (Workload.Genealogy.populate (rng 17) ~n_people)
+
+(* The bulk path packs the image the per-fact path reaches after its
+   checkpoint: same bytes, same generation, same iteration order. *)
+let db_bulk_image_matches_per_fact () =
+  let src = genealogy_db 2000 in
+  check_bool "a non-trivial population" true (D.Database.size src > 500);
+  with_dir (fun per_fact ->
+      with_dir (fun bulk ->
+          let a = D.Database.open_paged ~dir:per_fact ~wal_sync:Store.Never () in
+          D.Database.iter (fun f -> ignore (D.Database.add a f)) src;
+          D.Database.checkpoint a;
+          let gen_a = D.Database.generation a in
+          D.Database.close a;
+          let b = D.Database.open_paged ~dir:bulk () in
+          D.Database.bulk_load b ~src;
+          check_int "generation" gen_a (D.Database.generation b);
+          check_int "size" (D.Database.size src) (D.Database.size b);
+          let st = D.Database.store_stats b |> Option.get in
+          check_int "one checkpoint" 1 st.Store.checkpoints;
+          check_int "no WAL written" 0 st.Store.wal_bytes;
+          check_bool "answers from the image" true
+            (sorted_facts b = sorted_facts src);
+          D.Database.close b;
+          let pages_a, symtab_a = image_files per_fact in
+          let pages_b, symtab_b = image_files bulk in
+          check_bool "pages byte-identical" true (String.equal pages_a pages_b);
+          check_bool "symtab byte-identical" true (String.equal symtab_a symtab_b);
+          let iter_a, gen_a', facts_a, syms_a = iter_all_raw per_fact in
+          let iter_b, gen_b, facts_b, syms_b = iter_all_raw bulk in
+          check_int "generation after reopen" gen_a' gen_b;
+          check_int "fact_count after reopen" facts_a facts_b;
+          check_int "n_syms after reopen" syms_a syms_b;
+          check_bool "iter_all after reopen" true (iter_a = iter_b)))
+
+(* Cut the bulk commit after each of its steps (symtab, pages, header):
+   every cut reopens to no facts, which a start loads again into the
+   same image, or to all of them; never to part. *)
+let db_bulk_commit_cuts () =
+  let src = genealogy_db 400 in
+  let full = sorted_facts src in
+  with_dir (fun dir ->
+      let db = D.Database.open_paged ~dir () in
+      let newborn = read_file (Filename.concat dir "header") in
+      D.Database.bulk_load db ~src;
+      D.Database.close db;
+      let file f = read_file (Filename.concat dir f) in
+      let pages, symtab = image_files dir and header = file "header" in
+      check_string "the load wrote no WAL" "" (file "wal");
+      let cuts =
+        [
+          ("nothing", newborn, [], false);
+          ("symtab", newborn, [ ("symtab", symtab) ], false);
+          ("symtab+pages", newborn, [ ("symtab", symtab); ("pages", pages) ], true);
+          ("all", header, [ ("symtab", symtab); ("pages", pages) ], true);
+        ]
+      in
+      List.iter
+        (fun (name, hdr, files, want_full) ->
+          with_dir (fun cut ->
+              Unix.mkdir cut 0o755;
+              write_file (Filename.concat cut "header") hdr;
+              write_file (Filename.concat cut "wal") "";
+              List.iter (fun (f, c) -> write_file (Filename.concat cut f) c) files;
+              let db = D.Database.open_paged ~dir:cut () in
+              let got = sorted_facts db in
+              if want_full then
+                check_bool (name ^ ": every fact") true (got = full)
+              else begin
+                check_int (name ^ ": no facts") 0 (List.length got);
+                D.Database.bulk_load db ~src;
+                check_bool (name ^ ": reloaded") true (sorted_facts db = full)
+              end;
+              D.Database.close db;
+              let pages', symtab' = image_files cut in
+              check_bool (name ^ ": pages") true (String.equal pages pages');
+              check_bool (name ^ ": symtab") true (String.equal symtab symtab')))
+        cuts)
+
+let db_bulk_load_rejects () =
+  let src = D.Database.of_list (List.map atom db_facts) in
+  let raises f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  check_bool "into memory" true
+    (raises (fun () -> D.Database.bulk_load (D.Database.create ()) ~src));
+  with_dir (fun dir ->
+      let db = D.Database.open_paged ~dir ~wal_sync:Store.Never () in
+      ignore (D.Database.add db (atom "prof(ada)"));
+      check_bool "into a store with facts" true
+        (raises (fun () -> D.Database.bulk_load db ~src));
+      (* A store emptied by logged deletes loads too: the WAL's history
+         is folded away first, so replay cannot undo the load. *)
+      ignore (D.Database.remove db (atom "prof(ada)"));
+      D.Database.bulk_load db ~src;
+      let gen = D.Database.generation db in
+      check_int "generation counts the load" (2 + List.length db_facts) gen;
+      D.Database.close db;
+      let db = D.Database.open_paged ~dir () in
+      check_bool "every fact after reopen" true (sorted_facts db = sorted_facts src);
+      check_int "generation after reopen" gen (D.Database.generation db);
+      D.Database.close db)
+
 let suite =
   [
     ( "store",
@@ -547,5 +669,11 @@ let suite =
         case "database: token/generation survive restart" db_paged_persistence;
         case "database: per-predicate counts match a fold (mem, overlay)"
           db_count_matches_fold;
+        case "database: bulk image byte-identical to per-fact + checkpoint"
+          db_bulk_image_matches_per_fact;
+        case "database: a cut bulk commit reopens empty or complete"
+          db_bulk_commit_cuts;
+        case "database: bulk load rejects memory and non-empty stores"
+          db_bulk_load_rejects;
       ] );
   ]
