@@ -11,7 +11,16 @@
     Identifiers starting with a lowercase letter (or digits, or quoted
     ['...']) are constants/predicates; identifiers starting with an
     uppercase letter or [_] are variables. [%] comments run to end of
-    line. [\+] is accepted as a synonym for [not]. *)
+    line. [\+] is accepted as a synonym for [not].
+
+    Every entry point pulls tokens from a {!Lexer.t} one at a time as it
+    descends, so no token list is built. A malformed token raises
+    [Lexer.Lex_error], anything else malformed raises [Parse_error], and
+    a lexical error anywhere in the input wins: before a [Parse_error]
+    escapes, the rest of the input is lexed, and its first
+    [Lexer.Lex_error], if any, is raised instead. Symbols are interned
+    as they are met: an atom's arguments left to right, then its
+    predicate. *)
 
 type item =
   | Clause of Clause.t

@@ -311,10 +311,11 @@ let program_round_trip =
       let want_queries = List.filter_map (function `Query q -> Some q | _ -> None) items in
       List.equal D.Clause.equal rules want_rules
       && List.equal D.Atom.equal facts want_facts
+      (* a query body compares as the body of a clause *)
       && List.equal
-           (List.equal (fun a b ->
-                D.Clause.equal (D.Clause.make (D.Atom.make "q" []) [ a ])
-                  (D.Clause.make (D.Atom.make "q" []) [ b ])))
+           (fun a b ->
+             let q = D.Atom.make "q" [] in
+             D.Clause.equal (D.Clause.make q a) (D.Clause.make q b))
            queries want_queries)
 
 let suite =
