@@ -1,9 +1,9 @@
 (* E18 — the serve daemon under closed-loop load.
 
-   An in-process `strategem serve` instance (ephemeral port, 4 workers)
-   answers genealogy queries from N concurrent closed-loop clients, each
-   holding one connection and issuing its next query as soon as the
-   previous reply lands. A fresh server per row keeps the learning
+   An in-process `strategem serve` instance (ephemeral port, default
+   loop count) answers genealogy queries from N concurrent closed-loop
+   clients, each holding one connection and issuing its next query as
+   soon as the previous reply lands. A fresh server per row keeps the learning
    trajectories comparable; the climb count comes from the server's own
    STATS. *)
 
@@ -22,7 +22,7 @@ let start_server () =
       (fun () ->
         Serve.Server.run
           ~on_listen:(fun p -> Atomic.set port p)
-          { Serve.Server.default_config with port = 0; workers = 4 }
+          { Serve.Server.default_config with port = 0 }
           ~rulebase:rb ~db)
       ()
   in
@@ -97,8 +97,8 @@ let run () =
   in
   Table.print
     ~title:
-      "E18: serve daemon, closed-loop genealogy clients (4 workers, fresh \
-       server per row)"
+      "E18: serve daemon, closed-loop genealogy clients (default loops, \
+       fresh server per row)"
     ~header:
       [ "clients"; "queries"; "wall s"; "q/s"; "mean ms"; "p95 ms"; "climbs" ]
     rows

@@ -51,7 +51,6 @@ let start_server ~cache ~db ~rulebase =
           {
             Serve.Server.default_config with
             port = 0;
-            workers = 4;
             cache_mb = (if cache then 64 else 0);
           }
           ~rulebase ~db)

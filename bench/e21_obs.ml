@@ -71,7 +71,6 @@ let start_server ~mode ~log_path ~db ~rulebase =
           {
             Serve.Server.default_config with
             port = 0;
-            workers = 4;
             metrics_port = (if observed then Some 0 else None);
             log_level =
               (match mode with

@@ -1,11 +1,10 @@
 (* E22 — multicore scaling of the serve path.
 
-   The same closed-loop Zipf genealogy mix as E20, served by worker
-   pools of increasing domain counts. Each row starts a fresh in-process
-   `strategem serve` with `workers = d`; the server clamps that to the
-   host's recommended domain count (surplus workers run as systhreads
-   inside the worker domains), so the row records both the requested
-   and the effective domain count — read back from the additive
+   The same closed-loop Zipf genealogy mix as E20, served by fleets of
+   increasing domain counts. Each row starts a fresh in-process
+   `strategem serve` with `loops = d` — one domain per event loop, each
+   executing the requests it parses — and records both the requested
+   and the effective domain count, read back from the additive
    `domains` STATS field. The scaling claim is throughput: with the
    symbol table, database counters and registry hot paths domain-safe,
    q/s should rise with domains up to the physical core count.
@@ -57,7 +56,7 @@ let zipf_weights =
   Array.init pool_size (fun i ->
       1.0 /. Float.pow (float_of_int (i + 1)) zipf_s)
 
-let start_server ~workers ~db ~rulebase =
+let start_server ~loops ~db ~rulebase =
   let port = Atomic.make 0 in
   let thread =
     Thread.create
@@ -67,7 +66,7 @@ let start_server ~workers ~db ~rulebase =
           {
             Serve.Server.default_config with
             port = 0;
-            workers;
+            loops;
             cache_mb = cache_mb ();
           }
           ~rulebase ~db)
@@ -109,7 +108,7 @@ let stats_of_server port =
   (get "queries_total", get "domains", get "climbs_total")
 
 type row = {
-  requested : int;   (* --workers value *)
+  requested : int;   (* --loops value *)
   effective : int;   (* domains the server actually spawned *)
   queries : int;
   wall_s : float;
@@ -119,10 +118,10 @@ type row = {
   climbs : int;
 }
 
-let run_row ~workers ~db ~rulebase ~pool =
+let run_row ~loops ~db ~rulebase ~pool =
   let clients = n_clients () in
   let per_client = total_queries () / clients in
-  let thread, port = start_server ~workers ~db ~rulebase in
+  let thread, port = start_server ~loops ~db ~rulebase in
   let results = Array.make clients [||] in
   let t0 = Unix.gettimeofday () in
   let threads =
@@ -143,7 +142,7 @@ let run_row ~workers ~db ~rulebase ~pool =
   let n = Array.length lats in
   let pct p = lats.(Int.min (n - 1) (int_of_float (float_of_int n *. p))) in
   {
-    requested = workers;
+    requested = loops;
     effective;
     queries = clients * per_client;
     wall_s = wall;
@@ -155,7 +154,7 @@ let run_row ~workers ~db ~rulebase ~pool =
 
 let json_of_row r =
   Printf.sprintf
-    "{\"workers\":%d,\"domains\":%d,\"queries\":%d,\"wall_s\":%.3f,\
+    "{\"loops\":%d,\"domains\":%d,\"queries\":%d,\"wall_s\":%.3f,\
      \"qps\":%.1f,\"p50_ms\":%.3f,\"p99_ms\":%.3f,\"climbs\":%d}"
     r.requested r.effective r.queries r.wall_s r.qps r.p50_ms r.p99_ms
     r.climbs
@@ -169,18 +168,18 @@ let run () =
   let pool = make_pool (Array.of_list (Workload.Genealogy.people pop)) in
   let counts = domain_counts () in
   let rows =
-    List.map (fun d -> run_row ~workers:d ~db ~rulebase ~pool) counts
+    List.map (fun d -> run_row ~loops:d ~db ~rulebase ~pool) counts
   in
   Table.print
     ~title:
       (Printf.sprintf
-         "E22: serve-path scaling over worker domains (%d people, Zipf-%g \
+         "E22: serve-path scaling over loop domains (%d people, Zipf-%g \
           pool of %d, %d clients; host recommends %d domain(s))"
          (n_people ()) zipf_s pool_size (n_clients ())
          (Domain.recommended_domain_count ()))
     ~header:
       [
-        "workers"; "domains"; "queries"; "wall s"; "q/s"; "p50 ms"; "p99 ms";
+        "loops"; "domains"; "queries"; "wall s"; "q/s"; "p50 ms"; "p99 ms";
         "climbs";
       ]
     (List.map
@@ -202,7 +201,7 @@ let run () =
   let base = find_qps 1 in
   (match (base, find_qps 4) with
   | Some b, Some q4 when b > 0.0 ->
-    Table.note "speedup at 4 workers vs 1: %.2fx throughput\n" (q4 /. b)
+    Table.note "speedup at 4 loops vs 1: %.2fx throughput\n" (q4 /. b)
   | _ -> ());
   (match Sys.getenv_opt "E22_JSON" with
   | None | Some "" -> ()
@@ -241,5 +240,5 @@ let run () =
       exit 1
     | Some _, Some _ -> Table.note "speedup gate passed\n"
     | _ ->
-      Printf.eprintf "E22: speedup gate needs 1- and 2-worker rows\n";
+      Printf.eprintf "E22: speedup gate needs 1- and 2-loop rows\n";
       exit 1)

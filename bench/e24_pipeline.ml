@@ -12,9 +12,9 @@
       requests in flight: post the first W frames, then post the next
       as each response lands. The tentpole claim is throughput: one
       pipelined connection must sustain >= E24_SPEEDUP_MIN (default 2)
-      times the sequential v3 rate, because the window keeps every
-      worker busy where the line dialect leaves them idle for a full
-      RTT per request.
+      times the sequential v3 rate, because the window keeps its loop
+      busy where the line dialect leaves it idle for a full RTT per
+      request.
 
    C. v4 open loop — requests posted on a fixed schedule at exactly
       phase A's achieved rate (equal offered load), responses collected
@@ -24,8 +24,8 @@
       E24_P99_FACTOR (default 1.0) x the v3 closed-loop p99.
 
    Knobs (environment): E24_QUERIES (default 2000), E24_WINDOW
-   (default 32), E24_PEOPLE (default 5000), E24_WORKERS (default 4),
-   E24_LOOPS (reactor fleet size; default 0 = match worker domains),
+   (default 32), E24_PEOPLE (default 5000), E24_LOOPS (reactor fleet
+   size; default 0 = min(4, the host's recommended domain count)),
    E24_JSON (path for machine-readable results), E24_REQUIRE_GATE
    (non-empty: exit 1 when either gate fails — the CI smoke gate),
    E24_SPEEDUP_MIN, E24_P99_FACTOR, E24_P99_FLOOR_MS (the p99 bar is
@@ -50,8 +50,11 @@ let env_float name default =
 let total_queries () = env_int "E24_QUERIES" 2_000
 let window () = Int.max 1 (env_int "E24_WINDOW" 32)
 let n_people () = env_int "E24_PEOPLE" 5_000
-let n_workers () = Int.max 1 (env_int "E24_WORKERS" 4)
 let n_loops () = env_int "E24_LOOPS" 0
+
+let fleet_size () =
+  Serve.Server.loop_count
+    { Serve.Server.default_config with loops = n_loops () }
 let pool_size = 32
 let zipf_s = 1.1
 
@@ -74,7 +77,6 @@ let start_server ~db ~rulebase =
           {
             Serve.Server.default_config with
             port = 0;
-            workers = n_workers ();
             loops = n_loops ();
           }
           ~rulebase ~db)
@@ -218,9 +220,9 @@ let run () =
     ~title:
       (Printf.sprintf
          "E24: protocol v4 pipelining, one connection (%d queries, \
-          Zipf-%g pool of %d, %d people, %d workers; latency in phase C \
+          Zipf-%g pool of %d, %d people, %d loops; latency in phase C \
           measured from the scheduled send time)"
-         n zipf_s pool_size (n_people ()) (n_workers ()))
+         n zipf_s pool_size (n_people ()) (fleet_size ()))
     ~header:[ "phase"; "queries"; "wall s"; "q/s"; "p50 ms"; "p99 ms" ]
     (List.map
        (fun r ->
@@ -244,9 +246,9 @@ let run () =
     let oc = open_out path in
     Printf.fprintf oc
       "{\"experiment\":\"e24\",\"queries\":%d,\"window\":%d,\"people\":%d,\
-       \"workers\":%d,\"pool\":%d,\"zipf_s\":%g,\"rows\":[%s],\
+       \"loops\":%d,\"pool\":%d,\"zipf_s\":%g,\"rows\":[%s],\
        \"speedup\":%.2f,\"open_p99_ms\":%.3f,\"closed_p99_ms\":%.3f}\n"
-      n w (n_people ()) (n_workers ()) pool_size zipf_s
+      n w (n_people ()) (fleet_size ()) pool_size zipf_s
       (String.concat "," (List.map json_of_phase rows))
       speedup o.p99_ms a.p99_ms;
     close_out oc;

@@ -3,10 +3,10 @@
 
    E24 measures one pipelined connection; here the bottleneck under test
    is the reactor itself: E25_CONNS v4 connections drive the server at
-   once, so with a single event loop every read/parse/flush serializes
-   on one domain while the worker pool sits ready. Sharding the reactor
-   (--loops N, one loop per domain) is the tentpole; this experiment
-   reports how fan-in scales across fleet sizes.
+   once, so with a single event loop every read/parse/execute/flush
+   serializes on one domain. Sharding the reactor (--loops N, one loop
+   per domain) is the tentpole; this experiment reports how fan-in
+   scales across fleet sizes.
 
    For each fleet size in E25_LOOPS_LIST (default "1,2,4"), against a
    fresh in-process server (same seeds, comparable trajectories):
@@ -31,7 +31,7 @@
 
    Knobs (environment): E25_QUERIES (default 2000 per phase),
    E25_CONNS (default 8), E25_WINDOW (default 16), E25_PEOPLE (default
-   5000), E25_WORKERS (default 4), E25_LOOPS_LIST (default "1,2,4"),
+   5000), E25_LOOPS_LIST (default "1,2,4"),
    E25_JSON (machine-readable results path), E25_REQUIRE_GATE
    (non-empty: exit 1 when the gate fails — the CI smoke gate),
    E25_SPEEDUP_MIN (default 0.9: mixed-form closed q/s at 2 loops must
@@ -56,7 +56,6 @@ let total_queries () = env_int "E25_QUERIES" 2_000
 let n_conns () = Int.max 1 (env_int "E25_CONNS" 8)
 let window () = Int.max 1 (env_int "E25_WINDOW" 16)
 let n_people () = env_int "E25_PEOPLE" 5_000
-let n_workers () = Int.max 1 (env_int "E25_WORKERS" 4)
 
 let loops_list () =
   match Sys.getenv_opt "E25_LOOPS_LIST" with
@@ -105,8 +104,12 @@ let start_server ~db ~rulebase ~loops =
           {
             Serve.Server.default_config with
             port = 0;
-            workers = n_workers ();
             loops;
+            (* deep enough that the closed loops never shed: the rows
+               must compare answered requests, not BUSY replies *)
+            queue_depth =
+              Int.max Serve.Server.default_config.queue_depth
+                (n_conns () * window ());
           }
           ~rulebase ~db)
       ()
@@ -271,9 +274,9 @@ let run () =
     ~title:
       (Printf.sprintf
          "E25: reactor-fleet fan-in, %d conns x window %d (%d queries per \
-          phase, %d people, %d workers; open-loop latency measured from \
-          the scheduled send time)"
-         conns w n (n_people ()) (n_workers ()))
+          phase, %d people; open-loop latency measured from the \
+          scheduled send time)"
+         conns w n (n_people ()))
     ~header:[ "phase"; "loops"; "queries"; "wall s"; "q/s"; "p50 ms"; "p99 ms" ]
     (List.map
        (fun r ->
@@ -305,8 +308,8 @@ let run () =
     let oc = open_out path in
     Printf.fprintf oc
       "{\"experiment\":\"e25\",\"queries\":%d,\"conns\":%d,\"window\":%d,\
-       \"people\":%d,\"workers\":%d,\"zipf_s\":%g,\"rows\":[%s]%s}\n"
-      n conns w (n_people ()) (n_workers ()) zipf_s
+       \"people\":%d,\"zipf_s\":%g,\"rows\":[%s]%s}\n"
+      n conns w (n_people ()) zipf_s
       (String.concat "," (List.map json_of_phase rows))
       (match ratio with
       | Some x -> Printf.sprintf ",\"mixed_2loop_over_1loop\":%.3f" x

@@ -28,7 +28,7 @@
 
    Knobs (environment): E26_QUERIES (default 2000 per rep), E26_CONNS
    (default 8), E26_WINDOW (default 16), E26_PEOPLE (default 5000),
-   E26_WORKERS (default 4), E26_LOOPS (default 2), E26_REPS (default
+   E26_LOOPS (default 2), E26_REPS (default
    3), E26_JSON (machine-readable results path), E26_FLIGHT_DUMP
    (path: write the on-arm's FLIGHT envelope there before shutdown —
    the CI failure artifact), E26_REQUIRE_GATE (non-empty: exit 1 when
@@ -49,7 +49,6 @@ let total_queries () = env_int "E26_QUERIES" 2_000
 let n_conns () = Int.max 1 (env_int "E26_CONNS" 8)
 let window () = Int.max 1 (env_int "E26_WINDOW" 16)
 let n_people () = env_int "E26_PEOPLE" 5_000
-let n_workers () = Int.max 1 (env_int "E26_WORKERS" 4)
 let n_loops () = Int.max 1 (env_int "E26_LOOPS" 2)
 let n_reps () = Int.max 1 (env_int "E26_REPS" 3)
 let pool_size = 32
@@ -77,7 +76,6 @@ let config ~lifecycle =
     {
       Serve.Server.default_config with
       port = 0;
-      workers = n_workers ();
       loops = n_loops ();
       (* deep enough that the closed loop never sheds: the arms must
          compare answered requests, not BUSY replies *)
@@ -211,9 +209,8 @@ let run () =
       (Printf.sprintf
          "E26: lifecycle + flight-recorder overhead, mixed-form closed loop \
           (%d conns x window %d, %d queries per rep, best of %d reps, %d \
-          loops, %d workers)"
-         (n_conns ()) (window ()) (total_queries ()) reps (n_loops ())
-         (n_workers ()))
+          loops)"
+         (n_conns ()) (window ()) (total_queries ()) reps (n_loops ()))
     ~header:[ "arm"; "queries"; "wall s"; "q/s"; "p99 ms" ]
     [
       [
@@ -233,10 +230,10 @@ let run () =
     let oc = open_out path in
     Printf.fprintf oc
       "{\"experiment\":\"e26\",\"queries\":%d,\"conns\":%d,\"window\":%d,\
-       \"people\":%d,\"workers\":%d,\"loops\":%d,\"reps\":%d,\
+       \"people\":%d,\"loops\":%d,\"reps\":%d,\
        \"off_qps\":%.1f,\"on_qps\":%.1f,\"off_p99_ms\":%.3f,\
        \"on_p99_ms\":%.3f,\"overhead_pct\":%.2f}\n"
-      (total_queries ()) (n_conns ()) (window ()) (n_people ()) (n_workers ())
+      (total_queries ()) (n_conns ()) (window ()) (n_people ())
       (n_loops ()) reps off.qps on.qps off.p99_ms on.p99_ms overhead_pct;
     close_out oc;
     Table.note "wrote %s\n" path);
@@ -246,7 +243,7 @@ let run () =
     let max_pct = env_float "E26_MAX_OVERHEAD_PCT" 3.0 in
     if overhead_pct > max_pct then
       if Domain.recommended_domain_count () < 2 then
-        (* loops, workers, and clients all timeshare one core here;
+        (* loops and clients all timeshare one core here;
            the delta is scheduler noise, not lifecycle cost *)
         Table.note
           "overhead gate advisory on a single-core host: %.2f%% > %.2f%%\n"

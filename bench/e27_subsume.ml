@@ -97,7 +97,7 @@ let start_server ~subsume ~db ~rulebase =
           {
             Serve.Server.default_config with
             port = 0;
-            workers = 2;
+            loops = 2;
             cache_mb = 64;
             subsume;
           }

@@ -28,7 +28,7 @@ let experiments =
     ("e19", "tracing overhead on the serve path", E19_trace.run);
     ("e20", "answer caching & memoization on the serve path", E20_cache.run);
     ("e21", "observability overhead on the serve path", E21_obs.run);
-    ("e22", "serve-path scaling over worker domains", E22_scale.run);
+    ("e22", "serve-path scaling over loop domains", E22_scale.run);
     ("e23", "paged store vs in-memory retrieval", E23_store.run);
     ("e24", "protocol v4 pipelining vs the v3 line protocol", E24_pipeline.run);
     ("e25", "reactor-fleet fan-in over concurrent connections", E25_fleet.run);

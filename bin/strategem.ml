@@ -505,9 +505,9 @@ let host_arg =
     & opt string "127.0.0.1"
     & info [ "host" ] ~docv:"ADDR" ~doc:"Address to bind/connect to.")
 
-let run_serve file host port workers queue_depth max_conns state_dir
+let run_serve file host port loops queue_depth max_conns state_dir
     snapshot_interval delta learner trace_sample cache_mb no_cache subsume
-    metrics_port log_level log_file slow_query_ms data_dir buffer_pages loops
+    metrics_port log_level log_file slow_query_ms data_dir buffer_pages
     idle_timeout_s max_conns_per_ip max_write_buf_mb max_write_total_mb
     no_lifecycle flight_capacity retain =
   let rulebase, db, _ = load_kb file in
@@ -541,7 +541,6 @@ let run_serve file host port workers queue_depth max_conns state_dir
     {
       Serve.Server.host;
       port;
-      workers;
       queue_depth;
       max_conns;
       state_dir;
@@ -567,8 +566,8 @@ let run_serve file host port workers queue_depth max_conns state_dir
   in
   Serve.Server.run ~handle_signals:true
     ~on_listen:(fun port ->
-      Fmt.pr "strategem serve: listening on %s:%d (%d workers)@." host port
-        workers)
+      Fmt.pr "strategem serve: listening on %s:%d (%d loops)@." host port
+        (Serve.Server.loop_count config))
     ~on_metrics_listen:(fun mport ->
       Fmt.pr "strategem serve: metrics on %s:%d@." host mport)
     config ~rulebase ~db;
@@ -581,22 +580,16 @@ let serve_cmd =
       value & opt int 4280
       & info [ "port" ] ~docv:"PORT" ~doc:"TCP port (0 picks one).")
   in
-  let workers =
-    Arg.(
-      value & opt int 4
-      & info [ "workers"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker pool size. Workers run as parallel OCaml domains, \
-             clamped to the host's recommended domain count; surplus \
-             workers run as threads inside the worker domains.")
-  in
   let queue_depth =
     Arg.(
       value & opt int 64
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:
-            "Admission queue bound, in requests; requests dispatched \
-             beyond it are shed with BUSY.")
+            "Request bound across the fleet: each event loop queues at \
+             most ceil(N / loops) parsed requests, and a request parsed \
+             beyond its loop's share is shed with BUSY. A line \
+             connection with that many requests pending is not read \
+             until they run.")
   in
   let max_conns =
     Arg.(
@@ -748,14 +741,26 @@ let serve_cmd =
              pool page in from disk on access.")
   in
   let loops =
-    Arg.(
-      value & opt int 0
-      & info [ "loops" ] ~docv:"N"
-          ~doc:
-            "Event loops in the reactor fleet, one domain each with a \
-             private epoll instance; new connections are distributed by \
-             least connections. 0 (the default) matches the effective \
-             worker-domain count.")
+    let flag names doc =
+      Arg.(value & opt (some int) None & info names ~docv:"N" ~doc)
+    in
+    let resolve loops workers =
+      match (loops, workers) with
+      | Some l, Some w when l <> w ->
+        `Error (true, "--loops and --workers name the same count; give one")
+      | Some n, _ | None, Some n -> `Ok n
+      | None, None -> `Ok 0
+    in
+    Term.(
+      ret
+        (const resolve
+        $ flag [ "loops" ]
+            "Event loops in the reactor fleet, one OCaml domain each with \
+             a private epoll instance. Each loop parses, executes and \
+             answers the requests of the connections it owns; new \
+             connections are placed by power-of-two choices. 0 (the \
+             default) means min(4, the host's recommended domain count)."
+        $ flag [ "workers"; "j" ] "Another spelling of $(b,--loops)."))
   in
   let idle_timeout_s =
     Arg.(
@@ -828,20 +833,32 @@ let serve_cmd =
          "Serve queries over TCP, learning a better strategy from every \
           answered query.")
     Term.(
-      const run_serve $ file_arg $ host_arg $ port $ workers $ queue_depth
+      const run_serve $ file_arg $ host_arg $ port $ loops $ queue_depth
       $ max_conns $ state_dir $ snapshot_interval $ delta_arg $ learner
       $ trace_sample $ cache_mb $ no_cache $ subsume $ metrics_port $ log_level
-      $ log_file $ slow_query_ms $ data_dir $ buffer_pages $ loops
-      $ idle_timeout_s $ max_conns_per_ip $ max_write_buf_mb
-      $ max_write_total_mb $ no_lifecycle $ flight_capacity $ retain)
+      $ log_file $ slow_query_ms $ data_dir $ buffer_pages $ idle_timeout_s
+      $ max_conns_per_ip $ max_write_buf_mb $ max_write_total_mb $ no_lifecycle
+      $ flight_capacity $ retain)
 
 let client_lines c commands =
   (* Historical CLI behaviour, byte for byte: write every line, half-close
      so the server sees EOF after the last command and closes once every
-     reply is out, then "read to EOF" prints exactly the replies. *)
-  List.iter (Serve.Client.send_line c) commands;
-  Serve.Client.half_close c;
+     reply is out, then "read to EOF" prints exactly the replies. The
+     lines are written from a second thread while this one reads: the
+     server stops reading a line connection whose replies go unread, so
+     a long stream written before any read would stall. A server that
+     closes early (QUIT) ends the writer quietly. *)
+  let writer =
+    Thread.create
+      (fun () ->
+        try
+          List.iter (Serve.Client.send_line c) commands;
+          Serve.Client.half_close c
+        with Sys_error _ | Unix.Unix_error _ -> ())
+      ()
+  in
   Serve.Client.drain c print_endline;
+  Thread.join writer;
   Serve.Client.close c
 
 let client_v4 c commands =

@@ -3,7 +3,7 @@
     Predicate names and constants are interned into a global table so that
     equality and comparison are integer operations; fact stores and rule
     indexes rely on this. Interning is append-only and domain-safe: the
-    serve daemon's workers parse client-supplied atoms from several
+    serve daemon's event loops parse client-supplied atoms from several
     domains in parallel. Lookups of already-interned names (the hot
     path) are lock-free and allocation-free — they probe an immutable
     snapshot published through an [Atomic]; only inserting a new name

@@ -15,8 +15,9 @@ let default_max_output = 64 * 1024 * 1024
 
 (* Write-buffer budget, shared by every connection of a server: a
    per-connection cap plus a global cap over the sum of all buffered
-   response bytes ([global_bytes] is the shared accounting cell). Either
-   cap at 0 means unlimited. *)
+   response bytes ([global_bytes] is the shared accounting cell, atomic
+   because every loop's connections draw on it). Either cap at 0 means
+   unlimited. *)
 type limits = {
   max_buf : int;
   global_max : int;
@@ -26,23 +27,22 @@ type limits = {
 let limits ?(max_buf = default_max_output) ?(global_max = 0) () =
   { max_buf; global_max; global_bytes = Atomic.make 0 }
 
+(* Every field is owned by the connection's event loop: only that
+   loop's thread reads or writes it. *)
 type t = {
   fd : Unix.file_descr;
   id : int;
-  loop : int;  (* owning event loop; never changes, so lock-free *)
   peer : string;
   ip : string;  (* peer address without the port, for per-IP caps *)
   limits : limits;
   mutable mode : mode;
-  (* read side: loop thread only. [rpos, rend) is the unparsed span. *)
+  (* read side: [rpos, rend) is the unparsed span *)
   mutable rbuf : Bytes.t;
   mutable rpos : int;
   mutable rend : int;
   mutable read_closed : bool;
   pending : Protocol.request Queue.t;
-  (* write side: appended by workers, drained by the loop, under lock.
-     [opos, oend) is the unwritten span. *)
-  wlock : Mutex.t;
+  (* write side: [opos, oend) is the unwritten span *)
   mutable obuf : Bytes.t;
   mutable opos : int;
   mutable oend : int;
@@ -51,28 +51,27 @@ type t = {
   (* a send ran into a write cap: buffered output was shed, a BUSY went
      in its place, and the loop must disconnect after one flush try *)
   mutable overflowed : bool;
-  mutable shed_bytes : int;  (* bytes dropped by the overflow, under wlock *)
+  mutable shed_bytes : int;  (* bytes dropped by the overflow *)
   (* bytes of [opos, oend) counted in [limits.global_bytes]; equal to
      the buffered span except for the tiny unaccounted BUSY notice *)
   mutable accounted : int;
-  inflight : int Atomic.t;
+  mutable inflight : int;
   mutable hwm : int;
   mutable rseq : int;
-  mutable last_active : float;  (* loop thread only; for idle timeouts *)
+  mutable last_active : float;  (* for idle timeouts *)
   accept_ns : int64;  (* accept wall clock, for lifecycle accept spans *)
-  (* monotonic byte marks, under wlock: a sender records the enqueued
-     total right after its append ({!send_mark}) and the owning loop
-     compares it against the flushed total to learn when that response
-     has fully drained to the socket *)
+  (* monotonic byte marks: a sender records the enqueued total right
+     after its append ({!send_mark}) and the loop compares it against
+     the flushed total to learn when that response has fully drained to
+     the socket *)
   mutable enq_bytes : int;
   mutable flushed_bytes : int;
 }
 
-let create ?(accept_ns = 0L) ~id ~loop ~peer ~ip ~limits fd =
+let create ?(accept_ns = 0L) ~id ~peer ~ip ~limits fd =
   {
     fd;
     id;
-    loop;
     peer;
     ip;
     limits;
@@ -82,7 +81,6 @@ let create ?(accept_ns = 0L) ~id ~loop ~peer ~ip ~limits fd =
     rend = 0;
     read_closed = false;
     pending = Queue.create ();
-    wlock = Mutex.create ();
     obuf = Bytes.create initial_buf;
     opos = 0;
     oend = 0;
@@ -91,7 +89,7 @@ let create ?(accept_ns = 0L) ~id ~loop ~peer ~ip ~limits fd =
     overflowed = false;
     shed_bytes = 0;
     accounted = 0;
-    inflight = Atomic.make 0;
+    inflight = 0;
     hwm = 0;
     rseq = 0;
     last_active = 0.0;
@@ -102,7 +100,6 @@ let create ?(accept_ns = 0L) ~id ~loop ~peer ~ip ~limits fd =
 
 let fd t = t.fd
 let id t = t.id
-let loop t = t.loop
 let accept_ns t = t.accept_ns
 let peer t = t.peer
 let ip t = t.ip
@@ -112,11 +109,15 @@ let framed t = t.mode = Frames
 let read_closed t = t.read_closed
 let set_read_closed t = t.read_closed <- true
 let closing t = t.closing
-let set_closing t = t.closing <- true
+(* A closing connection runs nothing more. Line requests left pending
+   behind a QUIT would otherwise keep it from ever going idle, so it
+   would never close and shutdown would never drain. *)
+let set_closing t =
+  t.closing <- true;
+  Queue.clear t.pending
 let dead t = t.dead
 
-(* Release [n] of this connection's globally accounted bytes. Under
-   wlock. *)
+(* Release [n] of this connection's globally accounted bytes. *)
 let release_global t n =
   let n = Int.min n t.accounted in
   if n > 0 then begin
@@ -125,23 +126,21 @@ let release_global t n =
   end
 
 let kill t =
-  Mutex.lock t.wlock;
   t.dead <- true;
   release_global t t.accounted;
   t.opos <- 0;
-  t.oend <- 0;
-  Mutex.unlock t.wlock
+  t.oend <- 0
 
 let push_pending t r = Queue.push r t.pending
 let pop_pending t = Queue.take_opt t.pending
 let pending_count t = Queue.length t.pending
 
 let incr_inflight t =
-  let n = 1 + Atomic.fetch_and_add t.inflight 1 in
-  if n > t.hwm then t.hwm <- n
+  t.inflight <- t.inflight + 1;
+  if t.inflight > t.hwm then t.hwm <- t.inflight
 
-let decr_inflight t = ignore (Atomic.fetch_and_add t.inflight (-1))
-let inflight t = Atomic.get t.inflight
+let decr_inflight t = t.inflight <- t.inflight - 1
+let inflight t = t.inflight
 let pipeline_hwm t = t.hwm
 
 let next_rid t =
@@ -284,7 +283,7 @@ let busy_bytes t =
 
 (* Busy-then-disconnect: drop everything buffered for this slow reader,
    leave one BUSY in its place, and flag the connection for the loop to
-   tear down after a single best-effort flush. Under wlock. *)
+   tear down after a single best-effort flush. *)
 let shed t ~extra =
   let buffered = t.oend - t.opos in
   release_global t t.accounted;
@@ -301,7 +300,6 @@ let shed t ~extra =
   t.closing <- true
 
 let send_mark t s =
-  Mutex.lock t.wlock;
   (if not t.dead && not t.overflowed then
      let len = String.length s in
      let used = t.oend - t.opos in
@@ -321,63 +319,40 @@ let send_mark t s =
        t.enq_bytes <- t.enq_bytes + len;
        ignore (Atomic.fetch_and_add global_bytes len)
      end);
-  let mark = t.enq_bytes in
-  Mutex.unlock t.wlock;
-  mark
+  t.enq_bytes
 
 let send t s = ignore (send_mark t s)
-
-let flushed_bytes t =
-  Mutex.lock t.wlock;
-  let r = t.flushed_bytes in
-  Mutex.unlock t.wlock;
-  r
+let flushed_bytes t = t.flushed_bytes
 
 let flush t =
-  Mutex.lock t.wlock;
-  let r =
-    if t.dead then `Error
-    else if t.opos >= t.oend then `Flushed
-    else
-      match Unix.write t.fd t.obuf t.opos (t.oend - t.opos) with
-      | n ->
-        t.opos <- t.opos + n;
-        t.flushed_bytes <- t.flushed_bytes + n;
-        release_global t n;
-        if t.opos >= t.oend then begin
-          t.opos <- 0;
-          t.oend <- 0;
-          (* a burst can balloon the buffer; give it back *)
-          if Bytes.length t.obuf > 1 lsl 16 then
-            t.obuf <- Bytes.create initial_buf;
-          `Flushed
-        end
-        else `Partial
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-        `Partial
-      | exception Unix.Unix_error (_, _, _) ->
-        t.dead <- true;
-        release_global t t.accounted;
-        `Error
-  in
-  Mutex.unlock t.wlock;
-  r
+  if t.dead then `Error
+  else if t.opos >= t.oend then `Flushed
+  else
+    match Unix.write t.fd t.obuf t.opos (t.oend - t.opos) with
+    | n ->
+      t.opos <- t.opos + n;
+      t.flushed_bytes <- t.flushed_bytes + n;
+      release_global t n;
+      if t.opos >= t.oend then begin
+        t.opos <- 0;
+        t.oend <- 0;
+        (* a burst can balloon the buffer; give it back *)
+        if Bytes.length t.obuf > 1 lsl 16 then
+          t.obuf <- Bytes.create initial_buf;
+        `Flushed
+      end
+      else `Partial
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
+      `Partial
+    | exception Unix.Unix_error (_, _, _) ->
+      t.dead <- true;
+      release_global t t.accounted;
+      `Error
 
-let has_output t =
-  Mutex.lock t.wlock;
-  let r = t.opos < t.oend in
-  Mutex.unlock t.wlock;
-  r
-
-let overflowed t =
-  Mutex.lock t.wlock;
-  let r = t.overflowed in
-  Mutex.unlock t.wlock;
-  r
+let has_output t = t.opos < t.oend
+let overflowed t = t.overflowed
 
 let take_shed_bytes t =
-  Mutex.lock t.wlock;
   let r = t.shed_bytes in
   t.shed_bytes <- 0;
-  Mutex.unlock t.wlock;
   r

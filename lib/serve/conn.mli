@@ -1,5 +1,5 @@
 (** Reactor connection state: one value per accepted socket, owned by
-    the event-loop thread except where noted.
+    its event-loop thread.
 
     Each connection starts in sniff mode: the first byte decides the
     dialect ({!Frame.magic} means framed v4, anything else the v2/v3
@@ -9,12 +9,11 @@
     pipelining for frames — lives in [server.ml].
 
     Thread model: each connection is owned by exactly one event loop of
-    the reactor fleet (its {!loop} tag, fixed at accept); that loop's
-    thread calls {!on_readable} / {!flush} / {!finish_read} and owns the
-    pending queue. Worker domains may only call {!send}, {!kill}, and
-    the inflight counters. No [Conn.t] is ever shared between loops, so
-    all per-connection state stays lock-free apart from the write
-    buffer's own mutex. *)
+    the reactor fleet (chosen at accept, never changed), and that loop
+    both parses and executes its requests, so every operation here is
+    called from that loop's thread only and nothing is locked. The one
+    shared cell is the global write budget inside {!limits}, which is
+    atomic. *)
 
 type t
 
@@ -54,7 +53,7 @@ type read_status = Continue | Eof | Rerror of string
 
 val create :
   ?accept_ns:int64 ->
-  id:int -> loop:int -> peer:string -> ip:string -> limits:limits ->
+  id:int -> peer:string -> ip:string -> limits:limits ->
   Unix.file_descr -> t
 (** [accept_ns] (default [0L]) stamps the socket's accept time for the
     lifecycle tracker's [accept] spans. *)
@@ -65,9 +64,6 @@ val id : t -> int
 val accept_ns : t -> int64
 (** The [accept_ns] given at create ([0L] when not recorded). *)
 
-val loop : t -> int
-(** Index of the event loop that owns this connection. *)
-
 val peer : t -> string
 
 val ip : t -> string
@@ -75,14 +71,14 @@ val ip : t -> string
 
 val touch : t -> now:float -> unit
 (** Record activity (a read, or write progress) for the idle-timeout
-    sweep. Loop thread only. *)
+    sweep. *)
 
 val last_active : t -> float
 
 val framed : t -> bool
 (** True once the connection has sniffed (or upgraded) into v4. *)
 
-(** {2 Read side — loop thread only} *)
+(** {2 Read side} *)
 
 val on_readable : t -> emit:(incoming -> unit) -> read_status
 (** One non-blocking [read] plus a parse of every complete message now
@@ -97,17 +93,17 @@ val finish_read : t -> emit:(incoming -> unit) -> unit
 val read_closed : t -> bool
 val set_read_closed : t -> unit
 
-(** {2 Line-mode FIFO — loop thread only} *)
+(** {2 Line-mode FIFO} *)
 
 val push_pending : t -> Protocol.request -> unit
 val pop_pending : t -> Protocol.request option
 val pending_count : t -> int
 
-(** {2 Write side — any thread} *)
+(** {2 Write side} *)
 
 val send : t -> string -> unit
 (** Append bytes to the output buffer (dropped once the connection is
-    dead). The caller is responsible for waking the loop. *)
+    dead). Written to the socket by the next {!flush}. *)
 
 val send_mark : t -> string -> int
 (** Like {!send}, returning the connection's cumulative enqueued-bytes
@@ -120,16 +116,17 @@ val flushed_bytes : t -> int
 (** Cumulative bytes written to the socket since accept. *)
 
 val flush : t -> [ `Flushed | `Partial | `Error ]
-(** Write as much buffered output as the socket accepts. Loop thread
-    only. [`Error] covers both socket errors and an output buffer past
-    its cap (a consumer that never reads). *)
+(** Write as much buffered output as the socket accepts. [`Error]
+    covers both socket errors and an output buffer past its cap (a
+    consumer that never reads). *)
 
 val has_output : t -> bool
 
 (** {2 Lifecycle} *)
 
 val set_closing : t -> unit
-(** Close once in-flight responses have been written; stop reading. *)
+(** Close once in-flight responses have been written; stop reading and
+    drop the line requests still pending. *)
 
 val closing : t -> bool
 
@@ -149,6 +146,8 @@ val take_shed_bytes : t -> int
 
 (** {2 Pipeline accounting} *)
 
+(** Requests dispatched from this connection whose response is not yet
+    enqueued. *)
 val incr_inflight : t -> unit
 val decr_inflight : t -> unit
 val inflight : t -> int
@@ -158,4 +157,4 @@ val pipeline_hwm : t -> int
 
 val next_rid : t -> int
 (** Sequence numbers for line-mode requests (v4 requests carry the
-    client's id instead). Loop thread only. *)
+    client's id instead). *)

@@ -5,11 +5,11 @@
     once and dispatches [readable]/[writable] flags to the callbacks of
     ready sockets. All registration and dispatch happens on the one
     thread that runs the loop — only {!wake} is thread-safe, which is
-    how worker domains hand completed responses back: append to a
-    connection's write buffer, then [wake] the loop so it flushes.
+    how other threads get the loop's attention: the acceptor after
+    handing it a new socket, and shutdown.
 
     A process may run many loops (the sharded reactor fleet runs one per
-    worker domain): each {!create} owns a private poller instance and a
+    domain): each {!create} owns a private poller instance and a
     private wake channel — an eventfd on Linux (one fd per loop, kernel-
     coalesced), a pipe elsewhere — so loops share no state and never
     contend.

@@ -58,7 +58,7 @@ type kind =
   | Shutdown    (** 0x0A — response [Bye], then the server drains *)
   | Ok          (** 0x81 — success; payload is the reply text *)
   | Err         (** 0x82 — payload is [<code> <message>] *)
-  | Busy        (** 0x83 — request shed by admission control *)
+  | Busy        (** 0x83 — request shed: its loop's FIFO was full *)
   | Bye         (** 0x84 — connection closing after this frame *)
   | Unknown of int
       (** any other type byte; requests get an [Err unknown-verb]

@@ -1,23 +1,23 @@
 (** One request's lifecycle record: the timestamps and waits a request
-    accumulates on its way through the reactor fleet —
-    accept → frame (parse) → queue (admission) → worker (exec) →
-    respond → flush — plus the store waits (WAL fsync, buffer-pool page
-    faults) attributed to it while a worker ran it.
+    accumulates on its way through its event loop —
+    accept → frame (parse) → queue (the loop's FIFO) → worker
+    (execution) → respond → flush — plus the store waits (WAL fsync,
+    buffer-pool page faults) attributed to it while it executed. The
+    stage names predate run-to-completion serving and are kept for the
+    metric and flight-code vocabulary.
 
     A record is allocated by the owning event loop when the request is
-    parsed, carried inside the job through the admission queue, stamped
-    by the worker, and {e finalized back on the owning loop} once the
-    response bytes have drained to the socket — so every flight-recorder
-    write and histogram observation for it happens on the loop thread.
-    When lifecycle telemetry is off ([--no-lifecycle]) no record exists
-    and every touch point is one [Option] test.
+    parsed, carried inside the job through the loop's FIFO, stamped when
+    the loop starts executing it, and finalized once the response bytes
+    have drained to the socket. Every phase runs on the owning loop's
+    thread, so nothing here is locked. When lifecycle telemetry is off
+    ([--no-lifecycle]) no record exists and every touch point is one
+    [Option] test.
 
-    Mutability is single-owner at each phase (loop → worker → loop);
-    nothing here is locked. The ambient {!current} pointer (for store
-    wait attribution from layers that cannot see the request) is
-    domain-local: surplus workers running as systhreads inside a worker
-    domain can misattribute a concurrent wait to their domain-mate's
-    request — an accepted imprecision, documented in docs/TRACING.md. *)
+    The ambient {!current} pointer (for store-wait attribution from
+    layers that cannot see the request) is domain-local, and each loop
+    domain executes one request at a time, so a wait is always charged
+    to the request that paid it. *)
 
 (** [B_cache_derived]: answered from the cache by subsumption (filtering
     a more general entry's answer set), not an exact key. *)
@@ -31,12 +31,12 @@ type t = {
   lc_label : string;        (** verb word, plus the atom for queries *)
   lc_accept_ns : int64;     (** the connection's accept time *)
   lc_frame_ns : int64;      (** request parsed out of the read buffer *)
-  mutable lc_queue_ns : int64;    (** admitted to the queue (0 = never) *)
-  mutable lc_worker_ns : int64;   (** picked up by a worker (0 = never) *)
+  mutable lc_queue_ns : int64;    (** appended to the FIFO (0 = never) *)
+  mutable lc_worker_ns : int64;   (** execution started (0 = never) *)
   mutable lc_respond_ns : int64;  (** response enqueued (0 = never) *)
   mutable lc_flush_ns : int64;    (** response drained (0 = never) *)
   mutable lc_backend : backend;
-  mutable lc_shed : bool;         (** answered BUSY by admission *)
+  mutable lc_shed : bool;         (** answered BUSY: its FIFO was full *)
   mutable lc_error : bool;        (** error reply, or the conn died *)
   mutable lc_wal_wait_ns : int;   (** WAL-fsync wait while executing *)
   mutable lc_wal_syncs : int;
@@ -60,7 +60,7 @@ val create :
 
 (** {1 Ambient record (store-wait attribution)} *)
 
-(** Set by the worker for the duration of one request's execution; read
+(** Set by the loop for the duration of one request's execution; read
     by the {!Store.Hooks} observer on the same domain. *)
 val set_current : t option -> unit
 
@@ -86,8 +86,8 @@ val backend_name : backend -> string
       <label> [request]
       ├── accept  (instant: the connection's accept time)
       ├── frame   (parse → enqueue)
-      ├── queue   (enqueue → worker pickup)
-      ├── worker  (pickup → response enqueued)
+      ├── queue   (FIFO append → execution start)
+      ├── worker  (execution start → response enqueued)
       │   ├── cache | cache_derived | sld   (the backend that answered)
       │   │   ├── wal_fsync      (when the store waited)
       │   │   └── page_read

@@ -204,6 +204,9 @@ type loop_handles = {
   lg_conns : R.Gauge.t;
   lc_wakeups : R.Counter.t;
   lg_pipeline : R.Gauge.t;
+  (* the loop's {domain} series: requests it executed, and for how long *)
+  lc_served : R.Counter.t;
+  lc_busy_us : R.Counter.t;
   (* stage -> child of the {stage, loop} latency histogram family;
      filled lazily, loop thread only *)
   lh_stage_fam : R.Histogram.fam;
@@ -330,14 +333,13 @@ let create ?(trace_capacity = 0) () =
       mirror_store = register reg store_stats;
       window_hwm = Atomic.make 0.0;
       g_domains =
-        gauge "Worker domains running (after clamping to the host's \
-               recommended domain count)" "strategem_domains";
+        gauge "Domains running event loops (one per loop)" "strategem_domains";
       f_domain_conns =
-        R.Counter.v reg ~help:"Connections served, per worker domain"
+        R.Counter.v reg ~help:"Requests executed, per event-loop domain"
           ~labels:[ "domain" ] "strategem_domain_connections_total";
       f_domain_busy_us =
         R.Counter.v reg
-          ~help:"Microseconds spent serving connections, per worker domain"
+          ~help:"Microseconds spent executing requests, per event-loop domain"
           ~labels:[ "domain" ] "strategem_domain_busy_us_total";
       c_connections =
         counter "Connections admitted" "strategem_connections_total";
@@ -355,12 +357,13 @@ let create ?(trace_capacity = 0) () =
       g_forms_active =
         gauge "Query forms with a live learner" "strategem_forms_active";
       g_queue_depth =
-        gauge "Admission-queue depth now" "strategem_queue_depth";
+        gauge "Depth of the request FIFO an event loop last touched"
+          "strategem_queue_depth";
       g_queue_hwm =
-        gauge "All-time admission-queue high water"
+        gauge "All-time high water of any event loop's request FIFO"
           "strategem_queue_depth_high_water";
       g_queue_hwm_window =
-        gauge "Admission-queue high water since the last STATS/scrape"
+        gauge "Request-FIFO high water since the last STATS/scrape"
           "strategem_queue_depth_high_water_window";
       g_conns_open = gauge "Connections currently open" "strategem_conns_open";
       g_pipeline_depth =
@@ -382,7 +385,7 @@ let create ?(trace_capacity = 0) () =
           ~labels:[ "loop" ] "strategem_loop_wakeups_total";
       f_loop_pipeline =
         R.Gauge.v reg
-          ~help:"Requests in flight on this loop's connections"
+          ~help:"Requests in this loop's FIFO at its last execution pass"
           ~labels:[ "loop" ] "strategem_loop_pipeline_depth";
       f_stage_latency =
         R.Histogram.v reg
@@ -425,7 +428,8 @@ let create ?(trace_capacity = 0) () =
       backend = "";
       h_queue_wait =
         R.Histogram.solo
-          (R.Histogram.v reg ~help:"Admission-queue wait (microseconds)"
+          (R.Histogram.v reg
+             ~help:"Wait in an event loop's request FIFO (microseconds)"
              "strategem_queue_wait_us");
       h_cache_filter =
         R.Histogram.solo
@@ -508,28 +512,13 @@ let form_handles t key =
         Hashtbl.add t.forms key fh;
         fh)
 
-let set_domains t n = R.Gauge.set t.g_domains (float_of_int n)
 let domains t = int_of_float (R.Gauge.value t.g_domains)
 
-type domain_handles = {
-  dh_connections : R.Counter.t;
-  dh_busy_us : R.Counter.t;
-}
+(* Each loop is one domain, so the fleet size is also the domain count. *)
+let set_loops t n =
+  R.Gauge.set t.g_loops (float_of_int n);
+  R.Gauge.set t.g_domains (float_of_int n)
 
-(* Cached by each worker at spawn, so the per-connection updates touch
-   only the two (uncontended, per-domain) counters. *)
-let domain_handles t ~domain =
-  let l = [ string_of_int domain ] in
-  {
-    dh_connections = R.Counter.labels t.f_domain_conns l;
-    dh_busy_us = R.Counter.labels t.f_domain_busy_us l;
-  }
-
-let domain_served dh ~busy_us =
-  R.Counter.inc dh.dh_connections;
-  R.Counter.add dh.dh_busy_us (int_of_float busy_us)
-
-let set_loops t n = R.Gauge.set t.g_loops (float_of_int n)
 let loops t = int_of_float (R.Gauge.value t.g_loops)
 
 let loop_handles t ~loop =
@@ -540,6 +529,8 @@ let loop_handles t ~loop =
       lg_conns = R.Gauge.labels t.f_loop_conns l;
       lc_wakeups = R.Counter.labels t.f_loop_wakeups l;
       lg_pipeline = R.Gauge.labels t.f_loop_pipeline l;
+      lc_served = R.Counter.labels t.f_domain_conns l;
+      lc_busy_us = R.Counter.labels t.f_domain_busy_us l;
       lh_stage_fam = t.f_stage_latency;
       lh_stages = Hashtbl.create 8;
       lg_exemplar = R.Gauge.labels t.f_retained_exemplar l;
@@ -580,6 +571,10 @@ let loop_conn_closed lh = R.Gauge.add lh.lg_conns (-1.0)
    mirrors it. *)
 let set_loop_wakeups lh n = R.Counter.set lh.lc_wakeups n
 let set_loop_pipeline_depth lh n = R.Gauge.set lh.lg_pipeline (float_of_int n)
+
+let loop_served lh ~busy_us =
+  R.Counter.inc lh.lc_served;
+  R.Counter.add lh.lc_busy_us (int_of_float busy_us)
 
 let write_overflow t ~shed_bytes =
   R.Counter.inc t.c_write_overflow;
@@ -719,7 +714,7 @@ let render_text t =
       Printf.sprintf "queue_wait_count %d" qw.R.Histogram.count;
       Printf.sprintf "queue_wait_mean_us %.0f" (R.Histogram.mean qw);
       Printf.sprintf "queue_wait_p95_us %d" (R.Histogram.quantile qw 0.95);
-      (* Additive (multicore serving): worker domains after clamping. *)
+      (* Additive (multicore serving): domains, one per event loop. *)
       Printf.sprintf "domains %d" (domains t);
       (* Additive (event-loop front end): reactor connection and
          pipelining state. *)

@@ -34,33 +34,12 @@ val create : ?trace_capacity:int -> unit -> t
     uptime, windowed high-water). *)
 val render_prometheus : t -> string
 
-(** {1 Worker domains} *)
-
-(** Record the effective worker-domain count (after clamping the
-    requested [--workers] to the host's recommended domain count).
-    Rendered as the [strategem_domains] gauge and the additive
-    [domains] STATS field. *)
-val set_domains : t -> int -> unit
-
-(** Per-domain hot-path handles, obtained once by each worker at spawn:
-    [strategem_domain_connections_total{domain}] and
-    [strategem_domain_busy_us_total{domain}]. *)
-type domain_handles
-
-val domain_handles : t -> domain:int -> domain_handles
-
-(** One request served by this domain, which spent [busy_us] on it
-    (queue wait excluded). Before the event-loop front end the unit was
-    a whole connection; the metric names are frozen, the granularity is
-    not. *)
-val domain_served : domain_handles -> busy_us:float -> unit
-
 (** {1 Events} *)
 
 val connection : t -> unit
 
 (** A connection or request shed with [BUSY] (connections at the
-    [max_conns] cap, requests when the admission queue is full). *)
+    [max_conns] cap, requests when their loop's FIFO is full). *)
 val busy : t -> unit
 
 val error : t -> unit
@@ -70,16 +49,16 @@ val snapshot_saved : t -> forms:int -> unit
     startup. *)
 val forms_loaded : t -> int -> unit
 
-(** Record the admission-queue depth (observed after an enqueue or a
-    pop; since the event-loop front end the queue holds individual
-    requests, not connections). Keeps three readings: the current-depth
-    gauge, an all-time high water ([queue_high_water], never resets),
-    and a windowed high water ([queue_high_water_window]) that resets
-    each time [STATS] or a [/metrics] scrape reads it. *)
+(** Record the depth of one event loop's request FIFO (observed after
+    an append or a pop). Keeps three readings: the current-depth gauge
+    (whichever loop observed last), an all-time high water
+    ([queue_high_water], never resets), and a windowed high water
+    ([queue_high_water_window]) that resets each time [STATS] or a
+    [/metrics] scrape reads it. *)
 val observe_queue_depth : t -> int -> unit
 
-(** A request spent [wait_us] in the admission queue before a worker
-    picked it up. *)
+(** A request spent [wait_us] in its loop's FIFO before the loop began
+    executing it. *)
 val queue_waited : t -> wait_us:float -> unit
 
 (** A subsumption probe (candidate walk + answer-set filtering) took
@@ -100,9 +79,9 @@ val conn_opened : t -> unit
 
 val conn_closed : t -> unit
 
-(** The [strategem_pipeline_depth] gauge: requests dispatched to the
-    worker pool whose responses have not yet been enqueued, across all
-    connections; an all-time high water is kept as
+(** The [strategem_pipeline_depth] gauge: requests parsed whose
+    responses have not yet been enqueued, across all connections; an
+    all-time high water is kept as
     [strategem_pipeline_depth_high_water]. *)
 val set_pipeline_depth : t -> int -> unit
 
@@ -112,18 +91,22 @@ val set_backend : t -> string -> unit
 
 (** {1 Reactor fleet}
 
-    One event loop per worker domain: each loop registers its handles at
-    spawn and updates only its own [{loop="i"}] series, so the hot path
-    never contends. Rendered as the additive [loops] STATS field and the
-    [loops] block ([count] plus a [per_loop] array) in [STATS JSON]. *)
+    One domain per event loop: each loop registers its handles at spawn
+    and updates only its own [{loop="i"}] / [{domain="i"}] series, so
+    the hot path never contends. Rendered as the additive [loops] STATS
+    field and the [loops] block ([count] plus a [per_loop] array) in
+    [STATS JSON]. *)
 
-(** Record the fleet size ([strategem_loops] gauge, [loops] STATS
-    field). *)
+(** Record the fleet size: the [strategem_loops] and [strategem_domains]
+    gauges and the [loops]/[domains] STATS fields (each loop is one
+    domain). *)
 val set_loops : t -> int -> unit
 
 (** Per-loop hot-path handles: [strategem_loop_conns_open{loop}],
     [strategem_loop_wakeups_total{loop}],
-    [strategem_loop_pipeline_depth{loop}]. *)
+    [strategem_loop_pipeline_depth{loop}],
+    [strategem_domain_connections_total{domain}] and
+    [strategem_domain_busy_us_total{domain}]. *)
 type loop_handles
 
 val loop_handles : t -> loop:int -> loop_handles
@@ -134,8 +117,14 @@ val loop_conn_closed : loop_handles -> unit
     ({!Eventloop.wakeups}) into its counter series. *)
 val set_loop_wakeups : loop_handles -> int -> unit
 
-(** Requests in flight on this loop's connections right now. *)
+(** Requests in this loop's FIFO as an execution pass starts. *)
 val set_loop_pipeline_depth : loop_handles -> int -> unit
+
+(** One request executed by this loop, which spent [busy_us] on it (FIFO
+    wait excluded). The family name
+    [strategem_domain_connections_total] predates per-request
+    accounting; the name is frozen, the unit is a request. *)
+val loop_served : loop_handles -> busy_us:float -> unit
 
 (** One stage of a finalized request's lifecycle, in microseconds:
     [strategem_stage_latency_us{stage, loop}]. Stage vocabulary:

@@ -4,7 +4,6 @@ open Infgraph
 type config = {
   host : string;
   port : int;
-  workers : int;
   queue_depth : int;
   max_conns : int;
   state_dir : string option;
@@ -18,7 +17,7 @@ type config = {
   log_level : Obs.Log.level option;  (* None = structured logging off *)
   log_file : string option;  (* None = stderr *)
   slow_query_us : float;  (* 0. = slow-query log off *)
-  loops : int;  (* event loops in the reactor fleet; 0 = match domains *)
+  loops : int;  (* event loops in the reactor fleet; 0 = min 4 cores *)
   max_write_buf : int;  (* per-conn write-buffer cap, bytes; 0 = off *)
   max_write_total : int;  (* global write-buffer cap, bytes; 0 = off *)
   idle_timeout_s : float;  (* close idle connections after; 0. = off *)
@@ -32,7 +31,6 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 4280;
-    workers = 4;
     queue_depth = 64;
     max_conns = 10_000;
     state_dir = None;
@@ -56,7 +54,11 @@ let default_config =
     retain = 64;
   }
 
-(* A worker's verdict on one request. [R_lines (lines, multi)] renders as
+let loop_count cfg =
+  if cfg.loops > 0 then cfg.loops
+  else Int.min 4 (Int.max 1 (Domain.recommended_domain_count ()))
+
+(* The verdict on one request. [R_lines (lines, multi)] renders as
    the lines (END-terminated when [multi]) on a line connection and as
    one [Ok] frame with the lines joined by '\n' on a v4 connection. *)
 type reply =
@@ -77,9 +79,10 @@ type job = {
 
 (* One event loop of the reactor fleet. Each loop is its own domain
    owning a private {!Eventloop.t} (its own epoll instance and wake
-   channel) and a private connection table — no [Conn.t] is ever shared
-   between loops, so everything here is either loop-thread-only or one
-   of the two explicit handoff queues. *)
+   channel), a private connection table and a private request FIFO — no
+   [Conn.t] and no request is ever shared between loops, so everything
+   here is loop-thread-only apart from the acceptor's handoff queue, the
+   atomics the acceptor reads, and the retained traces. *)
 type loop_state = {
   lid : int;
   ev : Eventloop.t;
@@ -91,15 +94,14 @@ type loop_state = {
      and registers the fd itself — {!Eventloop.add} is loop-thread-only. *)
   inc_lock : Mutex.t;
   incoming : (Unix.file_descr * string * string * int * int64) Queue.t;
-  (* worker → loop handoff: connections with a freshly enqueued response
-     (or other state change) the loop should service *)
-  attn_lock : Mutex.t;
-  attention : Conn.t list ref;
+  (* parsed requests waiting to run, oldest first: appended while a
+     poll's events are dispatched, executed by [loop_tick] *)
+  fifo : job Queue.t;
   (* connections owned (including queued handoffs), read by the acceptor
      for two-choice placement and the max-conns cap *)
   n_conns : int Atomic.t;
-  (* requests dispatched from this loop's connections whose response is
-     not yet enqueued — the loop's drain condition *)
+  (* requests parsed by this loop whose response is not yet enqueued —
+     the loop's drain condition, and the acceptor's busy signal *)
   inflight : int Atomic.t;
   mutable draining : bool;
   (* loop-thread timestamp, refreshed once per iteration when the idle
@@ -115,12 +117,10 @@ type loop_state = {
      (conn events directly; request events at finalize, replayed from
      the lifecycle record's timestamps), snapshotted by anyone *)
   flight : Obs.Flight.t;
-  (* worker → loop: finalize handoff. A worker enqueueing a response
-     registers [(byte mark, lifecycle record, conn)] here; the loop
-     finalizes the record — flight events, stage histograms, retention —
-     once the conn's flushed-bytes total reaches the mark (or the conn
-     died). *)
-  fin_lock : Mutex.t;
+  (* records awaiting finalize, newest first: [respond] registers
+     [(byte mark, lifecycle record, conn)]; the loop finalizes the record
+     — flight events, stage histograms, retention — once the conn's
+     flushed-bytes total reaches the mark (or the conn died) *)
   mutable pending_fin : (int * Lifecycle.t * Conn.t) list;
   (* tail-retained traces, newest first; written by the loop at
      finalize, read by FLIGHT / /debug/flight. Inserts keep the
@@ -164,7 +164,8 @@ type state = {
   conn_seq : int Atomic.t;  (* connection ids, for log correlation *)
   (* acceptor-only rotation for power-of-two-choices placement *)
   accept_rr : int Atomic.t;
-  queue : job Admission.t;
+  (* each loop's FIFO bound: ceil (queue_depth / loops) *)
+  fifo_cap : int;
   cache : Cache.Answers.t option;
   memo : D.Sld.Memo.t option;
   stopping : bool Atomic.t;
@@ -183,7 +184,7 @@ type state = {
   inflight_total : int Atomic.t;
 }
 
-(* Callable from worker threads and from signal handlers, so it must not
+(* Callable from any loop and from signal handlers, so it must not
    take locks beyond the wake channels: flip the flag and wake the
    acceptor, the snapshotter, and every event loop; they do their own
    teardown. *)
@@ -253,22 +254,10 @@ let encode_reply ~framed ~rid reply =
     | R_bye -> Protocol.bye ^ "\n"
     | R_none -> assert false
 
-(* Hand [c] back to its owning loop: every connection carries its loop
-   id, so a worker completing a request finds the one wake channel to
-   write. Push before the inflight decrement — the loop's drain
-   predicate must not observe zero in flight with the handoff still
-   unpublished. *)
-let request_attention st c =
-  let ls = st.loops.(Conn.loop c) in
-  Mutex.lock ls.attn_lock;
-  ls.attention := c :: !(ls.attention);
-  Mutex.unlock ls.attn_lock;
-  ls
-
-(* Enqueue the encoded response on the job's connection and hand the
-   connection back to its owning loop. Called from worker domains and
-   (for inline BUSY) from the loop itself. *)
-let respond st job reply =
+(* Enqueue the encoded response on the job's connection and register its
+   lifecycle record for finalize once the bytes drain. The owning loop
+   flushes when it next services the connection. *)
+let respond st ls job reply =
   (match job.lc with
   | Some l ->
     l.Lifecycle.lc_respond_ns <- Lifecycle.now_ns ();
@@ -292,25 +281,18 @@ let respond st job reply =
     Conn.set_closing job.conn
   | _ -> ());
   Conn.decr_inflight job.conn;
-  let ls = request_attention st job.conn in
-  (* register the finalize mark before the wake, like the attention push:
-     the tick this wake triggers must see it *)
   (match job.lc with
-  | Some l ->
-    Mutex.lock ls.fin_lock;
-    ls.pending_fin <- (mark, l, job.conn) :: ls.pending_fin;
-    Mutex.unlock ls.fin_lock
+  | Some l -> ls.pending_fin <- (mark, l, job.conn) :: ls.pending_fin
   | None -> ());
   ignore (Atomic.fetch_and_add ls.inflight (-1));
   let now = Atomic.fetch_and_add st.inflight_total (-1) - 1 in
-  Metrics.set_pipeline_depth st.metrics now;
-  Eventloop.wake ls.ev
+  Metrics.set_pipeline_depth st.metrics now
 
-(* --- request handlers (worker side, pure of socket I/O) --- *)
+(* --- request handlers (pure of socket I/O) --- *)
 
-(* Root a [serve] span covering this query's whole worker-side handling;
-   the admission wait the request already paid is attached as an
-   attribute (it happened before the span could exist). *)
+(* Root a [serve] span covering this query's whole execution; the FIFO
+   wait the request already paid is attached as an attribute (it
+   happened before the span could exist). *)
 let serve_root tracer ~wait_us atom_text =
   let root = Trace.root tracer ~kind:"serve" atom_text in
   Trace.set_attr tracer root "queue_wait_us"
@@ -333,7 +315,7 @@ let answer_traced st ~wait_us ~t0 tracer q =
   Trace.finish tracer root;
   (* lifecycle attribution: which backend answered, and — when this
      query ran traced — the exec span tree, grafted under the record's
-     worker span at export *)
+     worker (execution) span at export *)
   (match Lifecycle.current () with
   | Some lc ->
     lc.Lifecycle.lc_backend <-
@@ -516,6 +498,18 @@ let save_snapshot st =
     Obs.Log.debug st.log "snapshot saved" ~fields:[ ("forms", Obs.Log.I n) ];
     Some n
 
+(* The periodic and the shutdown snapshot have no client to answer, so a
+   failure (full or unwritable state dir) is logged rather than lost. *)
+let save_snapshot_or_warn st =
+  try ignore (save_snapshot st)
+  with exn ->
+    Obs.Log.warn st.log "snapshot failed"
+      ~fields:
+        [
+          ("state_dir", Obs.Log.S (Option.value st.cfg.state_dir ~default:""));
+          ("exn", Obs.Log.S (Printexc.to_string exn));
+        ]
+
 let handle_snapshot st =
   match save_snapshot st with
   | None ->
@@ -601,87 +595,6 @@ let process st ~wait_us ~t0 job =
     Metrics.error st.metrics;
     R_err (`Unknown_verb, verb)
 
-(* --- worker pool --- *)
-
-let worker_loop st ~domain =
-  let dh = Metrics.domain_handles st.metrics ~domain in
-  let rec go () =
-    match Admission.pop st.queue with
-    | None -> ()
-    | Some job ->
-      let t0 = Unix.gettimeofday () in
-      let wait_us = (t0 -. job.enqueued) *. 1e6 in
-      Metrics.queue_waited st.metrics ~wait_us;
-      (* popping shrinks the queue: refresh the depth gauge so it tracks
-         both directions, not just enqueues *)
-      Metrics.observe_queue_depth st.metrics (Admission.length st.queue);
-      (* stamp pickup and expose the record ambiently, so store waits
-         (WAL fsync, page faults) land on the request that paid them *)
-      (match job.lc with
-      | Some l ->
-        l.Lifecycle.lc_worker_ns <- Lifecycle.now_ns ();
-        Lifecycle.set_current job.lc
-      | None -> ());
-      let reply =
-        try process st ~wait_us ~t0 job
-        with exn ->
-          Metrics.error st.metrics;
-          Obs.Log.error st.log "request handler crashed"
-            ~fields:
-              [
-                ("conn", Obs.Log.I (Conn.id job.conn));
-                ("exn", Obs.Log.S (Printexc.to_string exn));
-              ];
-          R_err (`Internal, Printexc.to_string exn)
-      in
-      if job.lc <> None then Lifecycle.set_current None;
-      respond st job reply;
-      if job.req = Protocol.Shutdown then initiate_shutdown st;
-      Metrics.domain_served dh
-        ~busy_us:((Unix.gettimeofday () -. t0) *. 1e6);
-      go ()
-  in
-  go ()
-
-(* The worker pool: one OCaml 5 domain per worker, up to the runtime's
-   recommended domain count — beyond that, extra parallelism cannot
-   help, so surplus workers run as systhreads *inside* the domains
-   (round-robin), preserving the configured request concurrency without
-   oversubscribing cores. All workers, wherever they live, drain the one
-   shared [Admission] queue of requests; its Mutex/Condition pair is
-   domain-safe.
-
-   Returns the spawned domains. *)
-let effective_domains workers =
-  Int.min workers (Int.max 1 (Domain.recommended_domain_count ()))
-
-let spawn_workers st ~n_domains =
-  let requested = st.cfg.workers in
-  if n_domains < requested then
-    Obs.Log.info st.log "workers exceed recommended domain count"
-      ~fields:
-        [
-          ("workers", Obs.Log.I requested);
-          ("domains", Obs.Log.I n_domains);
-          ( "note",
-            Obs.Log.S
-              "surplus workers run as systhreads inside the worker domains"
-          );
-        ];
-  Metrics.set_domains st.metrics n_domains;
-  let share slot =
-    (* workers are dealt round-robin: slot s runs worker s, s+D, ... *)
-    ((requested - slot - 1) / n_domains) + 1
-  in
-  List.init n_domains (fun slot ->
-      Domain.spawn (fun () ->
-          match share slot with
-          | 1 -> worker_loop st ~domain:slot
-          | k ->
-            List.init k (fun _ ->
-                Thread.create (fun () -> worker_loop st ~domain:slot) ())
-            |> List.iter Thread.join))
-
 (* --- reactor (loop thread) --- *)
 
 let request_of_frame (f : Frame.t) =
@@ -712,19 +625,17 @@ let request_of_frame (f : Frame.t) =
       ("unexpected response frame " ^ Frame.kind_name f.Frame.kind)
   | Frame.Unknown c -> Protocol.Unknown (Printf.sprintf "0x%02X" c)
 
-(* Hand one request to the worker pool; a full queue — or this loop's
-   share of it exhausted — sheds it with BUSY right here on the loop
-   thread. The producer tag makes back-pressure per-loop: a flooding
-   loop sheds at its own quota and never starves its peers' slots. *)
-let dispatch st c ~framed ~rid req =
+(* Append one parsed request to this loop's FIFO; a FIFO already at its
+   cap sheds it with BUSY right here. The cap is the loop's even share
+   of [queue_depth], so a flooding loop sheds at its own share and never
+   affects its peers. *)
+let dispatch st ls c ~framed ~rid req =
   Conn.incr_inflight c;
-  let ls = st.loops.(Conn.loop c) in
   ignore (Atomic.fetch_and_add ls.inflight 1);
   let d = Atomic.fetch_and_add st.inflight_total 1 + 1 in
   Metrics.set_pipeline_depth st.metrics d;
-  (* the lifecycle record is born here on the loop thread, right after
-     the parse — [frame_ns] is its birth stamp — and [queue_ns] is
-     stamped before the push so no worker can observe it half-written *)
+  (* the lifecycle record is born here, right after the parse —
+     [frame_ns] is its birth stamp, [queue_ns] the FIFO append *)
   let lc =
     if st.cfg.lifecycle then
       Some
@@ -733,23 +644,23 @@ let dispatch st c ~framed ~rid req =
            ~frame_ns:(Lifecycle.now_ns ()))
     else None
   in
-  (match lc with
-  | Some l -> l.Lifecycle.lc_queue_ns <- Lifecycle.now_ns ()
-  | None -> ());
   let job =
     { conn = c; rid; framed; req; enqueued = Unix.gettimeofday (); lc }
   in
-  if Admission.try_push ~producer:ls.lid st.queue job then
-    Metrics.observe_queue_depth st.metrics (Admission.length st.queue)
-  else begin
-    (* never admitted: no queue stage; the shed flag is set by the
-       inline BUSY respond below *)
+  if Queue.length ls.fifo < st.fifo_cap then begin
     (match lc with
-    | Some l -> l.Lifecycle.lc_queue_ns <- 0L
-    | None ->
+    | Some l -> l.Lifecycle.lc_queue_ns <- Lifecycle.now_ns ()
+    | None -> ());
+    Queue.push job ls.fifo;
+    Metrics.observe_queue_depth st.metrics (Queue.length ls.fifo)
+  end
+  else begin
+    (* never queued: no queue stage; the shed flag is set by the inline
+       BUSY respond below *)
+    if Option.is_none lc then
       Obs.Flight.record ls.flight ~ts_ns:(Lifecycle.now_ns ())
         ~code:Obs.Flight.code_shed ~loop:ls.lid ~conn:(Conn.id c) ~rid
-        ~a:0L ~b:0L);
+        ~a:0L ~b:0L;
     Metrics.busy st.metrics;
     if Obs.Log.enabled st.log Obs.Log.Debug then
       Obs.Log.debug st.log "request shed: queue full"
@@ -759,10 +670,10 @@ let dispatch st c ~framed ~rid req =
             ("loop", Obs.Log.I ls.lid);
             ("queue_depth", Obs.Log.I st.cfg.queue_depth);
           ];
-    respond st job R_busy
+    respond st ls job R_busy
   end
 
-let on_incoming st c inc =
+let on_incoming st ls c inc =
   match inc with
   | Conn.Line_req Protocol.Empty -> ()  (* blank lines never dispatch *)
   | Conn.Line_req req -> Conn.push_pending c req
@@ -774,7 +685,7 @@ let on_incoming st c inc =
          ~learner:(learner_string st) ()
       ^ "\n")
   | Conn.Frame_req f ->
-    dispatch st c ~framed:true ~rid:f.Frame.id (request_of_frame f)
+    dispatch st ls c ~framed:true ~rid:f.Frame.id (request_of_frame f)
   | Conn.Junk msg ->
     Metrics.error st.metrics;
     if Conn.framed c then
@@ -823,16 +734,21 @@ let reap st ls c =
           ]
   end
 
+(* Read interest stays off while a line connection has a full FIFO's
+   worth of requests pending: its client is sending faster than its
+   requests run (or than it reads their replies, see [service]), so TCP
+   pushes back instead of the pending queue growing. *)
 let update_interest st ls c =
   let read =
     not (Conn.read_closed c)
     && not (Conn.closing c)
     && not (Atomic.get st.stopping)
+    && Conn.pending_count c < st.fifo_cap
   in
   Eventloop.modify ls.ev (Conn.fd c) ~read ~write:(Conn.has_output c)
 
 (* The per-connection maintenance step, run whenever anything might have
-   changed (socket event, worker completion, shutdown): flush pending
+   changed (socket event, executed request, shutdown): flush pending
    output, keep the line-mode stop-and-wait pipeline fed, close when
    drained. Idempotent. Loop thread of the owning loop only. *)
 let service st ls c =
@@ -848,10 +764,19 @@ let service st ls c =
     ignore (Conn.flush c);
     if Conn.dead c then reap st ls c
     else begin
-      (if not (Conn.framed c) && not (Conn.closing c) && Conn.inflight c = 0
+      (* stop-and-wait: a line connection's next request runs once the
+         previous reply has gone to the socket. A client that never
+         reads its replies therefore stops being served, its pending
+         queue fills, and [update_interest] stops reading it. *)
+      (if
+         (not (Conn.framed c))
+         && (not (Conn.closing c))
+         && Conn.inflight c = 0
+         && not (Conn.has_output c)
        then
          match Conn.pop_pending c with
-         | Some req -> dispatch st c ~framed:false ~rid:(Conn.next_rid c) req
+         | Some req ->
+           dispatch st ls c ~framed:false ~rid:(Conn.next_rid c) req
          | None -> ());
       let idle =
         Conn.inflight c = 0
@@ -872,12 +797,12 @@ let on_conn_event st ls c ~readable ~writable:_ =
      && not (Conn.dead c)
    then begin
      if st.cfg.idle_timeout_s > 0.0 then Conn.touch c ~now:ls.now;
-     match Conn.on_readable c ~emit:(on_incoming st c) with
+     match Conn.on_readable c ~emit:(on_incoming st ls c) with
      | Conn.Continue -> ()
      | Conn.Eof ->
        (* honor a final unterminated line, like the blocking server's
           [input_line] did *)
-       Conn.finish_read c ~emit:(on_incoming st c);
+       Conn.finish_read c ~emit:(on_incoming st ls c);
        Conn.set_read_closed c
      | Conn.Rerror msg ->
        if Obs.Log.enabled st.log Obs.Log.Debug then
@@ -890,6 +815,57 @@ let on_conn_event st ls c ~readable ~writable:_ =
        Conn.kill c
    end);
   service st ls c
+
+(* --- execution (loop thread) --- *)
+
+(* Run one request on this loop's thread and enqueue its response. *)
+let execute st ls job =
+  let t0 = Unix.gettimeofday () in
+  let wait_us = (t0 -. job.enqueued) *. 1e6 in
+  Metrics.queue_waited st.metrics ~wait_us;
+  Metrics.observe_queue_depth st.metrics (Queue.length ls.fifo);
+  (* stamp the start and expose the record ambiently, so store waits
+     (WAL fsync, page faults) land on the request that paid them *)
+  (match job.lc with
+  | Some l ->
+    l.Lifecycle.lc_worker_ns <- Lifecycle.now_ns ();
+    Lifecycle.set_current job.lc
+  | None -> ());
+  let reply =
+    try process st ~wait_us ~t0 job
+    with exn ->
+      Metrics.error st.metrics;
+      Obs.Log.error st.log "request handler crashed"
+        ~fields:
+          [
+            ("conn", Obs.Log.I (Conn.id job.conn));
+            ("exn", Obs.Log.S (Printexc.to_string exn));
+          ];
+      R_err (`Internal, Printexc.to_string exn)
+  in
+  if job.lc <> None then Lifecycle.set_current None;
+  respond st ls job reply;
+  if job.req = Protocol.Shutdown then initiate_shutdown st;
+  Metrics.loop_served ls.lh ~busy_us:((Unix.gettimeofday () -. t0) *. 1e6)
+
+(* Execute the FIFO oldest-first, then service each connection that got
+   a response. Servicing feeds a line connection its next pending
+   request, which lands back in the FIFO, so repeat until it stays
+   empty. *)
+let rec run_fifo st ls =
+  if not (Queue.is_empty ls.fifo) then begin
+    Metrics.set_loop_pipeline_depth ls.lh (Queue.length ls.fifo);
+    let touched = ref [] in
+    while not (Queue.is_empty ls.fifo) do
+      let job = Queue.pop ls.fifo in
+      execute st ls job;
+      match !touched with
+      | c :: _ when c == job.conn -> ()
+      | cs -> touched := job.conn :: cs
+    done;
+    List.iter (service st ls) (List.rev !touched);
+    run_fifo st ls
+  end
 
 (* --- the loop fleet (one domain per loop) --- *)
 
@@ -923,10 +899,7 @@ let adopt_incoming st ls =
   in
   List.iter
     (fun (fd, peer, ip, id, accept_ns) ->
-      let c =
-        Conn.create ~accept_ns ~id ~loop:ls.lid ~peer ~ip ~limits:st.limits
-          fd
-      in
+      let c = Conn.create ~accept_ns ~id ~peer ~ip ~limits:st.limits fd in
       if st.cfg.idle_timeout_s > 0.0 then begin
         Conn.touch c ~now:ls.now;
         wheel_insert ls ~at:(ls.now +. st.cfg.idle_timeout_s) c
@@ -961,9 +934,9 @@ let adopt_incoming st ls =
    connections) table scan per second per loop. A connection that was
    touched since filing is simply re-filed at its new deadline when its
    old bucket drains; one already reaped (the entry no longer in the
-   conn table) is dropped. In-flight requests hold a connection open
-   regardless — re-checked a second later. Zero cost when the timeout
-   is off. *)
+   conn table) is dropped. The sweep runs after the tick has executed
+   every parsed request, so no request is ever in flight here. Zero
+   cost when the timeout is off. *)
 let idle_sweep st ls =
   let timeout = st.cfg.idle_timeout_s in
   if timeout > 0.0 && ls.now -. ls.last_sweep >= 1.0 then begin
@@ -983,9 +956,6 @@ let idle_sweep st ls =
           if Hashtbl.mem ls.conns (Conn.id c) then begin
             let deadline = Conn.last_active c +. timeout in
             if deadline > ls.now then wheel_insert ls ~at:deadline c
-            else if Conn.inflight c > 0 then
-              (* a response is still owed; look again next second *)
-              wheel_insert ls ~at:(ls.now +. 1.0) c
             else begin
               Metrics.idle_closed st.metrics;
               if Obs.Log.enabled st.log Obs.Log.Debug then
@@ -1111,14 +1081,10 @@ let finalize_lc st ls (lc : Lifecycle.t) =
    (or whose connection died trying). Oldest first, so ring order
    matches completion order. *)
 let finalize_pass st ls =
-  Mutex.lock ls.fin_lock;
-  let pend = ls.pending_fin in
-  ls.pending_fin <- [];
-  Mutex.unlock ls.fin_lock;
-  match pend with
+  match ls.pending_fin with
   | [] -> ()
-  | pend -> (
-    let keep =
+  | pend ->
+    ls.pending_fin <-
       List.rev pend
       |> List.filter (fun (mark, lc, c) ->
              (* drained-first: a response fully flushed before the
@@ -1135,39 +1101,26 @@ let finalize_pass st ls =
                false
              end
              else true)
-    in
-    match keep with
-    | [] -> ()
-    | keep ->
-      Mutex.lock ls.fin_lock;
-      ls.pending_fin <- ls.pending_fin @ List.rev keep;
-      Mutex.unlock ls.fin_lock)
+      |> List.rev
 
 (* The loop's post-poll hook, run once per iteration: adopt handoffs,
-   service completions, start the drain once stopping flips, sweep for
-   idle connections, refresh this loop's metric series. *)
+   start the drain once stopping flips, execute every request the poll
+   parsed, finalize drained responses, sweep for idle connections,
+   refresh this loop's metric series. *)
 let loop_tick st ls =
   if st.cfg.idle_timeout_s > 0.0 then ls.now <- Unix.gettimeofday ();
   adopt_incoming st ls;
-  let batch =
-    Mutex.lock ls.attn_lock;
-    let b = !(ls.attention) in
-    ls.attention := [];
-    Mutex.unlock ls.attn_lock;
-    b
-  in
-  List.iter (service st ls) batch;
   if Atomic.get st.stopping && not ls.draining then begin
     ls.draining <- true;
     Hashtbl.fold (fun _ c acc -> c :: acc) ls.conns []
     |> List.iter (service st ls)
   end;
-  (* after the service pass, so a response flushed this very iteration
+  run_fifo st ls;
+  (* after the execution pass, so a response flushed this very iteration
      finalizes in the same tick *)
   finalize_pass st ls;
   idle_sweep st ls;
-  Metrics.set_loop_wakeups ls.lh (Eventloop.wakeups ls.ev);
-  Metrics.set_loop_pipeline_depth ls.lh (Atomic.get ls.inflight)
+  Metrics.set_loop_wakeups ls.lh (Eventloop.wakeups ls.ev)
 
 let incoming_empty ls =
   Mutex.lock ls.inc_lock;
@@ -1176,9 +1129,10 @@ let incoming_empty ls =
   e
 
 (* A loop domain's whole life: poll until told to stop and fully
-   drained. The loop's [Eventloop.t] stays open after exit — late
-   worker wakes must hit a live eventfd, not a recycled descriptor —
-   and is closed by the main thread once every domain has joined. *)
+   drained. The loop's [Eventloop.t] stays open after exit — a late
+   acceptor or shutdown wake must hit a live eventfd, not a recycled
+   descriptor — and is closed by the main thread once every domain has
+   joined. *)
 let loop_main st ls =
   Eventloop.on_wake ls.ev (fun () -> loop_tick st ls);
   Eventloop.run ls.ev ~stop:(fun () ->
@@ -1329,7 +1283,7 @@ let snapshot_loop st stop_r =
         go deadline
       end
       else begin
-        (try ignore (save_snapshot st) with _ -> ());
+        save_snapshot_or_warn st;
         go (Unix.gettimeofday () +. interval)
       end
     end
@@ -1338,7 +1292,6 @@ let snapshot_loop st stop_r =
 
 let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
     ?(on_metrics_listen = fun _ -> ()) cfg ~rulebase ~db =
-  if cfg.workers < 1 then invalid_arg "Server.run: workers must be >= 1";
   if cfg.queue_depth < 1 then
     invalid_arg "Server.run: queue_depth must be >= 1";
   if cfg.max_conns < 1 then invalid_arg "Server.run: max_conns must be >= 1";
@@ -1360,6 +1313,9 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
       | Some path -> Obs.Log.open_file ~level path
       | None -> Obs.Log.to_channel ~level stderr)
   in
+  (* the [logs] reporter is process-global: put back the caller's once
+     this server's log is closed *)
+  let caller_reporter = Logs.reporter () in
   if cfg.log_level <> None then Obs.Log.install_logs_reporter log;
   let metrics = Metrics.create ~trace_capacity:cfg.trace_sample () in
   let registry =
@@ -1378,11 +1334,9 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
   | None -> ());
   let stop_r, stop_w = Unix.pipe () in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let n_domains = effective_domains cfg.workers in
-  Metrics.set_domains metrics n_domains;
-  (* The fleet: one event loop per worker domain unless pinned by
-     --loops. Each loop owns a private epoll instance and wake channel. *)
-  let n_loops = if cfg.loops = 0 then n_domains else cfg.loops in
+  (* The fleet: one event loop per domain, each with a private epoll
+     instance, wake channel and request FIFO. *)
+  let n_loops = loop_count cfg in
   let fleet =
     Array.init n_loops (fun lid ->
         {
@@ -1392,8 +1346,7 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
           conns = Hashtbl.create 64;
           inc_lock = Mutex.create ();
           incoming = Queue.create ();
-          attn_lock = Mutex.create ();
-          attention = ref [];
+          fifo = Queue.create ();
           n_conns = Atomic.make 0;
           inflight = Atomic.make 0;
           draining = false;
@@ -1401,7 +1354,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
           last_sweep = 0.0;
           wheel = Array.make wheel_slots [];
           flight = Obs.Flight.create ~capacity:cfg.flight_capacity;
-          fin_lock = Mutex.create ();
           pending_fin = [];
           ret_lock = Mutex.create ();
           retained = [];
@@ -1431,7 +1383,7 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
       flight_limiter = Obs.Log.Limiter.create ~min_interval_s:1.0;
       conn_seq = Atomic.make 1;
       accept_rr = Atomic.make 0;
-      queue = Admission.create ~producers:n_loops ~depth:cfg.queue_depth ();
+      fifo_cap = (cfg.queue_depth + n_loops - 1) / n_loops;
       cache;
       memo;
       stopping = Atomic.make false;
@@ -1445,10 +1397,11 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
       inflight_total = Atomic.make 0;
     }
   in
-  (* Store-wait attribution: while a worker executes a request, the WAL
+  (* Store-wait attribution: while a loop executes a request, the WAL
      fsyncs and buffer-pool page faults it causes are charged to the
-     ambient lifecycle record (see the DLS caveat in Lifecycle). The
-     observer is process-global, cleared on the way out. *)
+     ambient lifecycle record, which is domain-local and so always the
+     request its loop is running. The observer is process-global,
+     cleared on the way out. *)
   if cfg.lifecycle then
     Store.Hooks.install (fun ev ns ->
         match Lifecycle.current () with
@@ -1492,13 +1445,14 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
       if cfg.lifecycle then Store.Hooks.clear ();
       Option.iter (fun h -> try Obs.Http.stop h with _ -> ()) !http;
       (* loops have joined (or never started) by now: their eventloops
-         are closed here, centrally, so a worker's late wake can never
-         hit a recycled descriptor *)
+         are closed here, centrally, so a late wake can never hit a
+         recycled descriptor *)
       Array.iter (fun ls -> Eventloop.close ls.ev) fleet;
       close_sock ();
       List.iter
         (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
         [ stop_r; stop_w ];
+      Logs.set_reporter caller_reporter;
       Obs.Log.close log)
     (fun () ->
       Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -1554,15 +1508,12 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
         let h = Obs.Http.start ~host:cfg.host ~port:mp ~handler () in
         http := Some h;
         on_metrics_listen (Obs.Http.port h));
-      let workers = spawn_workers st ~n_domains in
       let snapshotter =
         if cfg.snapshot_interval > 0.0 && cfg.state_dir <> None then
           Some (Thread.create (fun () -> snapshot_loop st stop_r) ())
         else None
       in
-      (* Spawn the fleet: one domain per event loop. The loops mostly
-         block in epoll_wait (which releases the runtime), so fleet
-         domains on top of worker domains don't oversubscribe cores. *)
+      (* Spawn the fleet: one domain per event loop. *)
       let loop_domains =
         Array.map (fun ls -> Domain.spawn (fun () -> loop_main st ls)) fleet
       in
@@ -1574,8 +1525,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
             ("port", Obs.Log.I port);
             ("backend", Obs.Log.S (Eventloop.backend fleet.(0).ev));
             ("loops", Obs.Log.I n_loops);
-            ("workers", Obs.Log.I cfg.workers);
-            ("domains", Obs.Log.I n_domains);
             ("queue_depth", Obs.Log.I cfg.queue_depth);
             ("max_conns", Obs.Log.I cfg.max_conns);
             ( "learner",
@@ -1587,10 +1536,10 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
           ];
       (* The main thread is the dedicated acceptor until shutdown. *)
       acceptor st sock stop_r;
-      (* Drain: stop accepting, close the queue (workers finish what's
-         dispatched, then exit), and wake every loop so each drains its
-         own connections. The metrics responder stays up through the
-         drain so /healthz reports "draining" to probes. *)
+      (* Drain: stop accepting and wake every loop so each runs what it
+         has parsed and drains its own connections. The metrics
+         responder stays up through the drain so /healthz reports
+         "draining" to probes. *)
       Obs.Log.info log "shutdown initiated: draining"
         ~fields:
           [
@@ -1598,12 +1547,10 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
             ("conns_open", Obs.Log.I (total_conns st));
           ];
       close_sock ();
-      Admission.close st.queue;
       Array.iter (fun ls -> Eventloop.wake ls.ev) fleet;
       Array.iter Domain.join loop_domains;
-      List.iter Domain.join workers;
       Option.iter Thread.join snapshotter;
-      (try ignore (save_snapshot st) with _ -> ());
+      save_snapshot_or_warn st;
       Obs.Log.info log "server stopped"
         ~fields:
           [

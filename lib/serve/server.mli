@@ -1,64 +1,61 @@
 (** The `strategem serve` daemon: a sharded reactor fleet — one
-    {!Eventloop} (epoll on Linux, [select] elsewhere) per worker domain
-    — owns every socket and feeds individual requests through a bounded
-    {!Admission} queue to a fixed pool of workers, which answer queries
-    through the {!Registry} of per-form {!Core.Live} learners and hand
-    encoded responses back to the owning loop for batched, non-blocking
-    writes.
+    {!Eventloop} (epoll on Linux, [select] elsewhere) per domain — that
+    owns every socket and runs every request to completion on the loop
+    that parsed it. Each loop answers queries through the {!Registry} of
+    per-form {!Core.Live} learners on its own thread and writes the
+    encoded responses with batched, non-blocking writes; no request ever
+    crosses to another domain.
 
     A dedicated acceptor (the main thread) distributes new connections
-    across the fleet by least connections (lowest loop id on ties).
-    Each loop owns its epoll instance, wake channel, and connection
-    table outright — no [Conn.t] is ever shared between loops — so the
-    read/parse/flush half of serving scales across cores instead of
-    single-threading on one reactor. A worker completing a request finds
-    the owning loop by the connection's loop tag and wakes exactly that
-    loop. Per-loop [{loop="i"}] conns/wakeups/pipeline-depth series and
-    the additive [loops] STATS-JSON block expose the fleet's balance;
-    admission back-pressure is per-loop (each loop gets an even share of
-    the queue depth), so one flooding loop cannot starve its peers.
+    across the fleet by power-of-two-choices on open connections, then
+    requests in flight. Each loop owns its epoll instance, wake channel,
+    connection table and request FIFO outright — no [Conn.t] is ever
+    shared between loops — so parsing, execution and flushing all scale
+    across cores. Per-loop [{loop="i"}] conns/wakeups/pipeline-depth
+    series and the additive [loops] STATS-JSON block expose the fleet's
+    balance.
+
+    A loop appends the requests it parses during one poll to its FIFO
+    and then executes the FIFO oldest-first. The FIFO holds at most
+    [ceil (queue_depth / loops)] requests: a request parsed while it is
+    full is answered [BUSY] on the spot — a v4 client sees a [Busy]
+    frame carrying the request's id and keeps its connection; a line
+    client keeps the v1..v3 contract of [BUSY] then close. A line
+    connection with that many requests pending stops being read until
+    its backlog drains, so a client that never reads its replies is
+    pushed back by TCP rather than buffered without limit. A connection
+    arriving past the [max_conns] cap is shed with [BUSY] and closed at
+    accept.
 
     Connections speak either dialect of {!Protocol} on the same port,
     told apart by sniffing the first byte: {!Frame.magic} (0x84) selects
     the framed v4 protocol — length-prefixed frames with client-chosen
-    request ids, so one connection can pipeline many requests and
-    receive responses out of order — while printable ASCII selects the
-    v2/v3 line protocol, served request-at-a-time in arrival order
-    exactly as before (a line client can also upgrade mid-stream with
-    [HELLO V4]).
+    request ids, so one connection can pipeline many requests — while
+    printable ASCII selects the v2/v3 line protocol, served
+    request-at-a-time in arrival order exactly as before (a line client
+    can also upgrade mid-stream with [HELLO V4]).
 
-    Workers are OCaml 5 domains: [--workers N] spawns
-    [min N (Domain.recommended_domain_count ())] domains, so the SLD +
-    exec + learn hot path runs on real cores in parallel. Surplus
-    workers beyond the clamp run as systhreads inside the worker
-    domains (round-robin), preserving N-way connection concurrency on
-    small machines. The effective domain count is exported as the
+    Loops are OCaml 5 domains, so the SLD + exec + learn hot path runs
+    on real cores in parallel. The loop count is exported as the
     [strategem_domains] gauge and the additive [domains] STATS field;
-    each domain also exports served-connection and busy-time counters
+    each loop also exports served-request and busy-time counters
     labelled [{domain="i"}]. Learning stays sequentially consistent per
     query form — every form's learner is driven under its per-entry
-    mutex — so multicore serving provably does not change what is
-    learned (see the multi-domain conformance test).
+    mutex — so multicore serving does not change what is learned (see
+    the 1-vs-4-loop conformance test).
 
-    Load shedding is request-granular: a request dispatched while the
-    admission queue is full is answered [BUSY] — a v4 client sees a
-    [Busy] frame carrying the request's id and keeps its connection; a
-    line client keeps the v1..v3 contract of [BUSY] then close. A
-    connection arriving past the [max_conns] cap is likewise shed with
-    [BUSY] and closed at accept. Graceful shutdown (the [SHUTDOWN]
-    command, or SIGINT/SIGTERM when [handle_signals]): the listener
-    closes, dispatched requests are still served and their responses
-    flushed, workers drain and join, and — when a state directory is
-    configured — a final snapshot is written, so nothing learned is
-    lost. *)
+    Graceful shutdown (the [SHUTDOWN] command, or SIGINT/SIGTERM when
+    [handle_signals]): the listener closes, parsed requests are still
+    served and their responses flushed, the loops drain and join, and —
+    when a state directory is configured — a final snapshot is written,
+    so nothing learned is lost. *)
 
 type config = {
   host : string;            (** bind address (default ["127.0.0.1"]) *)
   port : int;               (** [0] picks an ephemeral port *)
-  workers : int;            (** worker pool size (≥ 1); spread over
-                                [min workers recommended_domain_count]
-                                domains *)
-  queue_depth : int;        (** admission queue bound, in requests (≥ 1) *)
+  queue_depth : int;
+      (** request bound across the fleet (≥ 1): each loop's FIFO holds
+          at most [ceil (queue_depth / loops)] parsed requests *)
   max_conns : int;          (** open-connection cap (≥ 1); connections
                                 past it are shed with [BUSY] at accept *)
   state_dir : string option;      (** snapshot directory *)
@@ -104,10 +101,12 @@ type config = {
           the query's span tree inlined, without paying for speculative
           tracing of every query (see E21). *)
   loops : int;
-      (** event loops in the reactor fleet ([--loops]); [0] (the
-          default) matches the effective worker-domain count. Each loop
-          is its own domain with a private epoll instance and wake
-          channel. *)
+      (** event loops in the reactor fleet ([--loops], also spelled
+          [--workers]); [0] (the default) means
+          [min 4 (Domain.recommended_domain_count ())] (see
+          {!loop_count}). Each loop is its own domain with a private
+          epoll instance and wake channel, and executes every request it
+          parses. *)
   max_write_buf : int;
       (** per-connection write-buffer cap in bytes
           ([--max-write-buf-mb]); a {!Conn.send} that would buffer past
@@ -132,7 +131,7 @@ type config = {
           [--no-lifecycle] turns it off): every dispatched request gets
           a {!Lifecycle} record stamped through
           parse → queue → worker → respond → flush, with WAL-fsync and
-          page-fault waits attributed while a worker runs it. Finalized
+          page-fault waits attributed while its loop executes it. Finalized
           records feed [strategem_stage_latency_us{stage, loop}], the
           flight recorder, and tail-based retention (the full span tree
           is kept only for slow / error / shed requests, in a bounded
@@ -147,14 +146,18 @@ type config = {
           64; [0] disables retention). *)
 }
 
-(** 127.0.0.1:4280, 4 workers, loops matching the worker domains, queue
-    depth 64, max 10_000 connections, no per-IP cap, 64 MiB per-conn
-    write cap (global cap and idle timeout off), no state dir, periodic
-    snapshots off, PIB with {!Core.Learner.default_config}, trace
-    sampling off, 64 MiB answer cache, no metrics responder, structured
-    logging and the slow-query log off. Lifecycle tracking on, a
-    4096-event flight ring and a 64-trace retention buffer per loop. *)
+(** 127.0.0.1:4280, [min 4 cores] loops, queue depth 64, max 10_000
+    connections, no per-IP cap, 64 MiB per-conn write cap (global cap
+    and idle timeout off), no state dir, periodic snapshots off, PIB
+    with {!Core.Learner.default_config}, trace sampling off, 64 MiB
+    answer cache, no metrics responder, structured logging and the
+    slow-query log off. Lifecycle tracking on, a 4096-event flight ring
+    and a 64-trace retention buffer per loop. *)
 val default_config : config
+
+(** The fleet size a config asks for: [loops] when positive, else
+    [min 4 (Domain.recommended_domain_count ())]. *)
+val loop_count : config -> int
 
 (** [run ?handle_signals ?on_listen ?on_metrics_listen config ~rulebase
     ~db] — bind, serve, and block until shutdown. [on_listen] receives

@@ -22,7 +22,7 @@
     Span kinds used by this repo (free-form strings, not enforced):
     [query] (root), [serve] (daemon root), [sld], [exec], [learn]
     (phases), [reduction], [retrieval], [naf] (SLD events, cost 1/1/0),
-    [arc] (executor events, cost [f(arc)]), [wait] (admission-queue
+    [arc] (executor events, cost [f(arc)]), [wait] (request-queue
     wait). *)
 
 type span

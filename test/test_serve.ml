@@ -168,68 +168,6 @@ let frame_truncation () =
   | Serve.Frame.Corrupt _ -> ()
   | _ -> Alcotest.fail "hostile length accepted"
 
-(* ---------- Admission ---------- *)
-
-let admission_shed_and_drain () =
-  let q = Serve.Admission.create ~depth:2 () in
-  check_bool "push 1" true (Serve.Admission.try_push q 1);
-  check_bool "push 2" true (Serve.Admission.try_push q 2);
-  check_bool "full refuses" false (Serve.Admission.try_push q 3);
-  check_int "length" 2 (Serve.Admission.length q);
-  check_bool "pop 1" true (Serve.Admission.pop q = Some 1);
-  check_bool "room again" true (Serve.Admission.try_push q 4);
-  Serve.Admission.close q;
-  check_bool "closed refuses" false (Serve.Admission.try_push q 5);
-  check_bool "drains 2" true (Serve.Admission.pop q = Some 2);
-  check_bool "drains 4" true (Serve.Admission.pop q = Some 4);
-  check_bool "then None" true (Serve.Admission.pop q = None);
-  check_int "high water" 2 (Serve.Admission.high_water q)
-
-let admission_per_producer_quota () =
-  (* two producers split depth 4 into quotas of 2: a flooding producer
-     is refused at its own share while its peer's slots stay free *)
-  let q = Serve.Admission.create ~producers:2 ~depth:4 () in
-  check_int "quota is the even split" 2 (Serve.Admission.quota q);
-  check_bool "p0 push 1" true (Serve.Admission.try_push ~producer:0 q 1);
-  check_bool "p0 push 2" true (Serve.Admission.try_push ~producer:0 q 2);
-  check_bool "p0 at quota refused" false
-    (Serve.Admission.try_push ~producer:0 q 3);
-  check_bool "p1 unaffected" true (Serve.Admission.try_push ~producer:1 q 4);
-  check_bool "p1 push 2" true (Serve.Admission.try_push ~producer:1 q 5);
-  check_bool "p1 at quota refused" false
-    (Serve.Admission.try_push ~producer:1 q 6);
-  check_int "p0 in queue" 2 (Serve.Admission.producer_length q 0);
-  (* popping p0's head frees one of p0's slots, not p1's *)
-  check_bool "pop fifo" true (Serve.Admission.pop q = Some 1);
-  check_int "p0 released" 1 (Serve.Admission.producer_length q 0);
-  check_bool "p0 has room again" true
-    (Serve.Admission.try_push ~producer:0 q 7);
-  check_bool "p1 still at quota" false
-    (Serve.Admission.try_push ~producer:1 q 8);
-  (* a single producer keeps the historical whole-queue semantics *)
-  let q1 = Serve.Admission.create ~depth:3 () in
-  check_int "solo quota is the depth" 3 (Serve.Admission.quota q1);
-  check_bool "solo fills the queue" true
-    (List.for_all
-       (fun x -> Serve.Admission.try_push q1 x)
-       [ 1; 2; 3 ])
-
-let admission_blocking_pop () =
-  let q = Serve.Admission.create ~depth:4 () in
-  let got = Atomic.make (-1) in
-  let consumer =
-    Thread.create
-      (fun () ->
-        match Serve.Admission.pop q with
-        | Some v -> Atomic.set got v
-        | None -> Atomic.set got (-2))
-      ()
-  in
-  Thread.delay 0.05;
-  check_bool "push wakes consumer" true (Serve.Admission.try_push q 7);
-  Thread.join consumer;
-  check_int "consumer got it" 7 (Atomic.get got)
-
 (* ---------- Metrics ---------- *)
 
 let metrics_counters_and_histogram () =
@@ -678,13 +616,11 @@ let snapshot_roundtrip () =
 
 (* ---------- Server end to end (in-process TCP) ---------- *)
 
-let server_config ?(workers = 2) ?(queue_depth = 8) ?max_conns ?state_dir
-    ?(loops = 0) ?(idle_timeout_s = 0.0) ?(max_conns_per_ip = 0) ?max_write_buf
-    () =
+let server_config ?(loops = 2) ?(queue_depth = 8) ?max_conns ?state_dir
+    ?(idle_timeout_s = 0.0) ?(max_conns_per_ip = 0) ?max_write_buf () =
   {
     Serve.Server.default_config with
     port = 0;
-    workers;
     queue_depth;
     max_conns =
       Option.value max_conns ~default:Serve.Server.default_config.max_conns;
@@ -697,8 +633,8 @@ let server_config ?(workers = 2) ?(queue_depth = 8) ?max_conns ?state_dir
         ~default:Serve.Server.default_config.max_write_buf;
   }
 
-let start_server ?workers ?queue_depth ?max_conns ?state_dir ?loops
-    ?idle_timeout_s ?max_conns_per_ip ?max_write_buf () =
+let start_server ?loops ?queue_depth ?max_conns ?state_dir ?idle_timeout_s
+    ?max_conns_per_ip ?max_write_buf () =
   let rulebase, db = kb () in
   let port = Atomic.make 0 in
   let thread =
@@ -706,7 +642,7 @@ let start_server ?workers ?queue_depth ?max_conns ?state_dir ?loops
       (fun () ->
         Serve.Server.run
           ~on_listen:(fun p -> Atomic.set port p)
-          (server_config ?workers ?queue_depth ?max_conns ?state_dir ?loops
+          (server_config ?loops ?queue_depth ?max_conns ?state_dir
              ?idle_timeout_s ?max_conns_per_ip ?max_write_buf ())
           ~rulebase ~db)
       ()
@@ -739,9 +675,9 @@ let talk port lines =
   replies
 
 let server_concurrent_clients () =
-  let thread, port = start_server ~workers:2 () in
-  (* Client A parks on a worker; client B must still be answered, which
-     needs the second worker. *)
+  let thread, port = start_server ~loops:2 () in
+  (* Client A holds its connection open; client B must still be
+     answered. *)
   let _fd_a, ic_a, oc_a = connect port in
   check_bool "A ping" true (send oc_a "PING"; input_line ic_a = "PONG");
   let replies = talk port [ "QUERY instructor(manolis)"; "QUERY nonsense(" ] in
@@ -802,8 +738,8 @@ let server_sheds_when_full () =
   Thread.join thread
 
 (* A server over the genealogy workload, whose free query
-   [relative(X)] is slow enough to park a worker for a while. *)
-let start_genealogy_server ?loops ~workers ~queue_depth () =
+   [relative(X)] is slow enough to keep a loop busy for a while. *)
+let start_genealogy_server ~loops ~queue_depth () =
   let rulebase = Workload.Genealogy.rulebase () in
   let pop = Workload.Genealogy.populate (Stats.Rng.create 5L) ~n_people:2_000 in
   let db = Workload.Genealogy.db pop in
@@ -814,7 +750,7 @@ let start_genealogy_server ?loops ~workers ~queue_depth () =
       (fun () ->
         Serve.Server.run
           ~on_listen:(fun p -> Atomic.set port p)
-          (server_config ~workers ~queue_depth ?loops ())
+          (server_config ~loops ~queue_depth ())
           ~rulebase ~db)
       ()
   in
@@ -830,7 +766,7 @@ let server_v4_busy_keeps_conn () =
      answers with a Busy frame carrying its id, and the connection
      stays open. *)
   let thread, port, people =
-    start_genealogy_server ~workers:1 ~queue_depth:1 ()
+    start_genealogy_server ~loops:1 ~queue_depth:1 ()
   in
   let c = Serve.Client.connect ~proto:`V4 ~port () in
   (* park the single worker on the slow free query (a few ms: it
@@ -867,7 +803,7 @@ let server_v4_busy_keeps_conn () =
 let server_v4_pipelining () =
   (* the queue must hold the whole window, or shedding kicks in (that
      path has its own test) *)
-  let thread, port = start_server ~workers:2 ~queue_depth:64 () in
+  let thread, port = start_server ~loops:2 ~queue_depth:64 () in
   let c = Serve.Client.connect ~proto:`Auto ~port () in
   check_bool "auto negotiated v4" true (Serve.Client.protocol c = `V4);
   let banner = Serve.Client.request c "HELLO" in
@@ -911,7 +847,7 @@ let server_slow_frame () =
      the loop (other connections stay live) and must still be answered;
      junk after it on the same (now framed) connection draws a
      structured error, then close. *)
-  let thread, port = start_server ~workers:2 () in
+  let thread, port = start_server ~loops:2 () in
   let fd, ic, oc = connect port in
   let frame =
     Serve.Frame.encode_string
@@ -1036,7 +972,7 @@ let conn_write_cap_sheds () =
      buffered output, leaves one BUSY, and flags the conn for teardown *)
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let limits = Serve.Conn.limits ~max_buf:32 () in
-  let c = Serve.Conn.create ~id:1 ~loop:0 ~peer:"t" ~ip:"t" ~limits a in
+  let c = Serve.Conn.create ~id:1 ~peer:"t" ~ip:"t" ~limits a in
   Serve.Conn.send c (String.make 16 'x');
   check_bool "under the cap buffers" false (Serve.Conn.overflowed c);
   Serve.Conn.send c (String.make 20 'y');
@@ -1060,7 +996,7 @@ let conn_write_cap_sheds () =
   let shared = Serve.Conn.limits ~global_max:50 () in
   let mk id =
     let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (Serve.Conn.create ~id ~loop:0 ~peer:"t" ~ip:"t" ~limits:shared a, a, b)
+    (Serve.Conn.create ~id ~peer:"t" ~ip:"t" ~limits:shared a, a, b)
   in
   let c1, a1, b1 = mk 2 in
   let c2, a2, b2 = mk 3 in
@@ -1109,7 +1045,7 @@ let server_fleet_drains_every_loop () =
   (* graceful shutdown with a slow query in flight on each loop of a
      2-loop fleet: every response must still be flushed by its owner *)
   let thread, port, _people =
-    start_genealogy_server ~loops:2 ~workers:2 ~queue_depth:8 ()
+    start_genealogy_server ~loops:2 ~queue_depth:8 ()
   in
   let c1 = Serve.Client.connect ~proto:`V4 ~port () in
   let c2 = Serve.Client.connect ~proto:`V4 ~port () in
@@ -1209,10 +1145,16 @@ let server_per_ip_cap () =
   (* closing the survivor frees the ip slot (asynchronously: retry). A
      conversation that lands before the release is shed, and the server's
      close can beat the client's half-close, which then fails with
-     ENOTCONN: that is a shed too, so retry it the same way. *)
+     ENOTCONN, or reset the connection under the client's read (the shed
+     close discards the unread PING), which fails with a reset: both are
+     a shed too, so retry them the same way. Only a PONG before the
+     deadline passes. *)
   let deadline = Unix.gettimeofday () +. 5.0 in
   let talk_or_shed lines =
-    try talk port lines with Unix.Unix_error (Unix.ENOTCONN, _, _) -> []
+    try talk port lines with
+    | Unix.Unix_error ((Unix.ENOTCONN | Unix.ECONNRESET), _, _) | Sys_error _
+      ->
+      []
   in
   let rec admitted () =
     talk_or_shed [ "PING" ] = [ "PONG" ]
@@ -1302,7 +1244,7 @@ let server_lifecycle_flight_e2e () =
   let port = Atomic.make 0 and mport = Atomic.make 0 in
   let cfg =
     {
-      (server_config ~workers:2 ~loops:1 ()) with
+      (server_config ~loops:1 ()) with
       Serve.Server.slow_query_us = 0.001;
       metrics_port = Some 0;
     }
@@ -1521,7 +1463,7 @@ let server_lifecycle_off_still_serves () =
   let port = Atomic.make 0 in
   let cfg =
     {
-      (server_config ~workers:2 ~loops:1 ()) with
+      (server_config ~loops:1 ()) with
       Serve.Server.lifecycle = false;
       flight_capacity = 0;
       retain = 0;
@@ -1581,6 +1523,239 @@ let server_idle_timeout_closes () =
     (List.mem "idle_closed_total 1" replies);
   Thread.join thread
 
+(* ---------- Run to completion on the loop ---------- *)
+
+let server_line_backpressure () =
+  (* A line client that writes requests and never reads a reply must be
+     pushed back by TCP well before it has pushed 64 MiB — the socket
+     stays unwritable for a whole second — instead of the server
+     buffering its requests (and their replies) without limit. STATS
+     replies outweigh their 6-byte requests, so the unread replies fill
+     the socket early. *)
+  let thread, port = start_server ~loops:1 () in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.set_nonblock fd;
+  let chunk =
+    Bytes.of_string (String.concat "" (List.init 100 (fun _ -> "STATS\n")))
+  in
+  let limit = 64 * 1024 * 1024 in
+  let rec push accepted off =
+    if accepted >= limit then `Accepted accepted
+    else
+      match Unix.write fd chunk off (Bytes.length chunk - off) with
+      | n ->
+        let off = off + n in
+        push (accepted + n) (if off = Bytes.length chunk then 0 else off)
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> (
+        match Unix.select [] [ fd ] [] 1.0 with
+        | [], [], [] -> `Pushed_back accepted
+        | _ -> push accepted off)
+      | exception Unix.Unix_error (e, _, _) -> `Dropped (accepted, e)
+  in
+  (match push 0 0 with
+  | `Pushed_back n ->
+    check_bool "pushed back before 64 MiB" true (n < limit)
+  | `Accepted n -> Alcotest.failf "server accepted %d bytes unread" n
+  | `Dropped (n, e) ->
+    Alcotest.failf "server dropped the conn after %d bytes: %s" n
+      (Unix.error_message e));
+  Unix.close fd;
+  check_bool "server still serves" true (talk port [ "PING" ] = [ "PONG" ]);
+  ignore (talk port [ "SHUTDOWN" ]);
+  Thread.join thread
+
+let server_shed_per_loop () =
+  (* queue_depth 2 over 2 loops: each loop's FIFO holds one request. A
+     v4 connection flooding loop 0 while it runs a slow query is shed at
+     its loop's cap; a connection on loop 1 is still answered. *)
+  let thread, port, people =
+    start_genealogy_server ~loops:2 ~queue_depth:2 ()
+  in
+  let a = Serve.Client.connect ~proto:`V4 ~port () in
+  let b = Serve.Client.connect ~proto:`V4 ~port () in
+  (* a round trip on each conn: both fds adopted by their loops *)
+  check_string "a served" "PONG" (Serve.Client.request a "PING");
+  check_string "b served" "PONG" (Serve.Client.request b "PING");
+  let stats_json = Serve.Client.request a "STATS JSON" in
+  check_bool "one conn on each loop" true
+    (contains "\"id\":0,\"conns\":1" stats_json
+    && contains "\"id\":1,\"conns\":1" stats_json);
+  let slow = Serve.Client.post a "QUERY relative(X)" in
+  let flood =
+    List.init 6 (fun i ->
+        Serve.Client.post a
+          (Printf.sprintf "QUERY relative(%s)" (List.nth people i)))
+  in
+  let peer =
+    Serve.Client.request b
+      (Printf.sprintf "QUERY relative(%s)" (List.nth people 7))
+  in
+  check_bool "loop 1 answers while loop 0 sheds" true
+    (String.length peer >= 6 && String.sub peer 0 6 = "ANSWER");
+  let responses = List.map (fun _ -> Serve.Client.recv a) (slow :: flood) in
+  check_bool "the flooding conn was shed" true
+    (List.exists (fun (_, lines) -> lines = [ "BUSY" ]) responses);
+  check_bool "its slow query still answered" true
+    (List.exists
+       (fun (id, lines) ->
+         id = slow
+         &&
+         match lines with
+         | [ l ] -> String.length l >= 6 && String.sub l 0 6 = "ANSWER"
+         | _ -> false)
+       responses);
+  Serve.Client.close b;
+  check_string "drains on shutdown" "BYE" (Serve.Client.request a "SHUTDOWN");
+  Serve.Client.close a;
+  Thread.join thread
+
+let server_snapshot_failure_logged () =
+  (* a state dir nested under a regular file cannot be created, even as
+     root: the shutdown snapshot fails and says so in the log *)
+  let root = temp_dir () in
+  Store.Fsync.ensure_dir root;
+  let file = Filename.concat root "plain" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+  let log_path = Filename.concat root "serve.log" in
+  let rulebase, db = kb () in
+  let port = Atomic.make 0 in
+  let cfg =
+    {
+      (server_config ~state_dir:(Filename.concat file "state") ()) with
+      Serve.Server.log_level = Some Obs.Log.Info;
+      log_file = Some log_path;
+    }
+  in
+  let thread =
+    Thread.create
+      (fun () ->
+        Serve.Server.run ~on_listen:(fun p -> Atomic.set port p) cfg ~rulebase
+          ~db)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  if Atomic.get port = 0 then Alcotest.fail "server did not start";
+  let replies =
+    talk (Atomic.get port) [ "QUERY instructor(manolis)"; "SHUTDOWN" ]
+  in
+  check_bool "served" true (List.mem "BYE" replies);
+  Thread.join thread;
+  let log = In_channel.with_open_bin log_path In_channel.input_all in
+  check_bool "snapshot failure logged at warn" true
+    (List.exists
+       (fun l ->
+         contains "\"msg\":\"snapshot failed\"" l
+         && contains "\"level\":\"warn\"" l)
+       (String.split_on_char '\n' log))
+
+let server_quit_drops_pending () =
+  (* QUIT with more line requests behind it in the same write: the
+     replies end at BYE and the server closes the connection — the
+     trailing requests are dropped, not left pending forever — and a
+     later shutdown still drains *)
+  let thread, port = start_server ~loops:1 () in
+  let _fd, ic, oc = connect port in
+  output_string oc "PING\nQUIT\nPING\nPING\n";
+  flush oc;
+  check_string "pong" "PONG" (input_line ic);
+  check_string "bye" "BYE" (input_line ic);
+  check_bool "then closed" true
+    (match input_line ic with
+    | _ -> false
+    | exception End_of_file -> true);
+  close_in_noerr ic;
+  check_bool "shutdown drains" true (List.mem "BYE" (talk port [ "SHUTDOWN" ]));
+  Thread.join thread
+
+let server_learning_same_across_loops () =
+  (* the same 300-query, two-form stream through one loop over one
+     connection and through four loops over four connections must
+     teach the same thing: same strategies, same climbs, same snapshot
+     bytes *)
+  let queries =
+    List.init 300 (fun i ->
+        if i mod 3 = 2 then "QUERY instructor(X)"
+        else "QUERY instructor(manolis)")
+  in
+  let is_answer r = String.length r >= 6 && String.sub r 0 6 = "ANSWER" in
+  let has prefix r =
+    String.length r >= String.length prefix
+    && String.sub r 0 (String.length prefix) = prefix
+  in
+  let run ~loops =
+    let dir = temp_dir () in
+    let thread, port = start_server ~loops ~state_dir:dir () in
+    (* open every connection before any sends, so placement puts one
+       on each loop; a round trip on each makes sure its loop adopted it *)
+    let conns = List.init loops (fun _ -> connect port) in
+    List.iter
+      (fun (_, ic, oc) ->
+        send oc "PING";
+        check_string "conn served" "PONG" (input_line ic))
+      conns;
+    let _, ic0, oc0 = List.hd conns in
+    send oc0 "STATS JSON";
+    let json = input_line ic0 in
+    for k = 0 to loops - 1 do
+      check_bool
+        (Printf.sprintf "%d loop(s): one conn on loop %d" loops k)
+        true
+        (contains (Printf.sprintf "\"id\":%d,\"conns\":1" k) json)
+    done;
+    let answered = Array.make loops 0 in
+    let senders =
+      List.mapi
+        (fun k (fd, ic, oc) ->
+          Thread.create
+            (fun () ->
+              List.iteri
+                (fun i q -> if i mod loops = k then send oc q)
+                queries;
+              Unix.shutdown fd Unix.SHUTDOWN_SEND;
+              answered.(k) <-
+                List.length (List.filter is_answer (In_channel.input_lines ic));
+              close_in_noerr ic)
+            ())
+        conns
+    in
+    List.iter Thread.join senders;
+    check_int
+      (Printf.sprintf "%d loop(s): every query answered" loops)
+      300
+      (Array.fold_left ( + ) 0 answered);
+    let replies =
+      talk port
+        [
+          "STRATEGY instructor(q)"; "STRATEGY instructor(X)"; "STATS";
+          "SHUTDOWN";
+        ]
+    in
+    Thread.join thread;
+    let strategies = List.filter (has "OK ") replies in
+    let climbs = List.find (has "climbs_total ") replies in
+    let files =
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".strategy")
+      |> List.sort compare
+      |> List.map (fun f ->
+             (f, In_channel.with_open_bin (Filename.concat dir f)
+                   In_channel.input_all))
+    in
+    (strategies, climbs, files)
+  in
+  let s1, c1, f1 = run ~loops:1 in
+  let s4, c4, f4 = run ~loops:4 in
+  check_bool "the stream made a learner climb" true (c1 <> "climbs_total 0");
+  check_int "two forms' strategies" 2 (List.length s1);
+  check_bool "same STRATEGY replies" true (s1 = s4);
+  check_string "same climbs_total" c1 c4;
+  check_int "two strategy files" 2 (List.length f1);
+  check_bool "byte-identical snapshot strategies" true (f1 = f4)
+
 let suite =
   [
     ( "serve",
@@ -1590,10 +1765,11 @@ let suite =
         protocol_parse_total;
         frame_roundtrip;
         case "frame truncation and corruption" frame_truncation;
-        case "admission queue sheds and drains" admission_shed_and_drain;
-        case "admission splits depth into per-producer quotas"
-          admission_per_producer_quota;
-        case "admission pop blocks until push" admission_blocking_pop;
+        slow_case "line client that never reads is pushed back"
+          server_line_backpressure;
+        slow_case "a full loop sheds while its peer loop answers"
+          server_shed_per_loop;
+        slow_case "a failed snapshot is logged" server_snapshot_failure_logged;
         case "write caps shed with BUSY-then-disconnect" conn_write_cap_sheds;
         case "metrics counters and histogram" metrics_counters_and_histogram;
         case "registry canonical forms" registry_forms;
@@ -1629,5 +1805,9 @@ let suite =
         case "metrics blocks golden: cache, memo, store" metrics_blocks_golden;
         case "metrics blocks golden: cache off, no store"
           metrics_blocks_golden_off;
+        slow_case "learning identical on 1 loop and on 4 loops"
+          server_learning_same_across_loops;
+        slow_case "requests behind QUIT are dropped, conn closes"
+          server_quit_drops_pending;
       ] );
   ]
