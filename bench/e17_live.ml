@@ -1,9 +1,12 @@
-(* E17 — the deployed system (Figure 4 on the real engine).
+(* E17 — the deployed system (Figure 4 on a real database).
 
-   Core.Live answers genealogy queries with the actual SLD resolution
-   engine, reordering its rules as PIB climbs. The measurement is the
-   engine's own work counters (retrievals per query) in successive
-   windows of the query stream: the knee in the series is the climb. *)
+   Core.Live answers genealogy queries by running PIB's current strategy
+   over each query's context — the execution that answers is the one PIB
+   learns from — so the strategy's search order changes as PIB climbs.
+   The measurement is that execution's work counters (reductions and
+   retrievals per query, what the ANSWER line reports) in successive
+   windows of the query stream: the knee in the series is the climb. The
+   counts equal those of SLD steered by the same strategy. *)
 
 module D = Datalog
 
@@ -45,7 +48,7 @@ let run () =
   in
   Table.print
     ~title:
-      "E17: live SLD query processor with PIB attached (genealogy, windows \
+      "E17: live query processor with PIB attached (genealogy, windows \
        of 2000 queries)"
     ~header:
       [ "queries"; "reductions/q"; "retrievals/q"; "work/q"; "answered";
@@ -53,7 +56,7 @@ let run () =
     rows;
   let reds, rets = Core.Live.work live in
   Table.note
-    "Total engine work over %d queries: %d reductions, %d retrievals. The \
+    "Total work over %d queries: %d reductions, %d retrievals. The \
      strategy in\nforce at the end: %s\n"
     (Core.Live.queries live) reds rets
     (Format.asprintf "%a" Strategy.Spec.pp_dfs (Core.Live.strategy live))

@@ -27,7 +27,8 @@
    (default 32), E24_PEOPLE (default 5000), E24_LOOPS (reactor fleet
    size; default 0 = min(4, the host's recommended domain count)),
    E24_JSON (path for machine-readable results), E24_REQUIRE_GATE
-   (non-empty: exit 1 when either gate fails — the CI smoke gate),
+   (non-empty: exit 1 when either gate fails, or when any phase got a
+   reply other than ANSWER — the CI smoke gate),
    E24_SPEEDUP_MIN, E24_P99_FACTOR, E24_P99_FLOOR_MS (the p99 bar is
    max(factor x closed p99, floor) — the floor keeps the gate
    meaningful on small/shared hosts where open-loop p99 is dominated
@@ -67,7 +68,9 @@ let zipf_weights =
   Array.init pool_size (fun i ->
       1.0 /. Float.pow (float_of_int (i + 1)) zipf_s)
 
-let start_server ~db ~rulebase =
+(* [in_flight]: the most requests the phase's one connection can have
+   outstanding. *)
+let start_server ~db ~rulebase ~in_flight =
   let port = Atomic.make 0 in
   let thread =
     Thread.create
@@ -78,6 +81,12 @@ let start_server ~db ~rulebase =
             Serve.Server.default_config with
             port = 0;
             loops = n_loops ();
+            (* deep enough that the connection's loop (its share is
+               ceil (depth / loops)) never sheds: the phases must
+               compare answered requests, not BUSY replies *)
+            queue_depth =
+              Int.max Serve.Server.default_config.queue_depth
+                (in_flight * fleet_size ());
           }
           ~rulebase ~db)
       ()
@@ -99,23 +108,36 @@ let percentile sorted p =
 
 type phase = {
   name : string;
-  queries : int;
+  queries : int;  (** answered *)
+  failed : int;  (** BUSY, ERR or any other non-ANSWER reply *)
   wall_s : float;
   qps : float;
   p50_ms : float;
   p99_ms : float;
 }
 
+let answered lines =
+  match lines with
+  | [ l ] -> String.length l >= 6 && String.sub l 0 6 = "ANSWER"
+  | _ -> false
+
+(* [lats] holds one sample per request; a failed request's is [nan] and
+   counts in [failed], not in the latency or throughput figures. *)
 let summarize name ~wall lats =
-  let sorted = Array.copy lats in
+  let sorted =
+    Array.of_list
+      (List.filter (fun l -> not (Float.is_nan l)) (Array.to_list lats))
+  in
   Array.sort Float.compare sorted;
+  let n = Array.length sorted in
   {
     name;
-    queries = Array.length lats;
+    queries = n;
+    failed = Array.length lats - n;
     wall_s = wall;
-    qps = float_of_int (Array.length lats) /. wall;
-    p50_ms = percentile sorted 0.50;
-    p99_ms = percentile sorted 0.99;
+    qps = float_of_int n /. wall;
+    p50_ms = (if n = 0 then nan else percentile sorted 0.50);
+    p99_ms = (if n = 0 then nan else percentile sorted 0.99);
   }
 
 (* Phase A: sequential line-protocol requests on one connection. *)
@@ -127,8 +149,8 @@ let phase_v3 port pool ~n =
   for i = 0 to n - 1 do
     let q = pool.(Stats.Rng.categorical rng zipf_weights) in
     let s = Unix.gettimeofday () in
-    ignore (Serve.Client.request c q);
-    lat.(i) <- (Unix.gettimeofday () -. s) *. 1e3
+    let ok = answered [ Serve.Client.request c q ] in
+    lat.(i) <- (if ok then (Unix.gettimeofday () -. s) *. 1e3 else nan)
   done;
   let wall = Unix.gettimeofday () -. t0 in
   Serve.Client.close c;
@@ -152,8 +174,11 @@ let phase_v4 port pool ~n ~window =
     post_one ()
   done;
   for k = 0 to n - 1 do
-    let id, _ = Serve.Client.recv c in
-    lat.(k) <- (Unix.gettimeofday () -. Hashtbl.find start id) *. 1e3;
+    let id, lines = Serve.Client.recv c in
+    lat.(k) <-
+      (if answered lines then
+         (Unix.gettimeofday () -. Hashtbl.find start id) *. 1e3
+       else nan);
     Hashtbl.remove start id;
     if !issued < n then post_one ()
   done;
@@ -174,9 +199,11 @@ let phase_open port pool ~n ~rate =
     Thread.create
       (fun () ->
         for _ = 1 to n do
-          let id, _ = Serve.Client.recv c in
+          let id, lines = Serve.Client.recv c in
           let due = t0 +. (float_of_int (id - 1) /. rate) in
-          lat.(id - 1) <- (Unix.gettimeofday () -. due) *. 1e3
+          lat.(id - 1) <-
+            (if answered lines then (Unix.gettimeofday () -. due) *. 1e3
+             else nan)
         done)
       ()
   in
@@ -193,9 +220,9 @@ let phase_open port pool ~n ~rate =
 
 let json_of_phase p =
   Printf.sprintf
-    "{\"phase\":\"%s\",\"queries\":%d,\"wall_s\":%.3f,\"qps\":%.1f,\
-     \"p50_ms\":%.3f,\"p99_ms\":%.3f}"
-    p.name p.queries p.wall_s p.qps p.p50_ms p.p99_ms
+    "{\"phase\":\"%s\",\"queries\":%d,\"failed\":%d,\"wall_s\":%.3f,\
+     \"qps\":%.1f,\"p50_ms\":%.3f,\"p99_ms\":%.3f}"
+    p.name p.queries p.failed p.wall_s p.qps p.p50_ms p.p99_ms
 
 let run () =
   let rulebase = Workload.Genealogy.rulebase () in
@@ -206,15 +233,20 @@ let run () =
   let pool = make_pool (Array.of_list (Workload.Genealogy.people pop)) in
   let n = total_queries () in
   let w = window () in
-  let run_phase f =
-    let thread, port = start_server ~db ~rulebase in
+  let run_phase ~in_flight f =
+    let thread, port = start_server ~db ~rulebase ~in_flight in
     let row = f port in
     stop_server thread port;
     row
   in
-  let a = run_phase (fun port -> phase_v3 port pool ~n) in
-  let b = run_phase (fun port -> phase_v4 port pool ~n ~window:w) in
-  let o = run_phase (fun port -> phase_open port pool ~n ~rate:a.qps) in
+  let a = run_phase ~in_flight:1 (fun port -> phase_v3 port pool ~n) in
+  let b =
+    run_phase ~in_flight:w (fun port -> phase_v4 port pool ~n ~window:w)
+  in
+  (* the open loop has no window: all [n] may be outstanding at once *)
+  let o =
+    run_phase ~in_flight:n (fun port -> phase_open port pool ~n ~rate:a.qps)
+  in
   let rows = [ a; b; o ] in
   Table.print
     ~title:
@@ -223,12 +255,14 @@ let run () =
           Zipf-%g pool of %d, %d people, %d loops; latency in phase C \
           measured from the scheduled send time)"
          n zipf_s pool_size (n_people ()) (fleet_size ()))
-    ~header:[ "phase"; "queries"; "wall s"; "q/s"; "p50 ms"; "p99 ms" ]
+    ~header:
+      [ "phase"; "queries"; "failed"; "wall s"; "q/s"; "p50 ms"; "p99 ms" ]
     (List.map
        (fun r ->
          [
            r.name;
            Table.i r.queries;
+           Table.i r.failed;
            Table.f2 r.wall_s;
            Table.f1 r.qps;
            Table.f3 r.p50_ms;
@@ -261,6 +295,14 @@ let run () =
     let p99_floor = env_float "E24_P99_FLOOR_MS" 0.0 in
     let p99_bar = Float.max (a.p99_ms *. p99_factor) p99_floor in
     let failed = ref false in
+    List.iter
+      (fun r ->
+        if r.failed > 0 then begin
+          Printf.eprintf "E24: %s: %d of %d requests not answered\n" r.name
+            r.failed (r.queries + r.failed);
+          failed := true
+        end)
+      rows;
     if speedup < speedup_min then begin
       Printf.eprintf
         "E24: pipelined throughput %.1f q/s is %.2fx the sequential %.1f \

@@ -32,8 +32,8 @@
    E27_DEPTH (D, default 4), E27_MEMBERS (M, default 64),
    E27_REPEATS, E27_SPEEDUP_MIN, E27_OVERHEAD_MAX, E27_JSON (path —
    when set, machine-readable results are written there),
-   E27_REQUIRE_GATE (non-empty: exit 1 when a gate fails — the CI
-   smoke gate). *)
+   E27_REQUIRE_GATE (non-empty: exit 1 when a gate fails, or when any
+   run got a reply other than ANSWER — the CI smoke gate). *)
 
 module D = Datalog
 
@@ -128,7 +128,10 @@ let stats_of_server port =
 type row = {
   phase : string;
   subsume : bool;
-  queries : int;
+  queries : int;  (** answered *)
+  failed : int;
+      (** BUSY, ERR or other non-ANSWER replies, over all of the arm's
+          repeats *)
   wall_s : float;
   qps : float;
   hits : int;
@@ -137,8 +140,9 @@ type row = {
 }
 
 (* One closed-loop pipelined client: [n] queries over a v4 connection
-   with [window] requests in flight. *)
-let client port ~query_of ~next ~n =
+   with [window] requests in flight; every reply that is not an ANSWER
+   is counted in [failed]. *)
+let client port ~query_of ~next ~failed ~n =
   let c = Serve.Client.connect ~proto:`V4 ~port () in
   let w = Int.min (window ()) n in
   let issued = ref 0 and received = ref 0 in
@@ -150,7 +154,9 @@ let client port ~query_of ~next ~n =
     post_one ()
   done;
   while !received < n do
-    ignore (Serve.Client.recv c);
+    (match Serve.Client.recv c with
+    | _, [ l ] when String.length l >= 6 && String.sub l 0 6 = "ANSWER" -> ()
+    | _ -> Atomic.incr failed);
     incr received;
     if !issued < n then post_one ()
   done;
@@ -166,21 +172,25 @@ let run_once ~phase ~subsume ~warm ~query_of ~db ~rulebase =
     ignore (Serve.Client.request c "QUERY r(X)");
     Serve.Client.close c
   end;
-  let next = Atomic.make 0 in
+  let next = Atomic.make 0 and failed = Atomic.make 0 in
   let t0 = Unix.gettimeofday () in
   let threads =
     List.init clients (fun _ ->
-        Thread.create (fun () -> client port ~query_of ~next ~n:per_client) ())
+        Thread.create
+          (fun () -> client port ~query_of ~next ~failed ~n:per_client)
+          ())
   in
   List.iter Thread.join threads;
   let wall = Unix.gettimeofday () -. t0 in
   let hits, derived, misses = stats_of_server port in
   Thread.join thread;
-  let n = clients * per_client in
+  let failed = Atomic.get failed in
+  let n = (clients * per_client) - failed in
   {
     phase;
     subsume;
     queries = n;
+    failed;
     wall_s = wall;
     qps = float_of_int n /. wall;
     hits;
@@ -195,8 +205,9 @@ let run_once ~phase ~subsume ~warm ~query_of ~db ~rulebase =
    (GC pressure, allocator state) cannot systematically favor either
    arm. *)
 let run_pair ~phase ~warm ~query_of ~db ~rulebase =
-  let best = [| None; None |] in
+  let best = [| None; None |] and failed = [| 0; 0 |] in
   let note i r =
+    failed.(i) <- failed.(i) + r.failed;
     match best.(i) with
     | Some b when b.qps >= r.qps -> ()
     | _ -> best.(i) <- Some r
@@ -216,13 +227,16 @@ let run_pair ~phase ~warm ~query_of ~db ~rulebase =
       one false
     end
   done;
-  (Option.get best.(0), Option.get best.(1))
+  let arm i = { (Option.get best.(i)) with failed = failed.(i) } in
+  (arm 0, arm 1)
 
 let json_of_row r =
   Printf.sprintf
-    "{\"phase\":%S,\"subsume\":%b,\"queries\":%d,\"wall_s\":%.3f,\
-     \"qps\":%.1f,\"hits\":%d,\"derived_hits\":%d,\"misses\":%d}"
-    r.phase r.subsume r.queries r.wall_s r.qps r.hits r.derived r.misses
+    "{\"phase\":%S,\"subsume\":%b,\"queries\":%d,\"failed\":%d,\
+     \"wall_s\":%.3f,\"qps\":%.1f,\"hits\":%d,\"derived_hits\":%d,\
+     \"misses\":%d}"
+    r.phase r.subsume r.queries r.failed r.wall_s r.qps r.hits r.derived
+    r.misses
 
 let run () =
   let rulebase, db = make_kb () in
@@ -255,13 +269,17 @@ let run () =
          (depth ()) (n_members ()) (total_queries ()) (n_clients ())
          (window ()) (repeats ()))
     ~header:
-      [ "phase"; "subsume"; "queries"; "wall s"; "q/s"; "hits"; "derived"; "misses" ]
+      [
+        "phase"; "subsume"; "queries"; "failed"; "wall s"; "q/s"; "hits";
+        "derived"; "misses";
+      ]
     (List.map
        (fun r ->
          [
            r.phase;
            Table.yesno r.subsume;
            Table.i r.queries;
+           Table.i r.failed;
            Table.f2 r.wall_s;
            Table.f1 r.qps;
            Table.i r.hits;
@@ -295,6 +313,14 @@ let run () =
   | None | Some "" -> ()
   | Some _ ->
     let failed = ref false in
+    List.iter
+      (fun r ->
+        if r.failed > 0 then begin
+          Printf.eprintf "E27: %s phase, subsume %b: %d requests not answered\n"
+            r.phase r.subsume r.failed;
+          failed := true
+        end)
+      rows;
     if a_on.derived = 0 then begin
       prerr_endline "E27: derived phase served no derived hits";
       failed := true

@@ -23,7 +23,7 @@ let experiments =
     ("e14", "magic sets vs full bottom-up", E14_magic.run);
     ("e15", "AND/OR hypergraphs (Note 4)", E15_hypergraph.run);
     ("e16", "genealogy knowledge base end-to-end", E16_genealogy.run);
-    ("e17", "live SLD query processor with PIB", E17_live.run);
+    ("e17", "live query processor with PIB", E17_live.run);
     ("e18", "serve daemon closed-loop throughput/latency", E18_serve.run);
     ("e19", "tracing overhead on the serve path", E19_trace.run);
     ("e20", "answer caching & memoization on the serve path", E20_cache.run);

@@ -2,14 +2,28 @@ module D = Datalog
 open Infgraph
 open Strategy
 
+(* What a successful retrieval arc proves: chaining the rules on its path
+   gives the resolvent clause [head :- body], where [head] is the root goal
+   and [body] the retrieval pattern under the path's unifiers. An answer
+   is the query unified with [head] and then [body] with a matching fact. *)
+type resolvent = { head : D.Atom.t; body : D.Atom.t }
+
 type t = {
   rulebase : D.Rulebase.t;
   built : Build.result;
+  resolvents : resolvent option array;  (* by arc id; [Some] on retrievals *)
+  modelled : bool;
+      (* the graph holds the form's whole SLD search: not truncated, and
+         no rule head identifies two variables of its goal *)
+  intensional : int list;
+      (* ids of the predicates with rules that the form's derivations can
+         reach; a database fact for one of them is a retrieval SLD makes
+         but the graph has no arc for *)
+  mutable exact_token : int;  (* the database [exact] was decided on *)
+  mutable exact_gen : int;
+  mutable exact : bool;
   mutable learner : Learner.t;
-  mutable order_by_pred : (int, D.Clause.t list) Hashtbl.t;
-  mutable paths : Spec.t;
-      (* the current strategy compiled, for [learn]'s execution; rebuilt
-         with [order_by_pred] whenever the strategy changes *)
+  mutable paths : Spec.t;  (* the current strategy, compiled *)
   mutable queries : int;
   mutable switches : int;
   mutable reductions : int;
@@ -19,43 +33,104 @@ type t = {
          keeps the telemetry stream alive *)
 }
 
-(* Read the per-predicate rule order off the strategy: breadth-first over
-   the graph, first node wins for its predicate. *)
-let derive_orders built (d : Spec.dfs) =
+let root_goal g =
+  match (Graph.node g (Graph.root g)).Graph.goal with
+  | Some goal -> goal
+  | None -> invalid_arg "Live: graph has no goal atoms"
+
+(* The distinct variables [goal]'s arguments walk to under [s]. *)
+let vars_under s (goal : D.Atom.t) =
+  List.filter_map
+    (fun t -> match D.Subst.walk s t with D.Term.Var v -> Some v | _ -> None)
+    goal.D.Atom.args
+  |> List.sort_uniq D.Term.compare_var
+
+(* Does extending [s] to [s'] map two distinct variables of [goal] to one
+   variable? *)
+let identifies s s' goal =
+  let images =
+    List.filter_map
+      (fun v ->
+        match D.Subst.walk s' (D.Term.Var v) with
+        | D.Term.Var w -> Some w
+        | D.Term.Const _ -> None)
+      (vars_under s goal)
+  in
+  List.length (List.sort_uniq D.Term.compare_var images) < List.length images
+
+(* Re-run the build's unification along every root-to-retrieval path to get
+   each retrieval's resolvent, and note whether some rule head identifies
+   two distinct variables of its goal: the graph then loses that equality
+   (the retrieval pattern no longer constrains both), so it cannot stand
+   in for SLD. *)
+let resolvents built =
   let g = built.Build.graph in
-  let tbl = Hashtbl.create 16 in
-  let queue = Queue.create () in
-  Queue.add (Graph.root g) queue;
-  while not (Queue.is_empty queue) do
-    let node_id = Queue.pop queue in
-    let node = Graph.node g node_id in
-    (match node.Graph.goal with
-    | Some goal ->
-      let pred = D.Symbol.id goal.D.Atom.pred in
-      if not (Hashtbl.mem tbl pred) then begin
-        let clauses =
-          List.filter_map
-            (fun arc_id -> List.assoc_opt arc_id built.Build.rule_arcs)
-            d.Spec.orders.(node_id)
-        in
-        if clauses <> [] then Hashtbl.add tbl pred clauses
-      end
-    | None -> ());
+  let root = root_goal g in
+  let out = Array.make (Graph.n_arcs g) None in
+  let linear = ref true in
+  let gen = ref 0 in
+  let rec visit node goal s =
     List.iter
-      (fun arc_id -> Queue.add (Graph.arc g arc_id).Graph.dst queue)
-      d.Spec.orders.(node_id)
-  done;
-  tbl
+      (fun arc_id ->
+        match (Graph.arc g arc_id).Graph.kind with
+        | Graph.Retrieval ->
+          out.(arc_id) <-
+            Some
+              {
+                head = D.Subst.apply_atom s root;
+                body = D.Subst.apply_atom s goal;
+              }
+        | Graph.Reduction -> (
+          incr gen;
+          let c =
+            D.Clause.rename !gen (List.assoc arc_id built.Build.rule_arcs)
+          in
+          match
+            (D.Subst.unify_atoms c.D.Clause.head goal s, c.D.Clause.body)
+          with
+          | Some s', [ D.Clause.Pos body ] ->
+            if identifies s s' goal then linear := false;
+            visit (Graph.arc g arc_id).Graph.dst body s'
+          | _ -> linear := false))
+      (Graph.children g node)
+  in
+  visit (Graph.root g) root D.Subst.empty;
+  (out, !linear)
+
+(* Predicates with rules reachable from [pred] through rule bodies. *)
+let intensional_preds rulebase pred =
+  let seen = Hashtbl.create 16 in
+  let rec go p =
+    let id = D.Symbol.id p in
+    if not (Hashtbl.mem seen id) then
+      match D.Rulebase.rules_for rulebase p with
+      | [] -> ()
+      | rules ->
+        Hashtbl.add seen id ();
+        List.iter
+          (fun c ->
+            List.iter
+              (fun l -> go (D.Clause.lit_atom l).D.Atom.pred)
+              c.D.Clause.body)
+          rules
+  in
+  go pred;
+  Hashtbl.fold (fun id () acc -> id :: acc) seen []
 
 let create ?(learner = `Pib) ?config ~rulebase ~query_form () =
   let built = Build.build ~rulebase ~query_form () in
   let start = Spec.default built.Build.graph in
-  let learner = Learner.create ?config learner start in
+  let resolvents, linear = resolvents built in
   {
     rulebase;
     built;
-    learner;
-    order_by_pred = derive_orders built start;
+    resolvents;
+    modelled = linear && not built.Build.truncated;
+    intensional = intensional_preds rulebase query_form.D.Atom.pred;
+    exact_token = -1;
+    exact_gen = -1;
+    exact = false;
+    learner = Learner.create ?config learner start;
     paths = Spec.compile start;
     queries = 0;
     switches = 0;
@@ -72,11 +147,6 @@ let queries t = t.queries
 let work t = (t.reductions, t.retrievals)
 let climbs t = t.switches
 
-(* Steer SLD and [learn]'s execution by [d]. *)
-let adopt t d =
-  t.order_by_pred <- derive_orders t.built d;
-  t.paths <- Spec.compile d
-
 let on_event t f =
   t.event_hook <- Some f;
   Learner.set_hook t.learner f
@@ -88,7 +158,34 @@ let set_strategy t d =
   (match t.event_hook with
   | Some f -> Learner.set_hook t.learner f
   | None -> ());
-  adopt t d
+  t.paths <- Spec.compile d
+
+(* Does the executed strategy answer queries of this form on [db] exactly
+   as SLD would? Decided per form, and again only when the database
+   changes. *)
+let exact t db =
+  let token = D.Database.token db and gen = D.Database.generation db in
+  if token <> t.exact_token || gen <> t.exact_gen then begin
+    t.exact <-
+      t.modelled
+      && not
+           (List.exists (fun p -> D.Database.count_pred_id db p > 0)
+              t.intensional);
+    t.exact_token <- token;
+    t.exact_gen <- gen
+  end;
+  t.exact
+
+(* A query that repeats a variable asks for an equality the form's graph
+   (one variable per free position) does not model. *)
+let repeats (query : D.Atom.t) =
+  let same v = function D.Term.Var w -> D.Term.equal_var v w | _ -> false in
+  let rec go = function
+    | [] -> false
+    | D.Term.Var v :: rest -> List.exists (same v) rest || go rest
+    | D.Term.Const _ :: rest -> go rest
+  in
+  go query.D.Atom.args
 
 type answer = {
   result : D.Subst.t option;
@@ -99,21 +196,6 @@ type answer = {
   derived : bool;
   enumerated : D.Sld.enum option;
 }
-
-let rule_order t goal rules =
-  match Hashtbl.find_opt t.order_by_pred (D.Symbol.id goal.D.Atom.pred) with
-  | None -> rules
-  | Some preferred ->
-    let position clause =
-      let rec go i = function
-        | [] -> max_int
-        | c :: rest -> if D.Clause.equal c clause then i else go (i + 1) rest
-      in
-      go 0 preferred
-    in
-    List.stable_sort
-      (fun c1 c2 -> Int.compare (position c1) (position c2))
-      rules
 
 (* Root a fresh [query] span unless the caller supplied one (the serve
    path roots a [serve] span covering queue wait as well). *)
@@ -126,17 +208,32 @@ let root_span tracer parent query =
         Trace.root tracer ~kind:"query" (D.Atom.to_string query)
       else Trace.dummy )
 
-(* The learning half of an answer: derive the context this query induced
-   and feed the learner with the current strategy's execution of it (which
-   mirrors the SLD run). This runs for every query, cached or not — the
-   learner must see the full query distribution and the true paper-cost
-   c(Theta, I), which the execution recomputes from the database regardless
-   of how the answer itself was produced. *)
-let learn ~tracer ~parent t ~db query =
-  let ctx = Context.of_db (graph t) ~query ~db in
+(* The query's variables are renamed apart from the graph's (which are
+   generation 0 and up), so a query variable never aliases a form one. *)
+let query_gen = -1
+
+let rename_apart query =
+  if D.Atom.is_ground query then query else D.Atom.rename query_gen query
+
+(* One execution: the current strategy run over the query's lazily probed
+   context, in an [exec] span. *)
+let execute ~tracer ~parent ~enumerate t ~db query =
+  let ctx = Context.of_db (graph t) ~query:(rename_apart query) ~db in
   let exec_span = Trace.push tracer parent ~kind:"exec" "exec" in
-  let outcome = Exec.run ~tracer ~parent:exec_span t.paths ctx in
+  let outcome, tail =
+    if enumerate > 0 then Exec.run_on ~tracer ~parent:exec_span t.paths ctx
+    else
+      ( Exec.run ~tracer ~parent:exec_span t.paths ctx,
+        { Exec.successes = []; extra = [] } )
+  in
   Trace.finish tracer exec_span;
+  (ctx, outcome, tail)
+
+(* Feed the learner the outcome of the execution, in a [learn] span, and
+   adopt any conjecture. This runs for every query, cached or not — the
+   learner must see the full query distribution and the true paper cost
+   c(Theta, I). *)
+let observe ~tracer ~parent t ctx (outcome : Exec.outcome) =
   let learn_span = Trace.push tracer parent ~kind:"learn" "learn" in
   if Trace.enabled tracer then
     Trace.set_attr tracer learn_span "learner" (Learner.name t.learner);
@@ -144,7 +241,7 @@ let learn ~tracer ~parent t ~db query =
   let switched =
     match Learner.conjecture t.learner with
     | Some d ->
-      adopt t d;
+      t.paths <- Spec.compile d;
       t.switches <- t.switches + 1;
       if Trace.enabled tracer then
         Trace.event tracer learn_span ~kind:"climb"
@@ -156,18 +253,105 @@ let learn ~tracer ~parent t ~db query =
   Trace.finish tracer learn_span;
   (outcome.Exec.cost, switched)
 
-let answer ?(tracer = Trace.null) ?parent ?memo ?(enumerate = 0) t ~db query =
-  let owns_root, parent = root_span tracer parent query in
+(* [arcs] split by kind, as SLD counts its work. *)
+let count_work t arcs =
+  let retrievals =
+    List.fold_left
+      (fun n id -> if Option.is_some t.resolvents.(id) then n + 1 else n)
+      0 arcs
+  in
+  (List.length arcs - retrievals, retrievals)
+
+(* The answer a retrieval [arc] gives for [fact]: the renamed query unified
+   with the arc's resolvent, read back on the query's own variables. *)
+let bind_answer t query arc fact =
+  if D.Atom.is_ground query then Some D.Subst.empty
+  else
+    match t.resolvents.(arc) with
+    | None -> None
+    | Some r ->
+      let q = rename_apart query in
+      Option.bind (D.Subst.unify_atoms r.head q D.Subst.empty) (fun s ->
+          Option.map
+            (fun s ->
+              List.fold_left
+                (fun acc v ->
+                  let renamed = D.Term.Var { v with D.Term.gen = query_gen } in
+                  D.Subst.bind v (D.Subst.walk s renamed) acc)
+                D.Subst.empty (D.Atom.vars query))
+            (D.Subst.unify_atoms r.body fact s))
+
+(* Every fact of every successful retrieval, in the strategy's order,
+   starting with the one that answered: the answer set SLD's enumeration
+   would find, deduplicated and capped at [limit] (a capped set is
+   incomplete). *)
+let enumerate_answers ~limit t ~db query first successes (tail : Exec.tail) =
+  let seen = Hashtbl.create 16 in
+  let answers = ref [] and count = ref 0 and capped = ref false in
+  let add s =
+    let key = Format.asprintf "%a" D.Subst.pp s in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      answers := s :: !answers;
+      incr count
+    end
+  in
+  Option.iter add first;
+  let q = rename_apart query in
+  List.iter
+    (fun arc ->
+      match t.resolvents.(arc) with
+      | None -> ()
+      | Some r -> (
+        match D.Subst.unify_atoms r.head q D.Subst.empty with
+        | None -> ()
+        | Some s ->
+          List.iter
+            (fun (fact, _) ->
+              if !count >= limit then capped := true
+              else Option.iter add (bind_answer t query arc fact))
+            (D.Database.matching db (D.Subst.apply_atom s r.body))))
+    successes;
+  let extra_reductions, extra_retrievals = count_work t tail.Exec.extra in
+  {
+    D.Sld.answers = List.rev !answers;
+    complete = not !capped;
+    extra_reductions;
+    extra_retrievals;
+  }
+
+let answer_exec ~tracer ~parent ~enumerate t ~db query =
+  let ctx, outcome, tail = execute ~tracer ~parent ~enumerate t ~db query in
+  let reductions, retrievals = count_work t outcome.Exec.attempted in
+  let stats = D.Sld.fresh_stats () in
+  stats.D.Sld.reductions <- reductions;
+  stats.D.Sld.retrievals <- retrievals;
+  let result =
+    Option.bind outcome.Exec.success_arc (fun arc ->
+        stats.D.Sld.retrieval_hits <- 1;
+        Option.bind (Context.witness ctx arc) (bind_answer t query arc))
+  in
+  let enumerated =
+    if enumerate = 0 then None
+    else
+      Some
+        (enumerate_answers ~limit:enumerate t ~db query result
+           (Option.to_list outcome.Exec.success_arc @ tail.Exec.successes)
+           tail)
+  in
+  let cost, switched = observe ~tracer ~parent t ctx outcome in
+  (result, stats, cost, switched, enumerated)
+
+(* The fallback: SLD in rule-base order answers, and the strategy's
+   execution teaches the learner. *)
+let answer_sld ~tracer ~parent ?memo ~enumerate t ~db query =
   let sld_span = Trace.push tracer parent ~kind:"sld" "sld" in
   let cfg =
-    D.Sld.config
-      ~rule_order:(fun goal rules -> rule_order t goal rules)
-      ~tracer ~parent:sld_span ?memo ~rulebase:t.rulebase ~db ()
+    D.Sld.config ~tracer ~parent:sld_span ?memo ~rulebase:t.rulebase ~db ()
   in
   (* With [enumerate], the derivation is pulled past the first success node
      (up to the cap) so a caller can cache the answer set. The reported
-     [stats] are snapshotted at the first answer either way — the
-     satisficing-search cost stays what the wire and [work] report; the
+     [stats] are snapshotted at the first answer either way; the
      enumeration tail's work lives in [enumerated.extra_*]. *)
   let result, stats, enumerated =
     if enumerate > 0 then
@@ -180,10 +364,20 @@ let answer ?(tracer = Trace.null) ?parent ?memo ?(enumerate = 0) t ~db query =
       (r, st, None)
   in
   Trace.finish tracer sld_span;
+  let ctx, outcome, _ = execute ~tracer ~parent ~enumerate:0 t ~db query in
+  let cost, switched = observe ~tracer ~parent t ctx outcome in
+  (result, stats, cost, switched, enumerated)
+
+let answer ?(tracer = Trace.null) ?parent ?memo ?(enumerate = 0) t ~db query =
+  let owns_root, parent = root_span tracer parent query in
+  let result, stats, cost, switched, enumerated =
+    if exact t db && not (repeats query) then
+      answer_exec ~tracer ~parent ~enumerate t ~db query
+    else answer_sld ~tracer ~parent ?memo ~enumerate t ~db query
+  in
   t.queries <- t.queries + 1;
   t.reductions <- t.reductions + stats.D.Sld.reductions;
   t.retrievals <- t.retrievals + stats.D.Sld.retrievals;
-  let cost, switched = learn ~tracer ~parent t ~db query in
   if owns_root then Trace.finish tracer parent;
   { result; stats; cost; switched; cached = false; derived = false; enumerated }
 
@@ -191,7 +385,8 @@ let answer_cached ?(tracer = Trace.null) ?parent ?(derived = false) t ~db
     ~result query =
   let owns_root, parent = root_span tracer parent query in
   t.queries <- t.queries + 1;
-  let cost, switched = learn ~tracer ~parent t ~db query in
+  let ctx, outcome, _ = execute ~tracer ~parent ~enumerate:0 t ~db query in
+  let cost, switched = observe ~tracer ~parent t ctx outcome in
   if owns_root then Trace.finish tracer parent;
   {
     result;

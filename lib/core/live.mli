@@ -1,21 +1,26 @@
 (** The live learning query processor — the Section 3.1 / Figure 4 system
-    end to end, on the {e real} SLD engine.
+    end to end, on a real database.
 
     [Live] owns a rule base, builds the inference graph for a query form
-    once, and then answers concrete queries with {!Datalog.Sld}, ordering
-    candidate rules according to its current strategy (the strategy's
-    child order at each goal node becomes the SLD rule order). After each
-    answer it derives the query's context, feeds its {!Learner} (PIB by
-    default, any {!Learner.kind} on request), and adopts any conjecture —
-    so later queries really run faster. This is the "smart filter inside
-    the host optimizer" deployment the paper describes for DedGin*-style
-    systems.
+    once, and answers each concrete query with one execution: its learner's
+    current strategy run ({!Strategy.Exec}) over the query's context, whose
+    arcs are probed against the database lazily, as the run reaches them
+    ({!Infgraph.Context.of_db}). The successful retrieval's first matching
+    fact gives the answer; the same outcome feeds the {!Learner} (PIB by
+    default, any {!Learner.kind} on request), and an adopted conjecture
+    steers the next query — so later queries really run faster. This is
+    the paper's satisficing processor (Section 2.1): a strategy is its
+    search order, and c(Θ, I) is what it pays.
 
-    The per-predicate rule order is read off the strategy at the
-    shallowest graph node for that predicate (in a tree-shaped unfolding a
-    predicate can appear at several nodes; they then share one order —
-    documented limitation, irrelevant for non-recursive rule bases whose
-    predicates occur once). *)
+    A form the graph cannot model exactly falls back to
+    {!Datalog.Sld} (in rule-base order) for the answer, with the strategy's
+    execution still teaching the learner. That is decided per form and
+    re-checked only when the database changes: the graph was truncated
+    (recursion), a rule head identifies two variables of its goal
+    ([p(X, X)]), or a predicate with rules also has facts in the database
+    (the graph has no retrieval arc for it). A query that repeats a
+    variable ([p(Z, Z)]) also takes the fallback: the form's graph gives
+    each free position its own variable. *)
 
 type t
 
@@ -40,8 +45,8 @@ val learner_name : t -> string
 val climbs : t -> int
 
 (** Adopt a strategy (e.g. one reloaded from a snapshot): the learner is
-    re-seeded at it with the same configuration and the SLD rule orders
-    are rederived. The strategy must have been built on (or parsed
+    re-seeded at it with the same configuration and later queries run
+    it. The strategy must have been built on (or parsed
     against) this processor's graph — raises [Invalid_argument]
     otherwise. *)
 val set_strategy : t -> Strategy.Spec.dfs -> unit
@@ -54,15 +59,18 @@ val on_event : t -> (Learner.event -> unit) -> unit
 
 type answer = {
   result : Datalog.Subst.t option;  (** first answer, if any *)
-  stats : Datalog.Sld.stats;        (** the SLD engine's work counters *)
+  stats : Datalog.Sld.stats;
+      (** the work that produced the answer: the executed strategy's paid
+          arcs split by kind (reductions, retrievals), or on a fallback
+          form the SLD engine's counters *)
   cost : float;
-      (** paper cost c(Θ, I) of the mirrored strategy execution — what
-          the learner's statistics are built from, and what a trace's
-          [exec] span must sum to *)
+      (** paper cost c(Θ, I) of the strategy's execution — what the
+          learner's statistics are built from, and what a trace's [exec]
+          span must sum to *)
   switched : bool;                  (** did this query trigger a switch? *)
   cached : bool;
       (** answer served from a cache ({!answer_cached}); [stats] is then
-          all-zero — no SLD ran *)
+          all-zero *)
   derived : bool;
       (** cached answer obtained by filtering a more general entry's
           answer set (subsumption), not an exact key *)
@@ -71,23 +79,26 @@ type answer = {
           the first success node (for cache fills) *)
 }
 
-(** Answer one query (an instance of the query form) against a database,
-    with the current learned rule order; learn from it.
+(** Answer one query (an instance of the query form) against a database
+    with the current strategy, and learn from it.
 
     With [tracer], the whole answer is recorded as a span tree: a root
-    [query] span (or the supplied [parent]) containing an [sld] phase
-    (the resolution steps), an [exec] phase (the mirrored strategy
-    execution, arc by arc — its total paper cost equals [cost]), and a
-    [learn] phase (the learner update; a switch appears as a [climb]
-    event). Defaults to {!Trace.null} — free.
+    [query] span (or the supplied [parent]) containing an [exec] phase
+    (the strategy's execution, arc by arc — its total paper cost equals
+    [cost], and on an exactly modelled form [stats.reductions +
+    stats.retrievals]) and a [learn] phase (the learner update; a switch
+    appears as a [climb] event). On a fallback form an [sld] phase (the
+    resolution steps) comes first. Defaults to {!Trace.null} — free.
 
-    With [memo], ground subgoals resolve through the shared
-    {!Datalog.Sld.Memo} table (the rest of the pipeline is unchanged).
+    With [memo], a fallback form's ground subgoals resolve through the
+    shared {!Datalog.Sld.Memo} table; an exactly modelled form never reads
+    it.
 
-    With [enumerate > 0], the derivation is additionally pulled past the
-    first success node for up to that many distinct answers (reported in
-    [enumerated]); the answer, [stats], and everything the learner sees
-    are unchanged — only the tail work in [enumerated.extra_*] is extra.
+    With [enumerate > 0], the search goes on past the first success node
+    for up to that many distinct answers (reported in [enumerated]): the
+    remaining paths are walked and every fact of each unblocked retrieval
+    collected. The answer, [stats], and everything the learner sees are
+    unchanged — only the tail work in [enumerated.extra_*] is extra.
 
     Raises [Invalid_argument] if the query does not match the form. *)
 val answer :
@@ -101,14 +112,14 @@ val answer :
   answer
 
 (** Answer a query whose [result] was produced elsewhere (the serving
-    layer's answer cache): skips SLD entirely but still runs the full
-    learning pipeline — context derivation, mirrored strategy execution
-    (so [cost] is the true current c(Θ, I)) and learner observation —
-    leaving the learner's trajectory identical to the uncached run. The
-    span tree has no [sld] phase and [stats] is all-zero. [derived] marks
-    the answer as a subsumption-derived hit (pure bookkeeping — the
-    learning pipeline is identical either way, which is what keeps
-    trajectories byte-stable with subsumption on or off). *)
+    layer's answer cache): still runs the whole learning pipeline — the
+    strategy's execution over the query's context (so [cost] is the true
+    current c(Θ, I)) and learner observation — leaving the learner's
+    trajectory identical to the uncached run. The span tree has no [sld]
+    phase and [stats] is all-zero. [derived] marks the answer as a
+    subsumption-derived hit (pure bookkeeping — the learning pipeline is
+    identical either way, which is what keeps trajectories byte-stable with
+    subsumption on or off). *)
 val answer_cached :
   ?tracer:Trace.t ->
   ?parent:Trace.span ->
@@ -122,5 +133,6 @@ val answer_cached :
 (** Queries answered so far. *)
 val queries : t -> int
 
-(** Total SLD work so far: (reductions, retrievals). *)
+(** Total work of the answers so far (their [stats]): (reductions,
+    retrievals). *)
 val work : t -> int * int

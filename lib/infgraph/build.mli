@@ -26,9 +26,9 @@ type result = {
   params : Datalog.Term.var list;  (** parameter variables, by position *)
   truncated : bool;  (** some branch was cut by [max_depth] *)
   rule_arcs : (int * Datalog.Clause.t) list;
-      (** each reduction arc with the source rule it unfolds — the hook a
-          live query processor needs to turn a strategy's child order back
-          into an SLD rule order (see {!Core.Live}) *)
+      (** each reduction arc with the source rule it unfolds — what a live
+          query processor chains along a path to read an answer off a
+          successful retrieval (see {!Core.Live}) *)
 }
 
 (** [build ~rulebase ~query_form ()] — [query_form] is an atom pattern

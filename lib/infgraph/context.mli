@@ -6,9 +6,10 @@
     equivalence classes: a boolean per arc ([true] = traversable).
 
     [of_db] derives the blocked set of a concrete ⟨query, database⟩ pair for
-    a graph built from a knowledge base; [Partial] represents the learner's
-    incomplete knowledge after watching one execution, with the pessimistic
-    and optimistic completions used by the Δ̃ / Δ̂ estimates. *)
+    a graph built from a knowledge base, probing each arc on first read;
+    [Partial] represents the learner's incomplete knowledge after watching
+    one execution, with the pessimistic and optimistic completions used by
+    the Δ̃ / Δ̂ estimates. *)
 
 type t
 
@@ -20,11 +21,15 @@ val make : Graph.t -> unblocked:bool array -> t
 val all_blocked : Graph.t -> t
 val all_unblocked : Graph.t -> t
 
-(** [of_db g ~query ~db] instantiates the graph's patterns with the query
-    and tests each blockable arc against the database: a retrieval arc is
-    unblocked iff some fact matches its instantiated pattern; a blockable
-    reduction arc is unblocked iff its [pattern] (the rule-head instance)
-    unifies with the instantiated goal of its source node.
+(** [of_db g ~query ~db] unifies the graph's root goal with the query once
+    and decides each blockable arc against the database, lazily: an arc is
+    probed the first time {!unblocked} reads it, and the verdict is
+    remembered, so a run pays only for the arcs it reaches while every
+    reader sees the same values. A retrieval arc is unblocked iff some fact
+    matches its instantiated pattern (the first such fact is kept as the
+    arc's {!witness}); a blockable reduction arc is unblocked iff its
+    [pattern] (the rule-head instance) unifies with the instantiated goal of
+    its source node.
     Raises [Invalid_argument] if the graph has no goal atom at the root or
     the query does not unify with it. *)
 val of_db : Graph.t -> query:Datalog.Atom.t -> db:Datalog.Database.t -> t
@@ -32,7 +37,15 @@ val of_db : Graph.t -> query:Datalog.Atom.t -> db:Datalog.Database.t -> t
 val unblocked : t -> int -> bool
 val blocked : t -> int -> bool
 
-(** Arcs ids that are unblocked (including non-blockable arcs). *)
+(** [witness t arc_id] — for a retrieval arc of an [of_db] context that is
+    unblocked, the first fact matching its instantiated pattern; [None]
+    otherwise (blocked, not a retrieval, or an eager context). Probes the
+    arc if it was not read yet. *)
+val witness : t -> int -> Datalog.Atom.t option
+
+(** Arcs ids that are unblocked (including non-blockable arcs). Like
+    {!equal}, {!pp} and {!Partial.consistent}, probes every arc not read
+    yet. *)
 val unblocked_set : t -> int list
 
 val equal : t -> t -> bool

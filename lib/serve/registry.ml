@@ -117,7 +117,7 @@ let subsume_enumerate_cap = 1024
    predicate/arity modulo repeated variables — so the enumeration
    investment is paid O(#forms) times, not per distinct query. Partially
    bound queries still enter the subsumption index with their first
-   answer (good for derived "no"s and ground children), at no extra SLD
+   answer (good for derived "no"s and ground children), at no extra
    cost. *)
 let enumerable (q : D.Atom.t) =
   q.D.Atom.args <> []
@@ -178,10 +178,13 @@ let answer ?(tracer = Trace.null) ?parent ?cache ?memo t ~db q =
             let a =
               Core.Live.answer ~tracer ?parent ?memo ~enumerate live ~db q
             in
+            (* The fill records the execution that answered: its paid
+               arcs, its paper cost and, for a root, its enumerated
+               answer set. *)
             (match cache with
             | Some c when not a.Core.Live.stats.D.Sld.truncated ->
-              (* A truncated non-answer is "unknown", not "no" — never
-                 cache it. *)
+              (* A truncated non-answer (only a fallback form's SLD
+                 truncates) is "unknown", not "no" — never cache it. *)
               let answers =
                 Option.map
                   (fun (e : D.Sld.enum) -> (e.D.Sld.answers, e.D.Sld.complete))
@@ -193,7 +196,7 @@ let answer ?(tracer = Trace.null) ?parent ?cache ?memo t ~db q =
                 ~cost:a.Core.Live.cost;
               (* Memoized ground-subgoal verdicts seeded from the general
                  run: every enumerated answer instantiates the query to a
-                 ground fact-of-the-form that later, more specific SLD
+                 ground fact-of-the-form that a fallback form's later SLD
                  runs can take as proved. *)
               (match (memo, a.Core.Live.enumerated) with
               | Some m, Some en ->

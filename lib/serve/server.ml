@@ -519,6 +519,9 @@ let handle_snapshot st =
   | exception Sys_error msg | exception Failure msg ->
     Metrics.error st.metrics;
     R_err (`Internal, msg)
+  | exception Unix.Unix_error (e, fn, arg) ->
+    Metrics.error st.metrics;
+    R_err (`Internal, Printf.sprintf "%s: %s %s" fn (Unix.error_message e) arg)
 
 (* The flight-recorder dump: every loop's ring (merged, time-ordered)
    plus every loop's tail-retained traces, as one JSON object. Safe from

@@ -844,6 +844,297 @@ let live_stats_mirror_graph () =
         (List.length outcome.Exec.attempted))
     (List.filteri (fun i _ -> i < 10) (Workload.Genealogy.people pop))
 
+(* Load a program's text: rules into a rule base, facts into a database. *)
+let load_program text =
+  let rules, facts, _ = Datalog.Parser.parse_kb text in
+  (Datalog.Rulebase.of_list rules, Datalog.Database.of_list facts)
+
+let live_for rb form =
+  C.Live.create ~rulebase:rb ~query_form:(Datalog.Parser.parse_atom form) ()
+
+(* Answer with a tracer; report whether an [sld] span appeared. *)
+let traced_answer ?enumerate live ~db q =
+  let t = Trace.make () in
+  let a = C.Live.answer ?enumerate ~tracer:t live ~db (Datalog.Parser.parse_atom q) in
+  let root = Option.get (Trace.root_span t) in
+  (a, Trace.find_kind root "sld" <> [])
+
+let result_string = function
+  | None -> "no"
+  | Some s -> Format.asprintf "%a" Datalog.Subst.pp s
+
+let live_mixed_predicate_falls_back () =
+  (* m has a rule and a fact: the graph gives m no retrieval arc, so the
+     strategy's execution alone would answer m(a) "no". *)
+  let rb, db = load_program "m(X) :- n(X).\nm(a).\nn(b).\n" in
+  let live = live_for rb "m(q)" in
+  let a, sld = traced_answer live ~db "m(a)" in
+  check_bool "served by SLD" true sld;
+  check_string "m(a) holds" "{}" (result_string a.C.Live.result);
+  let b, _ = traced_answer live ~db "m(b)" in
+  check_string "m(b) holds" "{}" (result_string b.C.Live.result);
+  let c, _ = traced_answer live ~db "m(c)" in
+  check_string "m(c) does not" "no" (result_string c.C.Live.result)
+
+let live_identifying_head_falls_back () =
+  (* p(X, X) equates the goal's two arguments, which the graph's retrieval
+     pattern q(X) no longer carries. *)
+  let rb, db = load_program "p(X, X) :- q(X).\nq(a).\n" in
+  let free = live_for rb "p(Z, q)" in
+  let a, sld = traced_answer free ~db "p(Z, a)" in
+  check_bool "served by SLD" true sld;
+  check_string "p(Z, a) binds Z" "{Z=a}" (result_string a.C.Live.result);
+  let ground = live_for rb "p(q, q)" in
+  let b, _ = traced_answer ground ~db "p(a, b)" in
+  check_string "p(a, b) fails" "no" (result_string b.C.Live.result);
+  check_int "and costs SLD nothing" 0
+    (b.C.Live.stats.Datalog.Sld.reductions + b.C.Live.stats.Datalog.Sld.retrievals);
+  let c, _ = traced_answer ground ~db "p(a, a)" in
+  check_string "p(a, a) holds" "{}" (result_string c.C.Live.result)
+
+let live_recursive_form_falls_back () =
+  (* A recursive rule base unfolds to the depth bound: the truncated graph
+     falls back to SLD, whose answers stay right. *)
+  let rb, db =
+    load_program
+      "anc(X, Y) :- par(X, Y).\nanc(X, Y) :- up(X, Y).\nup(X, Y) :- anc(X, Y).\npar(a, b).\n"
+  in
+  let live = live_for rb "anc(q, q)" in
+  let a, sld = traced_answer live ~db "anc(a, b)" in
+  check_bool "served by SLD" true sld;
+  check_string "anc(a, b) holds" "{}" (result_string a.C.Live.result);
+  let free = live_for rb "anc(q, Y)" in
+  let b, _ = traced_answer free ~db "anc(a, Y)" in
+  check_string "anc(a, Y) binds Y" "{Y=b}" (result_string b.C.Live.result)
+
+let live_exec_served_answers () =
+  (* An exactly modelled form: one execution answers, with the binding a
+     head constant and the witness fact give, and enumerates the rest. *)
+  let rb, db =
+    load_program
+      "p(X, c) :- r(X).\np(X, Y) :- s(X, Y).\nr(a).\ns(a, d).\ns(a, e).\ns(b, f).\n"
+  in
+  let live = live_for rb "p(q, Y)" in
+  let a, sld = traced_answer ~enumerate:16 live ~db "p(a, W)" in
+  check_bool "served by the execution" false sld;
+  check_string "first answer from the head" "{W=c}" (result_string a.C.Live.result);
+  check_int "paid R, D" 2
+    (a.C.Live.stats.Datalog.Sld.reductions + a.C.Live.stats.Datalog.Sld.retrievals);
+  let en = Option.get a.C.Live.enumerated in
+  check_bool "complete" true en.Datalog.Sld.complete;
+  Alcotest.(check (list string))
+    "the answer set, first answer first" [ "{W=c}"; "{W=d}"; "{W=e}" ]
+    (List.sort_uniq compare
+       (List.map (fun s -> Format.asprintf "%a" Datalog.Subst.pp s) en.Datalog.Sld.answers));
+  check_string "head of the set" "{W=c}"
+    (result_string (Some (List.hd en.Datalog.Sld.answers)));
+  check_int "tail paid the second path" 2
+    (en.Datalog.Sld.extra_reductions + en.Datalog.Sld.extra_retrievals)
+
+(* ----- random simple disjunctive programs ----- *)
+
+let diff_consts = [| "a"; "b"; "c" |]
+
+(* p0 .. p2 may get rules (bodies only reach later predicates, so the
+   programs are not recursive); e0, e1 only facts. *)
+let diff_preds = [| ("p0", 2); ("p1", 2); ("p2", 1); ("e0", 2); ("e1", 1) |]
+
+type diff_case = {
+  program : string;
+  queries : string list;
+  paged : bool;
+}
+
+let gen_diff_case =
+  let open QCheck2.Gen in
+  let const = map (fun i -> diff_consts.(i)) (int_bound 2) in
+  let atom name args = Printf.sprintf "%s(%s)" name (String.concat ", " args) in
+  let gen_rule i =
+    let name, arity = diff_preds.(i) in
+    let* j = int_range (i + 1) (Array.length diff_preds - 1) in
+    let bname, barity = diff_preds.(j) in
+    let* bargs =
+      list_repeat barity
+        (oneof [ oneofl [ "X"; "Y"; "Z" ]; const ])
+    in
+    let body_vars =
+      List.sort_uniq compare
+        (List.filter (fun a -> a.[0] >= 'A' && a.[0] <= 'Z') bargs)
+    in
+    let head_arg =
+      if body_vars = [] then const else oneof [ oneofl body_vars; const ]
+    in
+    let* repeated = if arity = 2 && body_vars <> [] then bool else return false in
+    let* hargs =
+      if repeated then map (fun v -> [ v; v ]) (oneofl body_vars)
+      else list_repeat arity head_arg
+    in
+    return (atom name hargs ^ " :- " ^ atom bname bargs ^ ".")
+  in
+  let gen_facts ~p (name, arity) =
+    let tuples =
+      if arity = 1 then List.map (fun c -> [ c ]) (Array.to_list diff_consts)
+      else
+        List.concat_map
+          (fun a -> List.map (fun b -> [ a; b ]) (Array.to_list diff_consts))
+          (Array.to_list diff_consts)
+    in
+    map
+      (fun keep ->
+        List.filteri (fun k _ -> List.nth keep k) tuples
+        |> List.map (fun args -> atom name args ^ "."))
+      (list_repeat (List.length tuples) (map (fun x -> x < p) (float_bound_inclusive 1.0)))
+  in
+  let* rules =
+    map List.concat
+      (flatten_l
+         (List.init 3 (fun i ->
+              let* n = int_bound 2 in
+              list_repeat n (gen_rule i))))
+  in
+  let* mixed = map (fun x -> x < 0.2) (float_bound_inclusive 1.0) in
+  let* facts =
+    map List.concat
+      (flatten_l
+         (Array.to_list
+            (Array.mapi
+               (fun i pd ->
+                 if i >= 3 then gen_facts ~p:0.4 pd
+                 else if mixed then gen_facts ~p:0.15 pd
+                 else return [])
+               diff_preds)))
+  in
+  let gen_query =
+    let* i = int_bound 2 in
+    let name, arity = diff_preds.(i) in
+    let* args = list_repeat arity (oneof [ oneofl [ "U"; "V" ]; const ]) in
+    return (atom name args)
+  in
+  let* queries = list_size (int_range 1 6) gen_query in
+  let* paged = bool in
+  return { program = String.concat "\n" (rules @ facts); queries; paged }
+
+let print_diff_case c =
+  Printf.sprintf "%s\n?- %s (%s)" c.program (String.concat ", " c.queries)
+    (if c.paged then "paged" else "mem")
+
+let with_backend c db f =
+  if not c.paged then f db
+  else begin
+    let dir = Filename.temp_dir "strategem-live-diff" "" in
+    Sys.rmdir dir;
+    let paged = Datalog.Database.open_paged ~dir ~buffer_pages:2 () in
+    Fun.protect
+      ~finally:(fun () ->
+        Datalog.Database.close paged;
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir)
+      (fun () ->
+        Datalog.Database.bulk_load paged ~src:db;
+        f paged)
+  end
+
+(* [qcheck] that prints a failing program. *)
+let qcheck_printed ~count ~print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ~print gen prop)
+
+let live_differential =
+  qcheck_printed "served answers agree with SLD and Seminaive" ~count:150
+    ~print:print_diff_case gen_diff_case (fun c ->
+      let rb, mem_db = load_program c.program in
+      with_backend c mem_db (fun db ->
+          let lives = Hashtbl.create 4 in
+          List.for_all
+            (fun qtext ->
+              let q = Datalog.Parser.parse_atom qtext in
+              let form = Serve.Registry.form_of_query q in
+              let key = Datalog.Atom.to_string form in
+              let live =
+                match Hashtbl.find_opt lives key with
+                | Some l -> l
+                | None ->
+                  let l =
+                    try Some (C.Live.create ~rulebase:rb ~query_form:form ())
+                    with Invalid_argument _ -> None
+                  in
+                  Hashtbl.add lives key l;
+                  l
+              in
+              match live with
+              | None -> true (* the form has no derivation at all *)
+              | Some live ->
+                let a = C.Live.answer ~enumerate:64 live ~db q in
+                let sld, _ =
+                  Datalog.Sld.solve_first
+                    (Datalog.Sld.config ~rulebase:rb ~db ())
+                    [ Datalog.Clause.Pos q ]
+                in
+                let model = Datalog.Seminaive.query rb mem_db q in
+                let inst s = Datalog.Subst.apply_atom s q in
+                let same_set xs ys =
+                  List.sort_uniq Datalog.Atom.compare xs
+                  = List.sort_uniq Datalog.Atom.compare ys
+                in
+                let en = Option.get a.C.Live.enumerated in
+                (a.C.Live.result <> None) = (sld <> None)
+                && (match a.C.Live.result with
+                   | Some s -> List.exists (Datalog.Atom.equal (inst s)) model
+                   | None -> model = [])
+                && ((not en.Datalog.Sld.complete)
+                   || same_set (List.map inst en.Datalog.Sld.answers) model))
+            c.queries))
+
+(* The context the lazy one must equal: every blockable arc decided up
+   front, as the graph's patterns instantiated with the query say. *)
+let eager_context g ~query ~db =
+  let root = Option.get (Graph.node g (Graph.root g)).Graph.goal in
+  let s = Option.get (Datalog.Subst.unify_atoms root query Datalog.Subst.empty) in
+  Context.make g
+    ~unblocked:
+      (Array.init (Graph.n_arcs g) (fun id ->
+           let a = Graph.arc g id in
+           match (a.Graph.blockable, a.Graph.kind, a.Graph.pattern) with
+           | false, _, _ -> true
+           | true, Graph.Retrieval, Some p ->
+             Datalog.Database.first_match db (Datalog.Subst.apply_atom s p) <> None
+           | true, Graph.Reduction, Some head ->
+             let goal =
+               Datalog.Subst.apply_atom s
+                 (Option.get (Graph.node g a.Graph.src).Graph.goal)
+             in
+             Datalog.Subst.unify_atoms head goal Datalog.Subst.empty <> None
+           | true, _, None -> assert false))
+
+let lazy_context_equals_eager =
+  qcheck_printed "a lazy context reads like the eager one on every arc" ~count:150
+    ~print:(fun (c, _) -> print_diff_case c)
+    QCheck2.Gen.(pair gen_diff_case (int_bound 1000))
+    (fun (c, seed) ->
+      let rb, db = load_program c.program in
+      let r = rng seed in
+      List.for_all
+        (fun qtext ->
+          let q = Datalog.Parser.parse_atom qtext in
+          match
+            Build.build ~rulebase:rb ~query_form:(Serve.Registry.form_of_query q) ()
+          with
+          | exception Invalid_argument _ -> true
+          | built ->
+            let g = built.Build.graph in
+            let eager = eager_context g ~query:q ~db in
+            let lazy_ = Context.of_db g ~query:q ~db in
+            (* read some arcs in a random order before the rest are forced *)
+            let order = Array.init (Graph.n_arcs g) Fun.id in
+            Stats.Rng.shuffle r order;
+            Array.for_all
+              (fun id ->
+                Stats.Rng.bernoulli r 0.5
+                || Context.unblocked lazy_ id = Context.unblocked eager id)
+              order
+            && Context.equal lazy_ eager
+            && Context.unblocked_set lazy_ = Context.unblocked_set eager)
+        c.queries)
+
 (* ---------- Learner (unified API) ---------- *)
 
 let learner_kind_names () =
@@ -1017,6 +1308,12 @@ let suite =
         case "correctness preserved" live_correctness;
         slow_case "learning reduces SLD work" live_learning_reduces_work;
         case "stats mirror graph exec" live_stats_mirror_graph;
+        case "mixed predicate falls back" live_mixed_predicate_falls_back;
+        case "identifying head falls back" live_identifying_head_falls_back;
+        case "recursive form falls back" live_recursive_form_falls_back;
+        case "exec-served answers and enumeration" live_exec_served_answers;
+        live_differential;
+        lazy_context_equals_eager;
       ] );
     ( "core.learner",
       [

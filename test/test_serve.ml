@@ -1652,6 +1652,45 @@ let server_snapshot_failure_logged () =
          && contains "\"level\":\"warn\"" l)
        (String.split_on_char '\n' log))
 
+let server_snapshot_verb_unix_error () =
+  (* SNAPSHOT into a state dir that cannot be created: an ordinary
+     error reply naming the failed call, counted like any other error,
+     and no "request handler crashed" record *)
+  let root = temp_dir () in
+  Store.Fsync.ensure_dir root;
+  let file = Filename.concat root "plain" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+  let log_path = Filename.concat root "serve.log" in
+  let rulebase, db = kb () in
+  let port = Atomic.make 0 in
+  let cfg =
+    {
+      (server_config ~state_dir:(Filename.concat file "state") ()) with
+      Serve.Server.log_level = Some Obs.Log.Info;
+      log_file = Some log_path;
+    }
+  in
+  let thread =
+    Thread.create
+      (fun () ->
+        Serve.Server.run ~on_listen:(fun p -> Atomic.set port p) cfg ~rulebase
+          ~db)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  if Atomic.get port = 0 then Alcotest.fail "server did not start";
+  let replies = talk (Atomic.get port) [ "SNAPSHOT"; "STATS"; "SHUTDOWN" ] in
+  Thread.join thread;
+  check_string "error reply"
+    ("ERR internal mkdir: Not a directory " ^ Filename.concat file "state")
+    (List.hd replies);
+  check_bool "counted in errors_total" true (List.mem "errors_total 1" replies);
+  let log = In_channel.with_open_bin log_path In_channel.input_all in
+  check_bool "no crash record" false (contains "request handler crashed" log)
+
 let server_quit_drops_pending () =
   (* QUIT with more line requests behind it in the same write: the
      replies end at BYE and the server closes the connection — the
@@ -1809,5 +1848,7 @@ let suite =
           server_learning_same_across_loops;
         slow_case "requests behind QUIT are dropped, conn closes"
           server_quit_drops_pending;
+        slow_case "SNAPSHOT into an uncreatable state dir is an ERR"
+          server_snapshot_verb_unix_error;
       ] );
   ]
