@@ -2,19 +2,9 @@ module D = Datalog
 open Infgraph
 open Strategy
 
-(* What a successful retrieval arc proves: chaining the rules on its path
-   gives the resolvent clause [head :- body], where [head] is the root goal
-   and [body] the retrieval pattern under the path's unifiers. An answer
-   is the query unified with [head] and then [body] with a matching fact. *)
-type resolvent = { head : D.Atom.t; body : D.Atom.t }
-
 type t = {
   rulebase : D.Rulebase.t;
   built : Build.result;
-  resolvents : resolvent option array;  (* by arc id; [Some] on retrievals *)
-  modelled : bool;
-      (* the graph holds the form's whole SLD search: not truncated, and
-         no rule head identifies two variables of its goal *)
   intensional : int list;
       (* ids of the predicates with rules that the form's derivations can
          reach; a database fact for one of them is a retrieval SLD makes
@@ -24,6 +14,9 @@ type t = {
   mutable exact : bool;
   mutable learner : Learner.t;
   mutable paths : Spec.t;  (* the current strategy, compiled *)
+  mutable order_by_pred : (int, D.Clause.t list) Hashtbl.t;
+      (* the current strategy's rule order, steering SLD on fallback
+         forms; rederived with [paths] *)
   mutable queries : int;
   mutable switches : int;
   mutable reductions : int;
@@ -33,69 +26,33 @@ type t = {
          keeps the telemetry stream alive *)
 }
 
-let root_goal g =
-  match (Graph.node g (Graph.root g)).Graph.goal with
-  | Some goal -> goal
-  | None -> invalid_arg "Live: graph has no goal atoms"
-
-(* The distinct variables [goal]'s arguments walk to under [s]. *)
-let vars_under s (goal : D.Atom.t) =
-  List.filter_map
-    (fun t -> match D.Subst.walk s t with D.Term.Var v -> Some v | _ -> None)
-    goal.D.Atom.args
-  |> List.sort_uniq D.Term.compare_var
-
-(* Does extending [s] to [s'] map two distinct variables of [goal] to one
-   variable? *)
-let identifies s s' goal =
-  let images =
-    List.filter_map
-      (fun v ->
-        match D.Subst.walk s' (D.Term.Var v) with
-        | D.Term.Var w -> Some w
-        | D.Term.Const _ -> None)
-      (vars_under s goal)
-  in
-  List.length (List.sort_uniq D.Term.compare_var images) < List.length images
-
-(* Re-run the build's unification along every root-to-retrieval path to get
-   each retrieval's resolvent, and note whether some rule head identifies
-   two distinct variables of its goal: the graph then loses that equality
-   (the retrieval pattern no longer constrains both), so it cannot stand
-   in for SLD. *)
-let resolvents built =
+(* Read the per-predicate rule order off the strategy: breadth-first over
+   the graph, first node wins for its predicate. *)
+let derive_orders built (d : Spec.dfs) =
   let g = built.Build.graph in
-  let root = root_goal g in
-  let out = Array.make (Graph.n_arcs g) None in
-  let linear = ref true in
-  let gen = ref 0 in
-  let rec visit node goal s =
+  let tbl = Hashtbl.create 16 in
+  let queue = Queue.create () in
+  Queue.add (Graph.root g) queue;
+  while not (Queue.is_empty queue) do
+    let node_id = Queue.pop queue in
+    let node = Graph.node g node_id in
+    (match node.Graph.goal with
+    | Some goal ->
+      let pred = D.Symbol.id goal.D.Atom.pred in
+      if not (Hashtbl.mem tbl pred) then begin
+        let clauses =
+          List.filter_map
+            (fun arc_id -> List.assoc_opt arc_id built.Build.rule_arcs)
+            d.Spec.orders.(node_id)
+        in
+        if clauses <> [] then Hashtbl.add tbl pred clauses
+      end
+    | None -> ());
     List.iter
-      (fun arc_id ->
-        match (Graph.arc g arc_id).Graph.kind with
-        | Graph.Retrieval ->
-          out.(arc_id) <-
-            Some
-              {
-                head = D.Subst.apply_atom s root;
-                body = D.Subst.apply_atom s goal;
-              }
-        | Graph.Reduction -> (
-          incr gen;
-          let c =
-            D.Clause.rename !gen (List.assoc arc_id built.Build.rule_arcs)
-          in
-          match
-            (D.Subst.unify_atoms c.D.Clause.head goal s, c.D.Clause.body)
-          with
-          | Some s', [ D.Clause.Pos body ] ->
-            if identifies s s' goal then linear := false;
-            visit (Graph.arc g arc_id).Graph.dst body s'
-          | _ -> linear := false))
-      (Graph.children g node)
-  in
-  visit (Graph.root g) root D.Subst.empty;
-  (out, !linear)
+      (fun arc_id -> Queue.add (Graph.arc g arc_id).Graph.dst queue)
+      d.Spec.orders.(node_id)
+  done;
+  tbl
 
 (* Predicates with rules reachable from [pred] through rule bodies. *)
 let intensional_preds rulebase pred =
@@ -120,18 +77,16 @@ let intensional_preds rulebase pred =
 let create ?(learner = `Pib) ?config ~rulebase ~query_form () =
   let built = Build.build ~rulebase ~query_form () in
   let start = Spec.default built.Build.graph in
-  let resolvents, linear = resolvents built in
   {
     rulebase;
     built;
-    resolvents;
-    modelled = linear && not built.Build.truncated;
     intensional = intensional_preds rulebase query_form.D.Atom.pred;
     exact_token = -1;
     exact_gen = -1;
     exact = false;
     learner = Learner.create ?config learner start;
     paths = Spec.compile start;
+    order_by_pred = derive_orders built start;
     queries = 0;
     switches = 0;
     reductions = 0;
@@ -147,6 +102,11 @@ let queries t = t.queries
 let work t = (t.reductions, t.retrievals)
 let climbs t = t.switches
 
+(* Steer the execution, and SLD on fallback forms, by [d]. *)
+let adopt t d =
+  t.paths <- Spec.compile d;
+  t.order_by_pred <- derive_orders t.built d
+
 let on_event t f =
   t.event_hook <- Some f;
   Learner.set_hook t.learner f
@@ -158,7 +118,7 @@ let set_strategy t d =
   (match t.event_hook with
   | Some f -> Learner.set_hook t.learner f
   | None -> ());
-  t.paths <- Spec.compile d
+  adopt t d
 
 (* Does the executed strategy answer queries of this form on [db] exactly
    as SLD would? Decided per form, and again only when the database
@@ -167,7 +127,8 @@ let exact t db =
   let token = D.Database.token db and gen = D.Database.generation db in
   if token <> t.exact_token || gen <> t.exact_gen then begin
     t.exact <-
-      t.modelled
+      (not t.built.Build.truncated)
+      && (not t.built.Build.identifying)
       && not
            (List.exists (fun p -> D.Database.count_pred_id db p > 0)
               t.intensional);
@@ -241,7 +202,7 @@ let observe ~tracer ~parent t ctx (outcome : Exec.outcome) =
   let switched =
     match Learner.conjecture t.learner with
     | Some d ->
-      t.paths <- Spec.compile d;
+      adopt t d;
       t.switches <- t.switches + 1;
       if Trace.enabled tracer then
         Trace.event tracer learn_span ~kind:"climb"
@@ -257,7 +218,7 @@ let observe ~tracer ~parent t ctx (outcome : Exec.outcome) =
 let count_work t arcs =
   let retrievals =
     List.fold_left
-      (fun n id -> if Option.is_some t.resolvents.(id) then n + 1 else n)
+      (fun n id -> if Option.is_some t.built.Build.resolvents.(id) then n + 1 else n)
       0 arcs
   in
   (List.length arcs - retrievals, retrievals)
@@ -267,9 +228,9 @@ let count_work t arcs =
 let bind_answer t query arc fact =
   if D.Atom.is_ground query then Some D.Subst.empty
   else
-    match t.resolvents.(arc) with
+    match t.built.Build.resolvents.(arc) with
     | None -> None
-    | Some r ->
+    | Some (r : Build.resolvent) ->
       let q = rename_apart query in
       Option.bind (D.Subst.unify_atoms r.head q D.Subst.empty) (fun s ->
           Option.map
@@ -300,9 +261,9 @@ let enumerate_answers ~limit t ~db query first successes (tail : Exec.tail) =
   let q = rename_apart query in
   List.iter
     (fun arc ->
-      match t.resolvents.(arc) with
+      match t.built.Build.resolvents.(arc) with
       | None -> ()
-      | Some r -> (
+      | Some (r : Build.resolvent) -> (
         match D.Subst.unify_atoms r.head q D.Subst.empty with
         | None -> ()
         | Some s ->
@@ -342,12 +303,29 @@ let answer_exec ~tracer ~parent ~enumerate t ~db query =
   let cost, switched = observe ~tracer ~parent t ctx outcome in
   (result, stats, cost, switched, enumerated)
 
-(* The fallback: SLD in rule-base order answers, and the strategy's
-   execution teaches the learner. *)
+(* [rules] for [goal], in the current strategy's order where it has one. *)
+let rule_order t goal rules =
+  match Hashtbl.find_opt t.order_by_pred (D.Symbol.id goal.D.Atom.pred) with
+  | None -> rules
+  | Some preferred ->
+    let position clause =
+      let rec go i = function
+        | [] -> max_int
+        | c :: rest -> if D.Clause.equal c clause then i else go (i + 1) rest
+      in
+      go 0 preferred
+    in
+    List.stable_sort
+      (fun c1 c2 -> Int.compare (position c1) (position c2))
+      rules
+
+(* The fallback: SLD, steered by the strategy's rule order, answers, and
+   the strategy's execution teaches the learner. *)
 let answer_sld ~tracer ~parent ?memo ~enumerate t ~db query =
   let sld_span = Trace.push tracer parent ~kind:"sld" "sld" in
   let cfg =
-    D.Sld.config ~tracer ~parent:sld_span ?memo ~rulebase:t.rulebase ~db ()
+    D.Sld.config ~tracer ~parent:sld_span ?memo ~rule_order:(rule_order t)
+      ~rulebase:t.rulebase ~db ()
   in
   (* With [enumerate], the derivation is pulled past the first success node
      (up to the cap) so a caller can cache the answer set. The reported

@@ -13,8 +13,8 @@
     search order, and c(Θ, I) is what it pays.
 
     A form the graph cannot model exactly falls back to
-    {!Datalog.Sld} (in rule-base order) for the answer, with the strategy's
-    execution still teaching the learner. That is decided per form and
+    {!Datalog.Sld} for the answer, steered by the strategy's per-predicate
+    rule order, with the strategy's execution still teaching the learner. That is decided per form and
     re-checked only when the database changes: the graph was truncated
     (recursion), a rule head identifies two variables of its goal
     ([p(X, X)]), or a predicate with rules also has facts in the database

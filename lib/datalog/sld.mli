@@ -3,9 +3,9 @@
     The engine performs satisficing search (Simon & Kadane's term, used
     throughout the paper): [solve_first] stops at the first success node.
     The order in which rules are considered is a parameter ([rule_order]).
-    The serving path ({!Core.Live}) no longer steers SLD with a learned
-    strategy — it answers by executing the strategy itself and calls SLD,
-    in rule-base order, only for forms its inference graph cannot model
+    The serving path ({!Core.Live}) answers by executing its learned
+    strategy itself and calls SLD, steered by the strategy's rule order
+    through [rule_order], only for forms its inference graph cannot model
     exactly; SLD is also the reference engine the tests compare against.
 
     Negative literals are evaluated by negation as failure and are delayed

@@ -2,11 +2,15 @@ module D = Datalog
 
 exception Not_disjunctive of D.Clause.t
 
+type resolvent = { head : D.Atom.t; body : D.Atom.t }
+
 type result = {
   graph : Graph.t;
   params : D.Term.var list;
   truncated : bool;
+  identifying : bool;
   rule_arcs : (int * D.Clause.t) list;
+  resolvents : resolvent option array;
 }
 
 (* Intermediate pure tree, emitted into the builder once complete. *)
@@ -17,6 +21,7 @@ type pre_arc = {
   pblockable : bool;
   ppattern : D.Atom.t option;
   pclause : D.Clause.t option; (* the unfolded rule, for reductions *)
+  presolvent : resolvent option; (* for retrievals *)
   pchild : pre_node option; (* None for retrievals *)
 }
 
@@ -25,6 +30,7 @@ and pre_node = { pgoal : D.Atom.t; parcs : pre_arc list }
 let build ?(max_depth = 64) ?(cost_reduction = fun _ -> 1.0)
     ?(cost_retrieval = fun _ -> 1.0) ?(edb = []) ~rulebase ~query_form () =
   let truncated = ref false in
+  let identifying = ref false in
   let gen = ref 0 in
   let label_counts = Hashtbl.create 16 in
   let fresh_label base =
@@ -55,7 +61,22 @@ let build ?(max_depth = 64) ?(cost_reduction = fun _ -> 1.0)
   let is_edb pred =
     List.exists (fun name -> String.equal name (D.Symbol.to_string pred)) edb
   in
-  let rec expand goal depth : pre_node option =
+  (* Does [s] map two distinct variables of [goal] to one variable? *)
+  let identifies s goal =
+    let images =
+      List.filter_map
+        (fun v ->
+          match D.Subst.walk s (D.Term.Var v) with
+          | D.Term.Var w -> Some w
+          | D.Term.Const _ -> None)
+        (D.Atom.vars goal)
+    in
+    List.length (List.sort_uniq D.Term.compare_var images)
+    < List.length images
+  in
+  (* [path] composes the unifiers of the rules chained from the root down
+     to [goal], which it leaves unchanged. *)
+  let rec expand goal path depth : pre_node option =
     let rules = D.Rulebase.rules_for rulebase goal.D.Atom.pred in
     let rule_arcs =
       if depth >= max_depth && rules <> [] then begin
@@ -94,7 +115,13 @@ let build ?(max_depth = 64) ?(cost_reduction = fun _ -> 1.0)
                     D.Term.Var_set.mem v param_set && D.Term.is_const t)
                   (D.Subst.to_alist s)
               in
-              (match expand body_atom (depth + 1) with
+              if identifies s goal then identifying := true;
+              let path =
+                List.fold_left
+                  (fun acc (v, t) -> D.Subst.bind v t acc)
+                  path (D.Subst.to_alist s)
+              in
+              (match expand body_atom path (depth + 1) with
               | None -> None
               | Some child ->
                 Some
@@ -110,6 +137,7 @@ let build ?(max_depth = 64) ?(cost_reduction = fun _ -> 1.0)
                     ppattern =
                       (if blockable then Some renamed.D.Clause.head else None);
                     pclause = Some clause;
+                    presolvent = None;
                     pchild = Some child;
                   }))
           rules
@@ -126,6 +154,8 @@ let build ?(max_depth = 64) ?(cost_reduction = fun _ -> 1.0)
             pblockable = true;
             ppattern = Some goal;
             pclause = None;
+            presolvent =
+              Some { head = D.Subst.apply_atom path root_goal; body = goal };
             pchild = None;
           };
         ]
@@ -135,22 +165,24 @@ let build ?(max_depth = 64) ?(cost_reduction = fun _ -> 1.0)
     | [] -> None
     | arcs -> Some { pgoal = goal; parcs = arcs }
   in
-  match expand root_goal 0 with
+  match expand root_goal D.Subst.empty 0 with
   | None ->
     invalid_arg "Build.build: the query form has no derivations at all"
   | Some pre_root ->
     let b = Graph.Builder.create ~goal:pre_root.pgoal
         (D.Atom.to_string pre_root.pgoal)
     in
-    let rule_arcs = ref [] in
+    let rule_arcs = ref [] and resolvents = ref [] in
     let rec emit node_id pre =
       List.iter
         (fun pa ->
           match (pa.pkind, pa.pchild) with
           | Graph.Retrieval, None ->
-            ignore
-              (Graph.Builder.add_retrieval b ~src:node_id ~cost:pa.pcost
-                 ?pattern:pa.ppattern ~label:pa.plabel ())
+            let arc_id =
+              Graph.Builder.add_retrieval b ~src:node_id ~cost:pa.pcost
+                ?pattern:pa.ppattern ~label:pa.plabel ()
+            in
+            resolvents := (arc_id, pa.presolvent) :: !resolvents
           | Graph.Reduction, Some child ->
             let child_id =
               Graph.Builder.add_node b ~goal:child.pgoal
@@ -169,11 +201,16 @@ let build ?(max_depth = 64) ?(cost_reduction = fun _ -> 1.0)
         pre.parcs
     in
     emit (Graph.Builder.root b) pre_root;
+    let graph = Graph.Builder.finish b in
+    let by_arc = Array.make (Graph.n_arcs graph) None in
+    List.iter (fun (arc_id, r) -> by_arc.(arc_id) <- r) !resolvents;
     {
-      graph = Graph.Builder.finish b;
+      graph;
       params;
       truncated = !truncated;
+      identifying = !identifying;
       rule_arcs = List.rev !rule_arcs;
+      resolvents = by_arc;
     }
 
 let query_of_consts result consts =

@@ -21,14 +21,26 @@
 
 exception Not_disjunctive of Datalog.Clause.t
 
+(** What a retrieval arc proves: chaining the rules on its path gives the
+    clause [head :- body], where [head] is the root goal and [body] the
+    retrieval's pattern, both under the composed unifiers of the path. A
+    query answered there is the query unified with [head], then [body]
+    with a matching fact. *)
+type resolvent = { head : Datalog.Atom.t; body : Datalog.Atom.t }
+
 type result = {
   graph : Graph.t;
   params : Datalog.Term.var list;  (** parameter variables, by position *)
   truncated : bool;  (** some branch was cut by [max_depth] *)
+  identifying : bool;
+      (** some rule head maps two distinct variables of its goal to one
+          variable (e.g. [p(X, X)] against [p(A, B)]); the graph then
+          forgets that equality, since the arc's pattern constrains only
+          the parameters *)
   rule_arcs : (int * Datalog.Clause.t) list;
-      (** each reduction arc with the source rule it unfolds — what a live
-          query processor chains along a path to read an answer off a
-          successful retrieval (see {!Core.Live}) *)
+      (** each reduction arc with the source rule it unfolds *)
+  resolvents : resolvent option array;
+      (** by arc id: [Some] on retrieval arcs, [None] on reductions *)
 }
 
 (** [build ~rulebase ~query_form ()] — [query_form] is an atom pattern

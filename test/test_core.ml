@@ -892,6 +892,55 @@ let live_identifying_head_falls_back () =
   let c, _ = traced_answer ground ~db "p(a, a)" in
   check_string "p(a, a) holds" "{}" (result_string c.C.Live.result)
 
+let live_fallback_follows_strategy () =
+  (* A fallback form's SLD run visits rules in the learned strategy's
+     order: with the o-branch first, m(b) skips the n-branch. *)
+  let rb, db = load_program "m(X) :- n(X).\nm(X) :- o(X).\nm(z).\no(b).\n" in
+  let live = live_for rb "m(q)" in
+  let work (a : C.Live.answer) =
+    a.C.Live.stats.Datalog.Sld.reductions + a.C.Live.stats.Datalog.Sld.retrievals
+  in
+  let a, sld = traced_answer live ~db "m(b)" in
+  check_bool "served by SLD" true sld;
+  let g = C.Live.graph live in
+  let root = Infgraph.Graph.root g in
+  C.Live.set_strategy live
+    (Spec.with_order (Spec.default g) ~node:root
+       ~order:(List.rev (Infgraph.Graph.children g root)));
+  let b, _ = traced_answer live ~db "m(b)" in
+  check_string "same answer" (result_string a.C.Live.result)
+    (result_string b.C.Live.result);
+  check_int "the o-branch first saves R_m_n and its retrieval"
+    (work a - 2) (work b)
+
+let live_blocked_head_constant_counts () =
+  (* On an exec-served form the ANSWER counts are the paid arcs: a
+     reduction whose head constant blocks still costs 1, where SLD's
+     failed head unification counted 0. The blockable reduction needs a
+     learner that takes experiment graphs. *)
+  let rb, db = load_program "p(X, c) :- r(X).\nr(a).\n" in
+  let live =
+    C.Live.create ~learner:`Palo ~rulebase:rb
+      ~query_form:(Datalog.Parser.parse_atom "p(q, q)") ()
+  in
+  let counts (a : C.Live.answer) =
+    (a.C.Live.stats.Datalog.Sld.reductions, a.C.Live.stats.Datalog.Sld.retrievals)
+  in
+  let a, sld = traced_answer live ~db "p(a, d)" in
+  check_bool "served by the execution" false sld;
+  check_string "p(a, d) fails" "no" (result_string a.C.Live.result);
+  Alcotest.(check (pair int int)) "blocked reduction paid" (1, 0) (counts a);
+  let b, _ = traced_answer live ~db "p(a, c)" in
+  check_string "p(a, c) holds" "{}" (result_string b.C.Live.result);
+  Alcotest.(check (pair int int)) "reduction and retrieval" (1, 1) (counts b);
+  let sld_a =
+    snd
+      (Datalog.Sld.solve_first
+         (Datalog.Sld.config ~rulebase:rb ~db ())
+         [ Datalog.Clause.Pos (Datalog.Parser.parse_atom "p(a, d)") ])
+  in
+  check_int "where SLD counts no reduction" 0 sld_a.Datalog.Sld.reductions
+
 let live_recursive_form_falls_back () =
   (* A recursive rule base unfolds to the depth bound: the truncated graph
      falls back to SLD, whose answers stay right. *)
@@ -1311,6 +1360,8 @@ let suite =
         case "mixed predicate falls back" live_mixed_predicate_falls_back;
         case "identifying head falls back" live_identifying_head_falls_back;
         case "recursive form falls back" live_recursive_form_falls_back;
+        case "fallback follows the strategy" live_fallback_follows_strategy;
+        case "blocked head constant counts" live_blocked_head_constant_counts;
         case "exec-served answers and enumeration" live_exec_served_answers;
         live_differential;
         lazy_context_equals_eager;

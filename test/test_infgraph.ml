@@ -394,6 +394,29 @@ let build_rule_arcs_mapping () =
         (D.Symbol.to_string clause.D.Clause.head.D.Atom.pred = "instructor"))
     result.Build.rule_arcs
 
+let build_resolvents_and_identifying () =
+  (* Chained rules compose their unifiers into each retrieval's resolvent:
+     p(Z, Y) :- s(Z, Y) under q(Z, c), then s(Z, c) :- t(Z). *)
+  let build text form =
+    Build.build
+      ~rulebase:(D.Rulebase.of_list (D.Parser.parse_clauses text))
+      ~query_form:(D.Parser.parse_atom form) ()
+  in
+  let r = build "p(X, Y) :- q(X, Y). q(Z, c) :- t(Z)." "p(a, W)" in
+  check_bool "not identifying" false r.Build.identifying;
+  let head, body =
+    match Array.to_list r.Build.resolvents |> List.filter_map Fun.id with
+    | [ res ] -> (res.Build.head, res.Build.body)
+    | _ -> Alcotest.fail "expected one retrieval"
+  in
+  check_string "head binds the free position" "c"
+    (D.Term.to_string (List.nth head.D.Atom.args 1));
+  check_bool "body is t over the root's parameter" true
+    (D.Symbol.to_string body.D.Atom.pred = "t"
+    && D.Term.equal (List.hd head.D.Atom.args) (List.hd body.D.Atom.args));
+  check_bool "identifying head flagged" true
+    (build "p(X, X) :- q(X)." "p(a, b)").Build.identifying
+
 let build_query_of_consts () =
   let result = Workload.University.build () in
   let q = Build.query_of_consts result [ "alice" ] in
@@ -669,6 +692,7 @@ let suite =
         case "free (existential) query form" build_free_query_form;
         case "mixed edb/idb predicate" build_mixed_edb;
         case "rule arc mapping" build_rule_arcs_mapping;
+        case "resolvents and identifying heads" build_resolvents_and_identifying;
         case "query_of_consts" build_query_of_consts;
       ] );
     ("infgraph.dot", [ case "output" dot_output ]);
