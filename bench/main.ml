@@ -35,9 +35,6 @@ let experiments =
     ( "e26",
       "lifecycle tracing + flight-recorder overhead on/off",
       E26_overhead.run );
-    ( "e27",
-      "subsumption-derived cache hits vs exact-only on the serve path",
-      E27_subsume.run );
   ]
 
 let () =

@@ -377,30 +377,20 @@ let eval_cmd =
 
 (* ---------- explain ---------- *)
 
-let run_explain file atom_text json dot cached warm =
+let run_explain file atom_text json dot cached =
   let rulebase, db, _ = load_kb file in
   let q = D.Parser.parse_atom atom_text in
   let form = Serve.Registry.form_of_query q in
   let registry = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
-  let use_cache = cached || warm <> None in
   let cache =
-    if use_cache then
-      Some
-        (Cache.Answers.create ~subsume:true
-           ~capacity_bytes:(8 * 1024 * 1024) ())
+    if cached then
+      Some (Cache.Answers.create ~capacity_bytes:(8 * 1024 * 1024) ())
     else None
   in
-  let memo = if use_cache then Some (D.Sld.Memo.create ()) else None in
-  (* Warm pass (untraced): fills the cache so the traced pass below shows
-     the query being served from it. With [--warm] the fill is the given
-     (typically more general) atom instead of the query itself, so the
-     traced pass demonstrates a subsumption-derived hit. *)
-  (match warm with
-  | Some w ->
-    ignore
-      (Serve.Registry.answer ?cache ?memo registry ~db (D.Parser.parse_atom w))
-  | None ->
-    if cached then ignore (Serve.Registry.answer ?cache ?memo registry ~db q));
+  let memo = if cached then Some (D.Sld.Memo.create ()) else None in
+  (* Warm pass (untraced): fills the cache so the traced pass below is an
+     exact hit. *)
+  if cached then ignore (Serve.Registry.answer ?cache ?memo registry ~db q);
   let tracer = Trace.make () in
   let root = Trace.root tracer ~kind:"query" (D.Atom.to_string q) in
   let ans =
@@ -419,9 +409,7 @@ let run_explain file atom_text json dot cached warm =
     Fmt.pr "answer: %s  [%d reductions, %d retrievals]%s@." result
       ans.Core.Live.stats.D.Sld.reductions
       ans.Core.Live.stats.D.Sld.retrievals
-      (if ans.Core.Live.cached then
-         if ans.Core.Live.derived then "  (cached=derived)" else "  (cached)"
-       else "");
+      (if ans.Core.Live.cached then "  (cached)" else "");
     Fmt.pr "%a" Trace.pp_tree root;
     let exec_cost =
       List.fold_left
@@ -476,18 +464,6 @@ let explain_cmd =
              second, cache-served answer: the tree shows the cache_hit \
              event and the learner pipeline that still runs on hits.")
   in
-  let warm =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "warm" ] ~docv:"ATOM"
-          ~doc:
-            "Warm the cache with $(docv) (typically a more general query, \
-             e.g. 'p(X,Y)' before explaining 'p(a,Y)') instead of the \
-             query itself, then trace the query: a subsumption-derived \
-             hit shows as (cached=derived) with a derived cache_hit \
-             event. Implies the cache even without $(b,--cached).")
-  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
@@ -495,7 +471,7 @@ let explain_cmd =
           paper-cost unit went (text tree, JSON, or a DOT rendering with \
           the traversed arcs highlighted).")
     Term.(
-      const run_explain $ file_arg $ atom_arg $ json $ dot_arg $ cached $ warm)
+      const run_explain $ file_arg $ atom_arg $ json $ dot_arg $ cached)
 
 (* ---------- serve / client ---------- *)
 
@@ -506,7 +482,7 @@ let host_arg =
     & info [ "host" ] ~docv:"ADDR" ~doc:"Address to bind/connect to.")
 
 let run_serve file host port loops queue_depth max_conns state_dir
-    snapshot_interval delta learner trace_sample cache_mb no_cache subsume
+    snapshot_interval delta learner trace_sample cache_mb no_cache _subsume
     metrics_port log_level log_file slow_query_ms data_dir buffer_pages
     idle_timeout_s max_conns_per_ip max_write_buf_mb max_write_total_mb
     no_lifecycle flight_capacity retain =
@@ -549,7 +525,6 @@ let run_serve file host port loops queue_depth max_conns state_dir
       learner_config;
       trace_sample;
       cache_mb = (if no_cache then 0 else cache_mb);
-      subsume;
       metrics_port;
       log_level;
       log_file;
@@ -653,6 +628,8 @@ let serve_cmd =
             "Disable the answer cache and subgoal memoization (same as \
              --cache-mb 0).")
   in
+  (* Subsumption-based answer reuse was removed; both flags still parse
+     so existing command lines keep working. *)
   let subsume =
     Arg.(
       value
@@ -661,16 +638,12 @@ let serve_cmd =
             ( true,
               info [ "subsume" ]
                 ~doc:
-                  "Subsumption-based answer reuse (default): exact-key \
-                   cache misses probe cached generalizations and answer \
-                   by filtering their enumerated answer sets \
-                   (ANSWER ... cached=derived); general fills also seed \
-                   the subgoal memo. Moot under --no-cache." );
+                  "Accepted and ignored: subsumption-based answer reuse \
+                   was removed, so only exact alpha-variant repeats hit \
+                   the cache." );
             ( false,
-              info [ "no-subsume" ]
-                ~doc:
-                  "Exact alpha-variant cache hits only — no subsumption \
-                   index, no answer-set enumeration, no derived hits." );
+              info [ "no-subsume" ] ~doc:"Accepted and ignored (see --subsume)."
+            );
           ])
   in
   let metrics_port =
@@ -1108,23 +1081,11 @@ let watch_tick ~host ~port =
         |> List.sort_uniq String.compare
       in
       let v metric form = Option.value ~default:0.0 (sample_value samples metric form) in
-      (* Exact and subsumption-derived hits are distinct wins (the
-         latter paid a filtering pass), so the cache column shows both:
-         "hits E+Dd" — D omitted while zero to keep the quiet case
-         quiet. *)
-      let cache_hits =
-        Option.value ~default:0.0 (solo_value samples "strategem_cache_hits_total")
-      and derived_hits =
-        Option.value ~default:0.0
-          (solo_value samples "strategem_cache_derived_hits_total")
-      in
-      Fmt.pr "uptime %.0fs  queries %.0f  climbs %.0f  cache hits %s  queue %.0f@."
+      Fmt.pr "uptime %.0fs  queries %.0f  climbs %.0f  cache hits %.0f  queue %.0f@."
         (Option.value ~default:0.0 (solo_value samples "strategem_uptime_seconds"))
         (List.fold_left (fun acc f -> acc +. v "strategem_queries_total" f) 0.0 forms)
         (List.fold_left (fun acc f -> acc +. v "strategem_climbs_total" f) 0.0 forms)
-        (if derived_hits > 0.0 then
-           Printf.sprintf "%.0f+%.0fd" cache_hits derived_hits
-         else Printf.sprintf "%.0f" cache_hits)
+        (Option.value ~default:0.0 (solo_value samples "strategem_cache_hits_total"))
         (Option.value ~default:0.0 (solo_value samples "strategem_queue_depth"));
       (* Paged-store line, only when the daemon serves from one. *)
       (match solo_value samples "strategem_store_enabled" with

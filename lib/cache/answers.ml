@@ -12,9 +12,6 @@ type entry = {
   gen : int;
   answered : bool;
   bindings : (int * D.Term.t) list; (* canonical-variable index -> term *)
-  rows : (int * D.Term.t) list list option;
-      (* enumerated answer set (canonical space), when the fill enumerated *)
-  complete : bool; (* [rows] is the whole answer set (no cap, no truncation) *)
   reductions : int;
   retrievals : int;
   cost : float;
@@ -31,54 +28,34 @@ type hit = {
 type counters = {
   hits : int;
   misses : int;
-  derived_hits : int;
-  derived_scanned : int;
-  subsume_misses : int;
   evictions : int;
   invalidations : int;
   entries : int;
-  index_keys : int;
   bytes : int;
   capacity_bytes : int;
 }
 
 type t = {
   lru : entry L.t;
-  index : Subsume.t option;
   hits : int Atomic.t;
   misses : int Atomic.t;
-  derived_hits : int Atomic.t;
-  derived_scanned : int Atomic.t;
-  subsume_misses : int Atomic.t;
   invalidations : int Atomic.t;
 }
 
-let create ?shards ?(subsume = false) ~capacity_bytes () =
+let create ?shards ?subsume:_ ~capacity_bytes () =
   {
     lru = L.create ?shards ~capacity_bytes ();
-    index = (if subsume then Some (Subsume.create ()) else None);
     hits = Atomic.make 0;
     misses = Atomic.make 0;
-    derived_hits = Atomic.make 0;
-    derived_scanned = Atomic.make 0;
-    subsume_misses = Atomic.make 0;
     invalidations = Atomic.make 0;
   }
 
-let subsume_enabled t = Option.is_some t.index
-
 (* Rough resident footprint: hashtable slot + LRU node + key atom + entry
-   record, plus per-binding boxes and the enumerated rows. Precision
-   doesn't matter — the estimate only has to scale with entry size so the
-   byte budget means something. *)
+   record, plus per-binding boxes. Precision doesn't matter — the
+   estimate only has to scale with entry size so the byte budget means
+   something. *)
 let estimate_bytes (key : D.Atom.t) e =
-  192
-  + (32 * List.length key.D.Atom.args)
-  + (64 * List.length e.bindings)
-  + (match e.rows with
-    | None -> 0
-    | Some rows ->
-      List.fold_left (fun acc r -> acc + 48 + (64 * List.length r)) 0 rows)
+  192 + (32 * List.length key.D.Atom.args) + (64 * List.length e.bindings)
 
 (* Rebase a substitution over [vars] (the querying atom's variables, in
    first-occurrence order) into canonical space: index -> term, with the
@@ -106,26 +83,12 @@ let canonical_bindings vars s =
     vars;
   List.rev !bs
 
-(* Insert under [key] and register it with the subsumption index when it
-   could generalize anything (has at least one variable). *)
-let add_entry t key vars e =
-  L.add t.lru key e ~bytes:(estimate_bytes key e);
-  match t.index with
-  | Some ix when Array.length vars > 0 -> Subsume.add ix key
-  | _ -> ()
-
-let store t ~db ?answers query ~result ~reductions ~retrievals ~cost =
+let store t ~db query ~result ~reductions ~retrievals ~cost =
   let key, vars = Key.of_atom query in
   let answered, bindings =
     match result with
     | None -> (false, [])
     | Some s -> (true, canonical_bindings vars s)
-  in
-  let rows, complete =
-    match answers with
-    | None -> (None, false)
-    | Some (substs, complete) ->
-      (Some (List.map (canonical_bindings vars) substs), complete)
   in
   let e =
     {
@@ -133,29 +96,12 @@ let store t ~db ?answers query ~result ~reductions ~retrievals ~cost =
       gen = D.Database.generation db;
       answered;
       bindings;
-      rows;
-      complete;
       reductions;
       retrievals;
       cost;
     }
   in
-  add_entry t key vars e
-
-(* Validity check shared by the exact and derived paths: a stale entry is
-   dropped from both structures and counted as an invalidation. *)
-let live_entry t ~token ~gen key =
-  match L.find t.lru key with
-  | None ->
-    (* Evicted under us: the index learns lazily. *)
-    (match t.index with Some ix -> Subsume.remove ix key | None -> ());
-    None
-  | Some e when e.token <> token || e.gen <> gen ->
-    ignore (L.remove t.lru key);
-    (match t.index with Some ix -> Subsume.remove ix key | None -> ());
-    Atomic.incr t.invalidations;
-    None
-  | Some e -> Some e
+  L.add t.lru key e ~bytes:(estimate_bytes key e)
 
 let exact_hit vars e =
   let from_canonical tm =
@@ -182,119 +128,30 @@ let exact_hit vars e =
     cost = e.cost;
   }
 
-(* Promote a derived verdict to an exact entry under the child's own key:
-   the next probe for this (or an alpha-variant) query is an exact hit,
-   and the child key joins the index so it can in turn parent "no"
-   verdicts. Completeness compounds: a "no" derived from a complete parent
-   is itself a complete (empty) answer set; a "yes" keeps only its first
-   answer, so its row set is not complete. *)
-let promote t ~token ~gen query result =
-  let key, vars = Key.of_atom query in
-  let answered, bindings =
-    match result with
-    | None -> (false, [])
-    | Some s -> (true, canonical_bindings vars s)
-  in
-  let e =
-    {
-      token;
-      gen;
-      answered;
-      bindings;
-      rows = (if answered then None else Some []);
-      complete = not answered;
-      reductions = 0;
-      retrievals = 0;
-      cost = 0.0;
-    }
-  in
-  add_entry t key vars e
-
-(* The derived-hit probe: walk generalization candidates most-specific
-   first; for each live, θ-subsuming parent decide by its answer set.
-   Soundness: a "yes" needs a matching row; a "no" needs either a parent
-   that failed outright (stored entries are never truncated) or a complete
-   row set with no match. An incomplete set that doesn't match proves
-   nothing — keep scanning. *)
-let derived_find t ix ~token ~gen query key =
-  let scanned = ref 0 in
-  let rec go = function
-    | [] -> (None, !scanned)
-    | gkey :: rest -> (
-      match live_entry t ~token ~gen gkey with
-      | None -> go rest
-      | Some e -> (
-        incr scanned;
-        match Subsume.theta_subsumes ~general:gkey query with
-        | None -> go rest
-        | Some _ ->
-          if not e.answered then (Some (e, None), !scanned)
-          else
-            let rows, complete =
-              match e.rows with
-              | Some rows -> (rows, e.complete)
-              | None ->
-                (* First-answer-only parent: its single stored row can
-                   prove membership, never absence. *)
-                ([ e.bindings ], false)
-            in
-            let matched =
-              List.find_map
-                (fun row -> Subsume.filter_row ~general:gkey ~row query)
-                rows
-            in
-            (match matched with
-            | Some s -> (Some (e, Some s), !scanned)
-            | None -> if complete then (Some (e, None), !scanned) else go rest)
-        ))
-  in
-  go (Subsume.candidates ix ~exclude:key query)
-
 let find t ~db query =
   let key, vars = Key.of_atom query in
-  let token = D.Database.token db and gen = D.Database.generation db in
-  match live_entry t ~token ~gen key with
-  | Some e ->
+  match L.find t.lru key with
+  | Some e
+    when e.token = D.Database.token db && e.gen = D.Database.generation db ->
     Atomic.incr t.hits;
     Some (exact_hit vars e)
-  | None -> (
-    match t.index with
-    | None ->
-      Atomic.incr t.misses;
-      None
-    | Some ix -> (
-      let verdict, scanned = derived_find t ix ~token ~gen query key in
-      if scanned > 0 then
-        ignore (Atomic.fetch_and_add t.derived_scanned scanned);
-      match verdict with
-      | Some (parent, result) ->
-        Atomic.incr t.derived_hits;
-        promote t ~token ~gen query result;
-        Some
-          {
-            result;
-            derived = true;
-            reductions = parent.reductions;
-            retrievals = parent.retrievals;
-            cost = parent.cost;
-          }
-      | None ->
-        Atomic.incr t.misses;
-        Atomic.incr t.subsume_misses;
-        None))
+  | Some _ ->
+    (* Stale: filled against another database state. *)
+    ignore (L.remove t.lru key);
+    Atomic.incr t.invalidations;
+    Atomic.incr t.misses;
+    None
+  | None ->
+    Atomic.incr t.misses;
+    None
 
 let counters t =
   {
     hits = Atomic.get t.hits;
     misses = Atomic.get t.misses;
-    derived_hits = Atomic.get t.derived_hits;
-    derived_scanned = Atomic.get t.derived_scanned;
-    subsume_misses = Atomic.get t.subsume_misses;
     invalidations = Atomic.get t.invalidations;
     evictions = L.evictions t.lru;
     entries = L.length t.lru;
-    index_keys =
-      (match t.index with Some ix -> Subsume.length ix | None -> 0);
     bytes = L.bytes t.lru;
     capacity_bytes = L.capacity_bytes t.lru;
   }

@@ -3,23 +3,10 @@
     Entries are keyed by {!Key.of_atom}, so alpha-equivalent queries share
     one entry. Each entry stores the answer substitution rebased into
     canonical variable space, whether the query was answered at all, the
-    SLD work the fill paid (reductions / retrievals), the paper-cost
-    [c(Theta, I)] observed at fill time — the serving layer re-feeds that
-    cost to the learner so cached traffic leaves the cost distribution the
-    learner sees unchanged — and, when the fill enumerated, the query's
-    answer set with a completeness flag.
-
-    With [~subsume:true] the cache also maintains a per-predicate
-    subsumption index ({!Subsume}) over its keys. A lookup that misses its
-    exact alpha-variant key then probes cached generalizations: a θ-more
-    general entry answers the specific query by filtering its stored
-    answer set — a {e derived hit} ([hit.derived = true]) — and the
-    verdict is promoted to an exact entry under the specific key. Derived
-    "yes" needs a matching row; derived "no" needs a parent that failed
-    outright or a complete row set with no match — an incomplete set
-    proves membership, never absence. Because a derived verdict is read
-    off the parent entry, it is valid exactly as long as the parent:
-    generation-based invalidation stays exact.
+    work the fill paid (reductions / retrievals), and the paper-cost
+    [c(Theta, I)] observed at fill time. The serving layer reports the
+    stored cost on a hit's trace event; the learner is taught by running
+    the current strategy again (see {!Core.Live.answer_cached}).
 
     Validity is tied to one database state: entries record
     {!Datalog.Database.token} and {!Datalog.Database.generation} at fill
@@ -37,48 +24,38 @@ type t
 type hit = {
   result : Datalog.Subst.t option;
   derived : bool;
-      (** served by filtering a more general entry's answer set, not by an
-          exact alpha-variant key *)
-  reductions : int;  (** SLD reductions the fill paid *)
-  retrievals : int;  (** SLD retrievals the fill paid *)
+      (** always [false]: every hit is an exact alpha-variant hit. Kept
+          only so the benchmark harness under [perfbench/] compiles. *)
+  reductions : int;  (** work the fill paid *)
+  retrievals : int;
   cost : float;  (** paper-cost c(Theta, I) at fill time *)
 }
 
 type counters = {
-  hits : int;  (** exact alpha-variant hits only *)
-  misses : int;  (** neither exact nor derived *)
-  derived_hits : int;
-  derived_scanned : int;
-      (** candidate generalizations examined across subsumption probes *)
-  subsume_misses : int;  (** probes that found no usable generalization *)
+  hits : int;
+  misses : int;
   evictions : int;
   invalidations : int;  (** entries dropped for a stale token/generation *)
   entries : int;
-  index_keys : int;  (** keys registered in the subsumption index *)
   bytes : int;  (** estimated resident bytes *)
   capacity_bytes : int;
 }
 
-(** [create ?shards ?subsume ~capacity_bytes ()] — [subsume] (default
-    false) turns on the subsumption index and derived hits. *)
+(** [create ?shards ?subsume ~capacity_bytes ()] — [subsume] is ignored;
+    it is kept only so the benchmark harness under [perfbench/]
+    compiles. *)
 val create : ?shards:int -> ?subsume:bool -> capacity_bytes:int -> unit -> t
-
-val subsume_enabled : t -> bool
 
 (** [find t ~db q] — a hit requires the entry's token/generation to match
     [db]'s current ones; stale entries are removed and counted as
-    invalidations (and the lookup as a miss, unless a derived hit
-    rescues it). *)
+    invalidations (and the lookup as a miss). *)
 val find : t -> db:Datalog.Database.t -> Datalog.Atom.t -> hit option
 
-(** [store t ~db ?answers q ~result ~reductions ~retrievals ~cost] records
-    the outcome of a fresh SLD run against [db]'s current generation.
-    [answers] is the enumerated answer set (including the first answer)
-    with its completeness flag, from {!Datalog.Sld.solve_first_enum}. *)
+(** [store t ~db q ~result ~reductions ~retrievals ~cost] records the
+    outcome of a fresh run against [db]'s current generation. *)
 val store :
   t ->
   db:Datalog.Database.t ->
-  ?answers:Datalog.Subst.t list * bool ->
   Datalog.Atom.t ->
   result:Datalog.Subst.t option ->
   reductions:int ->

@@ -154,8 +154,7 @@ type answer = {
   cost : float;
   switched : bool;
   cached : bool;
-  derived : bool;
-  enumerated : D.Sld.enum option;
+  fallback : bool;
 }
 
 (* Root a fresh [query] span unless the caller supplied one (the serve
@@ -178,17 +177,12 @@ let rename_apart query =
 
 (* One execution: the current strategy run over the query's lazily probed
    context, in an [exec] span. *)
-let execute ~tracer ~parent ~enumerate t ~db query =
+let execute ~tracer ~parent t ~db query =
   let ctx = Context.of_db (graph t) ~query:(rename_apart query) ~db in
   let exec_span = Trace.push tracer parent ~kind:"exec" "exec" in
-  let outcome, tail =
-    if enumerate > 0 then Exec.run_on ~tracer ~parent:exec_span t.paths ctx
-    else
-      ( Exec.run ~tracer ~parent:exec_span t.paths ctx,
-        { Exec.successes = []; extra = [] } )
-  in
+  let outcome = Exec.run ~tracer ~parent:exec_span t.paths ctx in
   Trace.finish tracer exec_span;
-  (ctx, outcome, tail)
+  (ctx, outcome)
 
 (* Feed the learner the outcome of the execution, in a [learn] span, and
    adopt any conjecture. This runs for every query, cached or not — the
@@ -242,47 +236,8 @@ let bind_answer t query arc fact =
                 D.Subst.empty (D.Atom.vars query))
             (D.Subst.unify_atoms r.body fact s))
 
-(* Every fact of every successful retrieval, in the strategy's order,
-   starting with the one that answered: the answer set SLD's enumeration
-   would find, deduplicated and capped at [limit] (a capped set is
-   incomplete). *)
-let enumerate_answers ~limit t ~db query first successes (tail : Exec.tail) =
-  let seen = Hashtbl.create 16 in
-  let answers = ref [] and count = ref 0 and capped = ref false in
-  let add s =
-    let key = Format.asprintf "%a" D.Subst.pp s in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      answers := s :: !answers;
-      incr count
-    end
-  in
-  Option.iter add first;
-  let q = rename_apart query in
-  List.iter
-    (fun arc ->
-      match t.built.Build.resolvents.(arc) with
-      | None -> ()
-      | Some (r : Build.resolvent) -> (
-        match D.Subst.unify_atoms r.head q D.Subst.empty with
-        | None -> ()
-        | Some s ->
-          List.iter
-            (fun (fact, _) ->
-              if !count >= limit then capped := true
-              else Option.iter add (bind_answer t query arc fact))
-            (D.Database.matching db (D.Subst.apply_atom s r.body))))
-    successes;
-  let extra_reductions, extra_retrievals = count_work t tail.Exec.extra in
-  {
-    D.Sld.answers = List.rev !answers;
-    complete = not !capped;
-    extra_reductions;
-    extra_retrievals;
-  }
-
-let answer_exec ~tracer ~parent ~enumerate t ~db query =
-  let ctx, outcome, tail = execute ~tracer ~parent ~enumerate t ~db query in
+let answer_exec ~tracer ~parent t ~db query =
+  let ctx, outcome = execute ~tracer ~parent t ~db query in
   let reductions, retrievals = count_work t outcome.Exec.attempted in
   let stats = D.Sld.fresh_stats () in
   stats.D.Sld.reductions <- reductions;
@@ -292,16 +247,8 @@ let answer_exec ~tracer ~parent ~enumerate t ~db query =
         stats.D.Sld.retrieval_hits <- 1;
         Option.bind (Context.witness ctx arc) (bind_answer t query arc))
   in
-  let enumerated =
-    if enumerate = 0 then None
-    else
-      Some
-        (enumerate_answers ~limit:enumerate t ~db query result
-           (Option.to_list outcome.Exec.success_arc @ tail.Exec.successes)
-           tail)
-  in
   let cost, switched = observe ~tracer ~parent t ctx outcome in
-  (result, stats, cost, switched, enumerated)
+  (result, stats, cost, switched)
 
 (* [rules] for [goal], in the current strategy's order where it has one. *)
 let rule_order t goal rules =
@@ -321,49 +268,36 @@ let rule_order t goal rules =
 
 (* The fallback: SLD, steered by the strategy's rule order, answers, and
    the strategy's execution teaches the learner. *)
-let answer_sld ~tracer ~parent ?memo ~enumerate t ~db query =
+let answer_sld ~tracer ~parent ?memo t ~db query =
   let sld_span = Trace.push tracer parent ~kind:"sld" "sld" in
   let cfg =
     D.Sld.config ~tracer ~parent:sld_span ?memo ~rule_order:(rule_order t)
       ~rulebase:t.rulebase ~db ()
   in
-  (* With [enumerate], the derivation is pulled past the first success node
-     (up to the cap) so a caller can cache the answer set. The reported
-     [stats] are snapshotted at the first answer either way; the
-     enumeration tail's work lives in [enumerated.extra_*]. *)
-  let result, stats, enumerated =
-    if enumerate > 0 then
-      let r, st, en =
-        D.Sld.solve_first_enum ~limit:enumerate cfg [ D.Clause.Pos query ]
-      in
-      (r, st, Some en)
-    else
-      let r, st = D.Sld.solve_first cfg [ D.Clause.Pos query ] in
-      (r, st, None)
-  in
+  let result, stats = D.Sld.solve_first cfg [ D.Clause.Pos query ] in
   Trace.finish tracer sld_span;
-  let ctx, outcome, _ = execute ~tracer ~parent ~enumerate:0 t ~db query in
+  let ctx, outcome = execute ~tracer ~parent t ~db query in
   let cost, switched = observe ~tracer ~parent t ctx outcome in
-  (result, stats, cost, switched, enumerated)
+  (result, stats, cost, switched)
 
-let answer ?(tracer = Trace.null) ?parent ?memo ?(enumerate = 0) t ~db query =
+let answer ?(tracer = Trace.null) ?parent ?memo t ~db query =
   let owns_root, parent = root_span tracer parent query in
-  let result, stats, cost, switched, enumerated =
-    if exact t db && not (repeats query) then
-      answer_exec ~tracer ~parent ~enumerate t ~db query
-    else answer_sld ~tracer ~parent ?memo ~enumerate t ~db query
+  let fallback = (not (exact t db)) || repeats query in
+  let result, stats, cost, switched =
+    if fallback then answer_sld ~tracer ~parent ?memo t ~db query
+    else answer_exec ~tracer ~parent t ~db query
   in
   t.queries <- t.queries + 1;
   t.reductions <- t.reductions + stats.D.Sld.reductions;
   t.retrievals <- t.retrievals + stats.D.Sld.retrievals;
   if owns_root then Trace.finish tracer parent;
-  { result; stats; cost; switched; cached = false; derived = false; enumerated }
+  { result; stats; cost; switched; cached = false; fallback }
 
-let answer_cached ?(tracer = Trace.null) ?parent ?(derived = false) t ~db
-    ~result query =
+let answer_cached ?(tracer = Trace.null) ?parent ?derived:_ t ~db ~result
+    query =
   let owns_root, parent = root_span tracer parent query in
   t.queries <- t.queries + 1;
-  let ctx, outcome, _ = execute ~tracer ~parent ~enumerate:0 t ~db query in
+  let ctx, outcome = execute ~tracer ~parent t ~db query in
   let cost, switched = observe ~tracer ~parent t ctx outcome in
   if owns_root then Trace.finish tracer parent;
   {
@@ -372,6 +306,5 @@ let answer_cached ?(tracer = Trace.null) ?parent ?(derived = false) t ~db
     cost;
     switched;
     cached = true;
-    derived;
-    enumerated = None;
+    fallback = false;
   }

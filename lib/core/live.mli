@@ -71,12 +71,9 @@ type answer = {
   cached : bool;
       (** answer served from a cache ({!answer_cached}); [stats] is then
           all-zero *)
-  derived : bool;
-      (** cached answer obtained by filtering a more general entry's
-          answer set (subsumption), not an exact key *)
-  enumerated : Datalog.Sld.enum option;
-      (** when {!answer} ran with [enumerate], the answer set pulled past
-          the first success node (for cache fills) *)
+  fallback : bool;
+      (** answer produced by {!Datalog.Sld} on a fallback form, not by the
+          strategy's execution (never set on a cached answer) *)
 }
 
 (** Answer one query (an instance of the query form) against a database
@@ -94,18 +91,11 @@ type answer = {
     shared {!Datalog.Sld.Memo} table; an exactly modelled form never reads
     it.
 
-    With [enumerate > 0], the search goes on past the first success node
-    for up to that many distinct answers (reported in [enumerated]): the
-    remaining paths are walked and every fact of each unblocked retrieval
-    collected. The answer, [stats], and everything the learner sees are
-    unchanged — only the tail work in [enumerated.extra_*] is extra.
-
     Raises [Invalid_argument] if the query does not match the form. *)
 val answer :
   ?tracer:Trace.t ->
   ?parent:Trace.span ->
   ?memo:Datalog.Sld.Memo.t ->
-  ?enumerate:int ->
   t ->
   db:Datalog.Database.t ->
   Datalog.Atom.t ->
@@ -116,10 +106,8 @@ val answer :
     strategy's execution over the query's context (so [cost] is the true
     current c(Θ, I)) and learner observation — leaving the learner's
     trajectory identical to the uncached run. The span tree has no [sld]
-    phase and [stats] is all-zero. [derived] marks the answer as a
-    subsumption-derived hit (pure bookkeeping — the learning pipeline is
-    identical either way, which is what keeps trajectories byte-stable with
-    subsumption on or off). *)
+    phase and [stats] is all-zero. [derived] is ignored; it is kept only so
+    the benchmark harness under [perfbench/] compiles. *)
 val answer_cached :
   ?tracer:Trace.t ->
   ?parent:Trace.span ->

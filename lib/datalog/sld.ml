@@ -323,70 +323,6 @@ let solve_first cfg goals =
   | Seq.Nil -> (None, stats)
   | Seq.Cons (s, _) -> (Some s, stats)
 
-type enum = {
-  answers : Subst.t list;
-  complete : bool;
-  extra_reductions : int;
-  extra_retrievals : int;
-}
-
-let solve_first_enum ~limit cfg goals =
-  let stats = fresh_stats () in
-  let seq = solve_seq cfg stats goals in
-  match seq () with
-  | Seq.Nil ->
-    (* Failure: the whole search ran to exhaustion, so the (empty) answer
-       set is complete exactly when no branch was depth-truncated. *)
-    ( None,
-      stats,
-      {
-        answers = [];
-        complete = not stats.truncated;
-        extra_reductions = 0;
-        extra_retrievals = 0;
-      } )
-  | Seq.Cons (first, rest) ->
-    (* Snapshot at the first success node: these are the satisficing-search
-       stats, byte-identical to what [solve_first] would report. The tail
-       enumeration below accounts its work separately. *)
-    let snapshot =
-      {
-        reductions = stats.reductions;
-        retrievals = stats.retrievals;
-        retrieval_hits = stats.retrieval_hits;
-        naf_calls = stats.naf_calls;
-        truncated = stats.truncated;
-      }
-    in
-    let seen = Hashtbl.create 16 in
-    Hashtbl.add seen (Format.asprintf "%a" Subst.pp first) ();
-    let answers = ref [ first ] in
-    let count = ref 1 in
-    let capped = ref false in
-    let rec drain seq =
-      if !count >= limit then capped := true
-      else
-        match seq () with
-        | Seq.Nil -> ()
-        | Seq.Cons (s, rest) ->
-          let key = Format.asprintf "%a" Subst.pp s in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
-            answers := s :: !answers;
-            incr count
-          end;
-          drain rest
-    in
-    drain rest;
-    ( Some first,
-      snapshot,
-      {
-        answers = List.rev !answers;
-        complete = (not !capped) && not stats.truncated;
-        extra_reductions = stats.reductions - snapshot.reductions;
-        extra_retrievals = stats.retrievals - snapshot.retrievals;
-      } )
-
 let solve_all ?limit cfg goals =
   let stats = fresh_stats () in
   let seen = Hashtbl.create 16 in

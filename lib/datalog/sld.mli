@@ -52,11 +52,9 @@ module Memo : sig
       LRU, since verdicts are cheap to recompute. *)
   val create : ?shards:int -> ?max_entries:int -> unit -> t
 
-  (** [add t ~token ~gen atom proved] records a verdict directly. Besides
-      the engine itself, the cache layer uses this to seed ground-instance
-      verdicts derived from a more general cached answer set (subsumption),
-      so later SLD runs on specialized queries start warm. Only sound
-      verdicts may be seeded: [proved = false] requires a complete
+  (** [add t ~token ~gen atom proved] records a verdict directly, as the
+      engine does after proving or refuting a ground subgoal. Only sound
+      verdicts may be recorded: [proved = false] requires a complete
       (non-truncated) failure. *)
   val add : t -> token:int -> gen:int -> Atom.t -> bool -> unit
 
@@ -108,27 +106,6 @@ val solve_seq : config -> stats -> Clause.lit list -> Subst.t Seq.t
 
 (** First answer, if any — satisficing search. *)
 val solve_first : config -> Clause.lit list -> (Subst.t option * stats)
-
-(** The continuation of a satisficing search: the distinct answers found by
-    enumerating past the first success node, for cache fills that want the
-    whole answer set. [complete] is true only when the search space was
-    exhausted without hitting the answer cap or the depth limit — an
-    incomplete set can prove membership but never absence. *)
-type enum = {
-  answers : Subst.t list;  (** distinct answers in discovery order (the
-                               first answer is the head) *)
-  complete : bool;
-  extra_reductions : int;  (** work past the first answer *)
-  extra_retrievals : int;
-}
-
-(** [solve_first_enum ~limit cfg goals] = [solve_first] plus up to [limit]
-    distinct answers pulled lazily from the same derivation. The returned
-    [stats] are snapshotted at the first success node, so they are
-    byte-identical to a plain [solve_first] run; the enumeration tail's
-    work is reported in [enum.extra_*] only. *)
-val solve_first_enum :
-  limit:int -> config -> Clause.lit list -> Subst.t option * stats * enum
 
 (** Up to [limit] answers (all, if omitted), de-duplicated. *)
 val solve_all : ?limit:int -> config -> Clause.lit list -> Subst.t list * stats

@@ -91,17 +91,27 @@ let read_until_end ic =
   in
   go []
 
-let post t line =
+(* Buffer one request frame with a fresh id; the caller flushes. *)
+let enqueue t ~fn line =
   if t.proto <> `V4 then
-    invalid_arg "Client.post: pipelining needs a v4 connection";
+    invalid_arg (fn ^ ": pipelining needs a v4 connection");
   let req = Protocol.parse line in
   match frame_of_request ~id:t.seq req with
-  | None -> invalid_arg ("Client.post: cannot frame request: " ^ line)
+  | None -> invalid_arg (fn ^ ": cannot frame request: " ^ line)
   | Some f ->
     t.seq <- t.seq + 1;
     output_string t.oc (Frame.encode_string f);
-    flush t.oc;
     f.Frame.id
+
+let post t line =
+  let id = enqueue t ~fn:"Client.post" line in
+  flush t.oc;
+  id
+
+let post_batch t lines =
+  let ids = List.map (enqueue t ~fn:"Client.post_batch") lines in
+  flush t.oc;
+  ids
 
 let recv t =
   if t.proto <> `V4 then

@@ -51,6 +51,12 @@ val request : t -> string -> string
     does not parse as a pipelineable verb. *)
 val post : t -> string -> int
 
+(** [post_batch t lines] is {!post} for each line in order, but with one
+    flush for the lot: a burst that fits the channel buffer (64 KiB)
+    reaches the socket in one write, so the server parses it in one read
+    rather than frame by frame. Returns the ids in order. *)
+val post_batch : t -> string list -> int list
+
 (** The next response the server sends (any id), as [(id, reply lines)].
     Raises [Invalid_argument] on a line-dialect client, [End_of_file]
     when the server closes. *)

@@ -1,4 +1,4 @@
-type backend = B_none | B_cache | B_cache_derived | B_sld
+type backend = B_none | B_cache | B_exec | B_sld
 
 type t = {
   lc_conn : int;
@@ -75,8 +75,13 @@ let total_ns lc = Int64.max 0L (Int64.sub (last_ns lc) lc.lc_frame_ns)
 let backend_name = function
   | B_none -> "none"
   | B_cache -> "cache"
-  | B_cache_derived -> "cache_derived"
+  | B_exec -> "exec"
   | B_sld -> "sld"
+
+let backend_of (a : Core.Live.answer) =
+  if a.Core.Live.cached then B_cache
+  else if a.Core.Live.fallback then B_sld
+  else B_exec
 
 (* ---------- span-tree export ---------- *)
 
@@ -112,7 +117,7 @@ let to_span lc =
     let backend =
       match lc.lc_backend with
       | B_none -> backend_children
-      | (B_cache | B_cache_derived | B_sld) as b ->
+      | (B_cache | B_exec | B_sld) as b ->
         [
           Trace.span ~kind:(backend_name b) ~start_ns:lc.lc_worker_ns
             ~wall_ns:

@@ -19,9 +19,9 @@
     domain executes one request at a time, so a wait is always charged
     to the request that paid it. *)
 
-(** [B_cache_derived]: answered from the cache by subsumption (filtering
-    a more general entry's answer set), not an exact key. *)
-type backend = B_none | B_cache | B_cache_derived | B_sld
+(** The engine that answered: the answer cache, the learned strategy's
+    execution, or SLD (fallback forms only). *)
+type backend = B_none | B_cache | B_exec | B_sld
 
 type t = {
   lc_conn : int;            (** connection id *)
@@ -77,6 +77,9 @@ val total_ns : t -> int64
 
 val backend_name : backend -> string
 
+(** The backend that produced an answer. *)
+val backend_of : Core.Live.answer -> backend
+
 (** {1 Span-tree export}
 
     The lifecycle skeleton as a {!Trace} span tree, every span carrying
@@ -88,7 +91,7 @@ val backend_name : backend -> string
       ├── frame   (parse → enqueue)
       ├── queue   (FIFO append → execution start)
       ├── worker  (execution start → response enqueued)
-      │   ├── cache | cache_derived | sld   (the backend that answered)
+      │   ├── cache | exec | sld   (the backend that answered)
       │   │   ├── wal_fsync      (when the store waited)
       │   │   └── page_read
       │   └── <armed exec tree>  (when the request was traced)

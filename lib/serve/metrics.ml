@@ -12,11 +12,10 @@ module R = Obs.Registry
 type cache_reading = {
   answers : Cache.Answers.counters;
   memo : Datalog.Sld.Memo.counters;
-  subsume : bool;
 }
 
-(* The cache, subgoal-memo, subsumption and paged-store statistics, one
-   row each. A row names its STATS key, its Prometheus family, help text
+(* The cache, subgoal-memo and paged-store statistics, one row each. A
+   row names its STATS key, its Prometheus family, help text
    and kind, its place in the STATS JSON block (["key"], ["sub.key"]
    inside a sub-object, or [""] for none) and a reader over the layer's
    own record. Registration, the collect-time mirror, the STATS lines
@@ -42,6 +41,7 @@ let stat kind key name json help read = { kind; key; name; json; help; read }
 let cache_stats : cache_reading stat list =
   let answers f c = float_of_int (f c.answers) in
   let memo f c = float_of_int (f c.memo) in
+  let zero _ = 0.0 in
   [
     stat Flag "cache_enabled" "strategem_cache_enabled" "enabled"
       "1 when the answer cache is on" (fun _ -> 1.0);
@@ -70,27 +70,24 @@ let cache_stats : cache_reading stat list =
       (memo (fun m -> m.invalidations));
     stat Gauge "memo_entries" "strategem_memo_entries" "memo.entries"
       "Subgoal-memo resident entries" (memo (fun m -> m.entries));
-    (* Additive (subsumption-based answer reuse). *)
+    (* Subsumption-based answer reuse was removed; its schema-1 keys and
+       series stay and always read 0. *)
     stat Flag "cache_subsume_enabled" "strategem_cache_subsume_enabled"
-      "subsume.enabled" "1 when subsumption-based answer reuse is on"
-      (fun c -> if c.subsume then 1.0 else 0.0);
+      "subsume.enabled" "Always 0: subsumption-based answer reuse was removed"
+      zero;
     stat Counter "cache_derived_hits" "strategem_cache_derived_hits_total"
       "subsume.derived_hits"
-      "Answer-cache derived hits (answered by filtering a more general \
-       cached entry's answer set)"
-      (answers (fun a -> a.derived_hits));
+      "Always 0: subsumption-based answer reuse was removed" zero;
     stat Counter "cache_derived_scan_entries"
       "strategem_cache_derived_scan_entries_total"
       "subsume.derived_scan_entries"
-      "Candidate generalizations examined across subsumption probes"
-      (answers (fun a -> a.derived_scanned));
+      "Always 0: subsumption-based answer reuse was removed" zero;
     stat Counter "cache_subsume_misses" "strategem_cache_subsume_misses_total"
       "subsume.subsume_misses"
-      "Subsumption probes that found no usable generalization"
-      (answers (fun a -> a.subsume_misses));
+      "Always 0: subsumption-based answer reuse was removed" zero;
     stat Gauge "cache_index_keys" "strategem_cache_index_keys"
-      "subsume.index_keys" "Keys registered in the subsumption index"
-      (answers (fun a -> a.index_keys));
+      "subsume.index_keys"
+      "Always 0: subsumption-based answer reuse was removed" zero;
   ]
 
 (* Additive, like the cache block: rendered only when serving from a
@@ -280,7 +277,6 @@ type t = {
   c_slow : R.Counter.t;
   mutable backend : string;  (* reactor backend: "epoll" / "select" *)
   h_queue_wait : R.Histogram.t;
-  h_cache_filter : R.Histogram.t;
   f_queries : R.Counter.fam;
   f_answered : R.Counter.fam;
   f_climbs : R.Counter.fam;
@@ -316,6 +312,12 @@ let create ?(trace_capacity = 0) () =
          (slow / error / shed)"
       ~labels:[ "reason" ] "strategem_traces_retained_total"
   in
+  (* Kept, never observed: subsumption probes were removed. *)
+  ignore
+    (R.Histogram.solo
+       (R.Histogram.v reg
+          ~help:"Always empty: subsumption-based answer reuse was removed"
+          "strategem_cache_filter_latency_us"));
   let t =
     {
       reg;
@@ -431,13 +433,6 @@ let create ?(trace_capacity = 0) () =
           (R.Histogram.v reg
              ~help:"Wait in an event loop's request FIFO (microseconds)"
              "strategem_queue_wait_us");
-      h_cache_filter =
-        R.Histogram.solo
-          (R.Histogram.v reg
-             ~help:
-               "Latency of subsumption probes (candidate walk + answer-set \
-                filtering) on exact-key misses (microseconds)"
-             "strategem_cache_filter_latency_us");
       f_queries =
         R.Counter.v reg ~help:"Queries answered" ~labels:[ "form" ]
           "strategem_queries_total";
@@ -618,7 +613,6 @@ let observe_queue_depth t d =
   bump ()
 
 let queue_waited t ~wait_us = R.Histogram.observe t.h_queue_wait wait_us
-let cache_filter t us = R.Histogram.observe t.h_cache_filter us
 let slow_query t = R.Counter.inc t.c_slow
 
 let trace_sampling t = t.traces <> None

@@ -6,7 +6,7 @@
     Prometheus [/metrics] endpoint ({!render_prometheus}). Metric names
     and labels are inventoried in [docs/OBSERVABILITY.md].
 
-    The cache, subgoal-memo, subsumption and paged-store statistics come
+    The cache, subgoal-memo and paged-store statistics come
     from one table inside this module: a row per statistic names its
     [STATS] key, Prometheus family, help text, kind, place in the
     [STATS JSON] block and a reader over the layer's own record
@@ -60,12 +60,6 @@ val observe_queue_depth : t -> int -> unit
 (** A request spent [wait_us] in its loop's FIFO before the loop began
     executing it. *)
 val queue_waited : t -> wait_us:float -> unit
-
-(** A subsumption probe (candidate walk + answer-set filtering) took
-    [us] microseconds. Observed on derived hits and on probes that fell
-    through to SLD — exact hits never pay the filter, so they are not
-    observed. Feeds [strategem_cache_filter_latency_us]. *)
-val cache_filter : t -> float -> unit
 
 (** A query took at least the slow-query threshold
     ([strategem_slow_queries_total]). *)
@@ -200,7 +194,6 @@ val learner_progress :
 type cache_reading = {
   answers : Cache.Answers.counters;
   memo : Datalog.Sld.Memo.counters;
-  subsume : bool;  (** subsumption index / derived hits enabled *)
 }
 
 val set_cache_provider : t -> (unit -> cache_reading option) -> unit

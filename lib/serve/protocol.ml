@@ -108,11 +108,10 @@ let help_lines =
 let one_line s =
   String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
-let answer_line ?(derived = false) ~result ~reductions ~retrievals ~cached
-    ~switched () =
+let answer_line ~result ~reductions ~retrievals ~cached ~switched () =
   Printf.sprintf "ANSWER %s reductions=%d retrievals=%d%s%s" (one_line result)
     reductions retrievals
-    (if cached then if derived then " cached=derived" else " cached" else "")
+    (if cached then " cached" else "")
     (if switched then " switched" else "")
 
 let hello_line ?version:(v = version) ~learner () =

@@ -61,13 +61,10 @@ val help_lines : string list
     [PONG]. *)
 
 (** [cached] adds a [cached] token (before [switched]): the answer was
-    served from the answer cache and [reductions]/[retrievals] are 0.
-    [derived] (with [cached]) renders the token as [cached=derived]: the
-    answer was read off a θ-more-general cached entry by subsumption, not
-    an exact alpha-variant key. *)
+    served from the answer cache and [reductions]/[retrievals] are 0. *)
 val answer_line :
-  ?derived:bool -> result:string -> reductions:int -> retrievals:int ->
-  cached:bool -> switched:bool -> unit -> string
+  result:string -> reductions:int -> retrievals:int -> cached:bool ->
+  switched:bool -> unit -> string
 
 (** [HELLO strategem/<version> learner=<learner>]. [?version] defaults
     to the line-dialect {!version}; the server passes {!Frame.version}

@@ -50,13 +50,14 @@ val find_or_create : t -> Datalog.Atom.t -> entry
     through to {!Core.Live.answer}.
 
     With [cache], the answer cache is consulted (under the entry lock)
-    before SLD: a valid hit short-circuits to {!Core.Live.answer_cached}
-    — the learner still observes the query — and a miss stores the fresh
-    result unless the search was depth-truncated. When [parent] is given
+    first: a valid exact (alpha-variant) hit is answered by
+    {!Core.Live.answer_cached}, which still runs the current strategy's
+    execution so the learner observes the query, and a miss stores the
+    fresh result unless the search was depth-truncated. When [parent] is given
     and tracing is on, cache service is recorded on it as a [cache_hit]
     event (attrs [saved_reductions]/[saved_retrievals]/[fill_cost]) or a
     [cache_miss] event. [memo] is threaded to the SLD engine for subgoal
-    memoization on misses. *)
+    memoization on fallback-form misses. *)
 val answer :
   ?tracer:Trace.t ->
   ?parent:Trace.span ->

@@ -12,7 +12,6 @@ type config = {
   learner_config : Core.Learner.config;
   trace_sample : int;
   cache_mb : int;  (* answer-cache budget; 0 disables caching + memo *)
-  subsume : bool;  (* subsumption index + derived hits (needs cache_mb > 0) *)
   metrics_port : int option;  (* /metrics + /healthz HTTP port; 0 = ephemeral *)
   log_level : Obs.Log.level option;  (* None = structured logging off *)
   log_file : string option;  (* None = stderr *)
@@ -39,7 +38,6 @@ let default_config =
     learner_config = Core.Learner.default_config;
     trace_sample = 0;
     cache_mb = 64;
-    subsume = true;
     metrics_port = None;
     log_level = None;
     log_file = None;
@@ -318,11 +316,7 @@ let answer_traced st ~wait_us ~t0 tracer q =
      worker (execution) span at export *)
   (match Lifecycle.current () with
   | Some lc ->
-    lc.Lifecycle.lc_backend <-
-      (if ans.Core.Live.cached then
-         if ans.Core.Live.derived then Lifecycle.B_cache_derived
-         else Lifecycle.B_cache
-       else Lifecycle.B_sld);
+    lc.Lifecycle.lc_backend <- Lifecycle.backend_of ans;
     if Trace.enabled tracer then
       lc.Lifecycle.lc_exec <- Trace.root_span tracer
   | None -> ());
@@ -353,7 +347,6 @@ let log_query st ~conn ~qid ~latency_us ~tracer atom_text
           ("latency_us", Obs.Log.F latency_us);
           ("answered", Obs.Log.B (ans.Core.Live.result <> None));
           ("cached", Obs.Log.B ans.Core.Live.cached);
-          ("derived", Obs.Log.B ans.Core.Live.derived);
           ("switched", Obs.Log.B ans.Core.Live.switched);
         ];
   if st.cfg.slow_query_us > 0.0 && latency_us >= st.cfg.slow_query_us then begin
@@ -436,8 +429,7 @@ let handle_query st ~conn ~qid ~wait_us ~t0 atom_text =
       log_query st ~conn ~qid ~latency_us ~tracer atom_text ans;
       R_lines
         ( [
-            Protocol.answer_line ~derived:ans.Core.Live.derived
-              ~result:(result_string ans.Core.Live.result)
+            Protocol.answer_line ~result:(result_string ans.Core.Live.result)
               ~reductions:ans.Core.Live.stats.D.Sld.reductions
               ~retrievals:ans.Core.Live.stats.D.Sld.retrievals
               ~cached:ans.Core.Live.cached ~switched:ans.Core.Live.switched
@@ -457,15 +449,18 @@ let handle_trace st ~conn ~qid ~wait_us ~t0 atom_text =
         | Some sp -> Trace.to_json sp
         | None -> "{}"
       in
+      (* ["derived"] stays for existing clients; subsumption-derived
+         hits were removed, so it is always false. *)
       let reply =
         Printf.sprintf
           "{\"result\":\"%s\",\"reductions\":%d,\"retrievals\":%d,\
-           \"cached\":%b,\"derived\":%b,\"switched\":%b,\"paper_cost\":%.17g,\
-           \"monitor_cost\":%.17g,\"consistent\":%b,\"span\":%s}"
+           \"cached\":%b,\"derived\":false,\"switched\":%b,\
+           \"paper_cost\":%.17g,\"monitor_cost\":%.17g,\"consistent\":%b,\
+           \"span\":%s}"
           (Trace.json_escape (result_string ans.Core.Live.result))
           ans.Core.Live.stats.D.Sld.reductions
           ans.Core.Live.stats.D.Sld.retrievals ans.Core.Live.cached
-          ans.Core.Live.derived ans.Core.Live.switched paper_cost monitor_cost
+          ans.Core.Live.switched paper_cost monitor_cost
           (Float.abs (paper_cost -. monitor_cost) <= 1e-9)
           span_json
       in
@@ -1368,8 +1363,7 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
   let cache =
     if cfg.cache_mb > 0 then
       Some
-        (Cache.Answers.create ~subsume:cfg.subsume
-           ~capacity_bytes:(cfg.cache_mb * 1024 * 1024) ())
+        (Cache.Answers.create ~capacity_bytes:(cfg.cache_mb * 1024 * 1024) ())
     else None
   in
   let memo = if cfg.cache_mb > 0 then Some (D.Sld.Memo.create ()) else None in
@@ -1425,7 +1419,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
           {
             Metrics.answers = Cache.Answers.counters c;
             memo = D.Sld.Memo.counters m;
-            subsume = Cache.Answers.subsume_enabled c;
           }
       | _ -> None);
   (* The metrics responder is created inside the protected body (after

@@ -69,19 +69,10 @@ type config = {
           always traces its own query regardless. *)
   cache_mb : int;
       (** answer-cache budget in MiB ([--cache-mb]); [0] ([--no-cache])
-          disables both the answer cache and subgoal memoization. Cached
-          answers skip SLD but the form's learner still observes every
-          query, so learning is unaffected. *)
-  subsume : bool;
-      (** subsumption-based answer reuse ([--subsume] / [--no-subsume],
-          default on; moot under [--no-cache]): the cache keeps a
-          per-predicate generality index over its keys, answers
-          exact-key misses by filtering a θ-more-general entry's
-          enumerated answer set (a {e derived hit},
-          [ANSWER ... cached=derived]), and seeds the subgoal memo with
-          the ground instances a general fill proved. Learner
-          trajectories are byte-identical either way — only where
-          answers come from changes, never what the learner sees. *)
+          disables both the answer cache and subgoal memoization. Only
+          exact alpha-variant repeats hit; a hit still runs the form's
+          current strategy so its learner observes every query, and
+          learning is unaffected. *)
   metrics_port : int option;
       (** serve [GET /metrics] (Prometheus text 0.0.4) and
           [GET /healthz] ([200 ready] / [503 draining]) on this port

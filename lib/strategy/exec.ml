@@ -10,24 +10,17 @@ type outcome = {
   attempted : int list;
 }
 
-type tail = { successes : int list; extra : int list }
-
-(* The processor's walk. It stops at the [k]-th successful retrieval, or,
-   with [continue], records that satisficing outcome and walks on over the
-   remaining paths untraced, collecting the [tail]. *)
-let walk ?(tracer = Trace.null) ?(parent = Trace.dummy) ~continue k spec ctx
-    =
+let first_k ?(tracer = Trace.null) ?(parent = Trace.dummy) k spec ctx =
+  if k < 1 then invalid_arg "Exec.first_k: k must be at least 1";
   let g = Spec.graph spec in
   let n = Graph.n_arcs g in
   let paid = Array.make n false in
   let known_blocked = Array.make n false in
-  let traced = ref (Trace.enabled tracer) in
   let cost = ref 0. in
   let observations = ref [] in
   let attempted = ref [] in
   let found = ref 0 in
-  let stopped = ref None in
-  let tail = ref [] in
+  let last_success = ref None in
   (* Walk one path; returns [true] if its retrieval succeeded. *)
   let walk_path path =
     let rec go = function
@@ -49,7 +42,7 @@ let walk ?(tracer = Trace.null) ?(parent = Trace.dummy) ~continue k spec ctx
             end
             else true
           in
-          if !traced then
+          if Trace.enabled tracer then
             Trace.event tracer parent ~kind:"arc" ~cost:a.Graph.cost
               ~attrs:
                 [
@@ -63,51 +56,28 @@ let walk ?(tracer = Trace.null) ?(parent = Trace.dummy) ~continue k spec ctx
     in
     go path
   in
-  let outcome success_arc =
-    {
-      cost = !cost;
-      succeeded = success_arc <> None;
-      success_arc;
-      observations = List.rev !observations;
-      attempted = List.rev !attempted;
-    }
-  in
   let rec run_paths = function
     | [] -> ()
     | path :: rest ->
-      if not (walk_path path) then run_paths rest
-      else begin
-        let last = List.nth path (List.length path - 1) in
-        match !stopped with
-        | Some _ ->
-          tail := last :: !tail;
-          run_paths rest
-        | None ->
-          incr found;
-          if !found < k then run_paths rest
-          else begin
-            stopped := Some (outcome (Some last));
-            if continue then begin
-              traced := false;
-              attempted := [];
-              run_paths rest
-            end
-          end
+      if walk_path path then begin
+        incr found;
+        (match List.rev path with
+        | last :: _ -> last_success := Some last
+        | [] -> ());
+        if !found < k then run_paths rest
       end
+      else run_paths rest
   in
   run_paths (Spec.to_paths spec);
-  match !stopped with
-  | Some o -> (o, { successes = List.rev !tail; extra = List.rev !attempted })
-  | None -> (outcome None, { successes = []; extra = [] })
-
-let first_k ?tracer ?parent k spec ctx =
-  if k < 1 then invalid_arg "Exec.first_k: k must be at least 1";
-  fst (walk ?tracer ?parent ~continue:false k spec ctx)
+  {
+    cost = !cost;
+    succeeded = !found >= k;
+    success_arc = (if !found >= k then !last_success else None);
+    observations = List.rev !observations;
+    attempted = List.rev !attempted;
+  }
 
 let run ?tracer ?parent spec ctx = first_k ?tracer ?parent 1 spec ctx
-
-let run_on ?tracer ?parent spec ctx =
-  walk ?tracer ?parent ~continue:true 1 spec ctx
 
 let to_partial g outcome =
   let partial = Context.Partial.unknown g in

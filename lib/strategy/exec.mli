@@ -25,23 +25,6 @@ type outcome = {
     [outcome.cost]. Defaults: [Trace.null]/[Trace.dummy] — free. *)
 val run : ?tracer:Trace.t -> ?parent:Trace.span -> Spec.t -> Context.t -> outcome
 
-(** What the processor would pay to go on past the satisficing stop. *)
-type tail = {
-  successes : int list;
-      (** the unblocked retrievals reached after the first, in path order *)
-  extra : int list;  (** the arcs paid after the first success, in order *)
-}
-
-(** [run_on spec ctx] = [run spec ctx] plus the search's continuation past
-    the first success node: every remaining path is walked the same way
-    (arcs paid once, blocked arcs remembered) and its work and successes
-    are returned as the [tail]. The outcome is exactly [run]'s; only it is
-    traced. A failed search has an empty tail. This is how a caller
-    enumerates a query's whole answer set from the one execution that
-    answered it. *)
-val run_on :
-  ?tracer:Trace.t -> ?parent:Trace.span -> Spec.t -> Context.t -> outcome * tail
-
 (** The partial context a learner knows after watching this run. *)
 val to_partial : Graph.t -> outcome -> Context.Partial.t
 

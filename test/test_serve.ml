@@ -61,14 +61,6 @@ let protocol_parse () =
     "ANSWER yes reductions=0 retrievals=0 cached switched"
     (Serve.Protocol.answer_line ~result:"yes" ~reductions:0 ~retrievals:0
        ~cached:true ~switched:true ());
-  check_string "derived cached answer line"
-    "ANSWER yes reductions=0 retrievals=0 cached=derived"
-    (Serve.Protocol.answer_line ~derived:true ~result:"yes" ~reductions:0
-       ~retrievals:0 ~cached:true ~switched:false ());
-  check_string "derived without cached renders nothing"
-    "ANSWER yes reductions=2 retrievals=2"
-    (Serve.Protocol.answer_line ~derived:true ~result:"yes" ~reductions:2
-       ~retrievals:2 ~cached:false ~switched:false ());
   check_string "hello line carries version and learner"
     (Printf.sprintf "HELLO strategem/%d learner=pib" Serve.Protocol.version)
     (Serve.Protocol.hello_line ~learner:"pib" ());
@@ -199,11 +191,11 @@ let metrics_counters_and_histogram () =
   check_bool "json has form" true (contains "\"f_1_b\"" json);
   check_bool "json has climbs" true (contains "\"climbs\":1" json)
 
-(* Golden lock on the cache, memo, subsumption and store statistics: the
-   STATS lines, the STATS JSON blocks and the Prometheus families, byte
-   for byte. Every reading is distinct and non-zero so a field read from
-   the wrong counter shows; the checkpoint lies in the future so its age
-   clamps to 0. *)
+(* Golden lock on the cache, memo and store statistics: the STATS lines,
+   the STATS JSON blocks and the Prometheus families, byte for byte.
+   Every reading is distinct and non-zero so a field read from the wrong
+   counter shows; the subsumption keys always read 0; the checkpoint lies
+   in the future so its age clamps to 0. *)
 
 let golden_cache =
   {
@@ -216,10 +208,6 @@ let golden_cache =
         entries = 15;
         bytes = 16;
         capacity_bytes = 17;
-        derived_hits = 22;
-        derived_scanned = 23;
-        subsume_misses = 24;
-        index_keys = 25;
       };
     memo =
       {
@@ -228,7 +216,6 @@ let golden_cache =
         invalidations = 20;
         entries = 21;
       };
-    subsume = true;
   }
 
 let golden_store () =
@@ -317,11 +304,11 @@ let metrics_blocks_golden () =
       "memo_misses 19";
       "memo_invalidations 20";
       "memo_entries 21";
-      "cache_subsume_enabled 1";
-      "cache_derived_hits 22";
-      "cache_derived_scan_entries 23";
-      "cache_subsume_misses 24";
-      "cache_index_keys 25";
+      "cache_subsume_enabled 0";
+      "cache_derived_hits 0";
+      "cache_derived_scan_entries 0";
+      "cache_subsume_misses 0";
+      "cache_index_keys 0";
       "store_enabled 1";
       "store_page_size_bytes 4096";
       "store_pages 31";
@@ -345,9 +332,9 @@ let metrics_blocks_golden () =
     "\"cache\":{\"version\":1,\"enabled\":true,\"hits\":11,\"misses\":12,\
      \"evictions\":13,\"invalidations\":14,\"entries\":15,\"bytes\":16,\
      \"capacity_bytes\":17,\"memo\":{\"hits\":18,\"misses\":19,\
-     \"invalidations\":20,\"entries\":21},\"subsume\":{\"enabled\":true,\
-     \"derived_hits\":22,\"derived_scan_entries\":23,\"subsume_misses\":24,\
-     \"index_keys\":25}},\"store\":{\"version\":1,\"page_size_bytes\":4096,\
+     \"invalidations\":20,\"entries\":21},\"subsume\":{\"enabled\":false,\
+     \"derived_hits\":0,\"derived_scan_entries\":0,\"subsume_misses\":0,\
+     \"index_keys\":0}},\"store\":{\"version\":1,\"page_size_bytes\":4096,\
      \"pages\":31,\"pool_pages\":32,\"pool_hits\":33,\"pool_misses\":34,\
      \"pool_evictions\":35,\"page_reads\":36,\"page_writes\":37,\
      \"wal_bytes\":38,\"wal_appends\":39,\"wal_syncs\":40,\
@@ -362,14 +349,14 @@ let metrics_blocks_golden () =
       "# HELP strategem_cache_capacity_bytes Answer-cache capacity in bytes";
       "# TYPE strategem_cache_capacity_bytes gauge";
       "strategem_cache_capacity_bytes 17";
-      "# HELP strategem_cache_derived_hits_total Answer-cache derived hits \
-       (answered by filtering a more general cached entry's answer set)";
+      "# HELP strategem_cache_derived_hits_total Always 0: \
+       subsumption-based answer reuse was removed";
       "# TYPE strategem_cache_derived_hits_total counter";
-      "strategem_cache_derived_hits_total 22";
-      "# HELP strategem_cache_derived_scan_entries_total Candidate \
-       generalizations examined across subsumption probes";
+      "strategem_cache_derived_hits_total 0";
+      "# HELP strategem_cache_derived_scan_entries_total Always 0: \
+       subsumption-based answer reuse was removed";
       "# TYPE strategem_cache_derived_scan_entries_total counter";
-      "strategem_cache_derived_scan_entries_total 23";
+      "strategem_cache_derived_scan_entries_total 0";
       "# HELP strategem_cache_enabled 1 when the answer cache is on";
       "# TYPE strategem_cache_enabled gauge";
       "strategem_cache_enabled 1";
@@ -382,10 +369,10 @@ let metrics_blocks_golden () =
       "# HELP strategem_cache_hits_total Answer-cache hits";
       "# TYPE strategem_cache_hits_total counter";
       "strategem_cache_hits_total 11";
-      "# HELP strategem_cache_index_keys Keys registered in the subsumption \
-       index";
+      "# HELP strategem_cache_index_keys Always 0: subsumption-based answer \
+       reuse was removed";
       "# TYPE strategem_cache_index_keys gauge";
-      "strategem_cache_index_keys 25";
+      "strategem_cache_index_keys 0";
       "# HELP strategem_cache_invalidations_total Answer-cache entries \
        dropped after DB mutations";
       "# TYPE strategem_cache_invalidations_total counter";
@@ -393,14 +380,14 @@ let metrics_blocks_golden () =
       "# HELP strategem_cache_misses_total Answer-cache misses";
       "# TYPE strategem_cache_misses_total counter";
       "strategem_cache_misses_total 12";
-      "# HELP strategem_cache_subsume_enabled 1 when subsumption-based answer \
-       reuse is on";
+      "# HELP strategem_cache_subsume_enabled Always 0: subsumption-based \
+       answer reuse was removed";
       "# TYPE strategem_cache_subsume_enabled gauge";
-      "strategem_cache_subsume_enabled 1";
-      "# HELP strategem_cache_subsume_misses_total Subsumption probes that \
-       found no usable generalization";
+      "strategem_cache_subsume_enabled 0";
+      "# HELP strategem_cache_subsume_misses_total Always 0: \
+       subsumption-based answer reuse was removed";
       "# TYPE strategem_cache_subsume_misses_total counter";
-      "strategem_cache_subsume_misses_total 24";
+      "strategem_cache_subsume_misses_total 0";
       "# HELP strategem_memo_entries Subgoal-memo resident entries";
       "# TYPE strategem_memo_entries gauge";
       "strategem_memo_entries 21";
@@ -769,17 +756,16 @@ let server_v4_busy_keeps_conn () =
     start_genealogy_server ~loops:1 ~queue_depth:1 ()
   in
   let c = Serve.Client.connect ~proto:`V4 ~port () in
-  (* park the single worker on the slow free query (a few ms: it
-     enumerates the answer set for the cache) ... *)
-  let slow = Serve.Client.post c "QUERY relative(X)" in
-  (* ... and overflow the depth-1 queue while it runs. No pause between
-     the posts: the burst must arrive before the slow query finishes. *)
-  let bound =
-    List.init 6 (fun i ->
-        Serve.Client.post c
-          (Printf.sprintf "QUERY relative(%s)" (List.nth people i)))
+  (* the free query and six more in one write: the loop parses the whole
+     burst before it runs any of it, so the depth-1 FIFO takes the first
+     and the rest overflow it, however fast the first one runs *)
+  let posted =
+    Serve.Client.post_batch c
+      ("QUERY relative(X)"
+      :: List.init 6 (fun i ->
+             Printf.sprintf "QUERY relative(%s)" (List.nth people i)))
   in
-  let posted = slow :: bound in
+  let slow = List.hd posted in
   let responses = List.map (fun _ -> Serve.Client.recv c) posted in
   check_bool "every response id was posted" true
     (List.sort compare (List.map fst responses) = List.sort compare posted);
@@ -1335,10 +1321,9 @@ let server_lifecycle_flight_e2e () =
   let worker =
     List.find (fun sp -> Trace.kind sp = "worker") (Trace.children span)
   in
-  check_bool "worker span shows the backend (cache or sld)" true
-    (List.exists
-       (fun sp -> Trace.kind sp = "cache" || Trace.kind sp = "sld")
-       (Trace.children worker));
+  (* A cold query of a strategy-served form: its execution answered. *)
+  check_bool "worker span shows the backend (exec)" true
+    (List.exists (fun sp -> Trace.kind sp = "exec") (Trace.children worker));
   (* Stage timestamps are monotone through the pipeline. *)
   let start k =
     Trace.start_ns
@@ -1455,6 +1440,32 @@ let server_lifecycle_flight_e2e () =
   check_string "shutdown" "BYE" (Serve.Client.request c "SHUTDOWN");
   Serve.Client.close c;
   Thread.join thread
+
+let lifecycle_backend_labels () =
+  (* The lifecycle names the engine that produced each answer: the
+     strategy's execution on an exactly modelled form, SLD only on a
+     fallback (here recursive) form, the cache on an exact repeat. *)
+  let rules, facts, _ =
+    D.Parser.parse_kb
+      "instructor(X) :- prof(X).\n\
+       instructor(X) :- grad(X).\n\
+       anc(X, Y) :- par(X, Y).\n\
+       anc(X, Y) :- up(X, Y).\n\
+       up(X, Y) :- anc(X, Y).\n\
+       grad(manolis).\n\
+       par(a, b).\n"
+  in
+  let rulebase = D.Rulebase.of_list rules and db = D.Database.of_list facts in
+  let reg = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
+  let cache = Cache.Answers.create ~capacity_bytes:(1 lsl 16) () in
+  let label q =
+    Serve.Lifecycle.backend_name
+      (Serve.Lifecycle.backend_of
+         (Serve.Registry.answer ~cache reg ~db (D.Parser.parse_atom q)))
+  in
+  check_string "strategy-served form" "exec" (label "instructor(manolis)");
+  check_string "recursive form" "sld" (label "anc(a, b)");
+  check_string "exact repeat" "cache" (label "instructor(manolis)")
 
 let server_lifecycle_off_still_serves () =
   (* --no-lifecycle / --flight-capacity 0 / --retain 0: the whole layer
@@ -1581,19 +1592,21 @@ let server_shed_per_loop () =
   check_bool "one conn on each loop" true
     (contains "\"id\":0,\"conns\":1" stats_json
     && contains "\"id\":1,\"conns\":1" stats_json);
-  let slow = Serve.Client.post a "QUERY relative(X)" in
-  let flood =
-    List.init 6 (fun i ->
-        Serve.Client.post a
-          (Printf.sprintf "QUERY relative(%s)" (List.nth people i)))
+  (* one write, so loop 0 parses the whole flood before running any *)
+  let posted =
+    Serve.Client.post_batch a
+      ("QUERY relative(X)"
+      :: List.init 6 (fun i ->
+             Printf.sprintf "QUERY relative(%s)" (List.nth people i)))
   in
+  let slow = List.hd posted in
   let peer =
     Serve.Client.request b
       (Printf.sprintf "QUERY relative(%s)" (List.nth people 7))
   in
   check_bool "loop 1 answers while loop 0 sheds" true
     (String.length peer >= 6 && String.sub peer 0 6 = "ANSWER");
-  let responses = List.map (fun _ -> Serve.Client.recv a) (slow :: flood) in
+  let responses = List.map (fun _ -> Serve.Client.recv a) posted in
   check_bool "the flooding conn was shed" true
     (List.exists (fun (_, lines) -> lines = [ "BUSY" ]) responses);
   check_bool "its slow query still answered" true
@@ -1850,5 +1863,7 @@ let suite =
           server_quit_drops_pending;
         slow_case "SNAPSHOT into an uncreatable state dir is an ERR"
           server_snapshot_verb_unix_error;
+        case "lifecycle labels the engine that answered"
+          lifecycle_backend_labels;
       ] );
   ]
