@@ -46,11 +46,12 @@ module Make (K : KEY) = struct
             });
     }
 
-  let shard_of t k = t.shards.(K.hash k land max_int mod Array.length t.shards)
-
-  let with_shard sh f =
-    Mutex.lock sh.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock sh.lock) f
+  (* The shard's [Tbl] buckets on the low bits of [K.hash], so picking
+     the shard from those same bits would leave most of every shard's
+     buckets empty whenever keys hash sequentially (symbol ids do).
+     Mixing the hash first decorrelates the two. *)
+  let shard_of t k =
+    t.shards.(Hashtbl.hash (K.hash k) mod Array.length t.shards)
 
   (* Recency-list surgery; shard lock held. *)
   let unlink sh n =
@@ -78,51 +79,72 @@ module Make (K : KEY) = struct
         evict_over sh
       | _ -> ()
 
+  (* Each locked section below is list surgery and table operations on
+     keys whose [equal] and [hash] do not raise, so a plain lock/unlock
+     pair stands in for a [Fun.protect] closure per call. *)
   let find t k =
     let sh = shard_of t k in
-    with_shard sh (fun () ->
-        match Tbl.find_opt sh.tbl k with
-        | None -> None
-        | Some n ->
-          unlink sh n;
-          push_front sh n;
-          Some n.value)
+    Mutex.lock sh.lock;
+    let r =
+      match Tbl.find sh.tbl k with
+      | exception Not_found -> None
+      | n ->
+        unlink sh n;
+        push_front sh n;
+        Some n.value
+    in
+    Mutex.unlock sh.lock;
+    r
 
   let add t k v ~bytes =
     let sh = shard_of t k in
-    with_shard sh (fun () ->
-        (match Tbl.find_opt sh.tbl k with
-        | Some n ->
-          n.value <- v;
-          sh.used <- sh.used - n.size + bytes;
-          n.size <- bytes;
-          unlink sh n;
-          push_front sh n
-        | None ->
-          let n = { key = k; value = v; size = bytes; prev = None; next = None } in
-          Tbl.add sh.tbl k n;
-          sh.used <- sh.used + bytes;
-          push_front sh n);
-        evict_over sh)
+    Mutex.lock sh.lock;
+    (match Tbl.find sh.tbl k with
+    | n ->
+      n.value <- v;
+      sh.used <- sh.used - n.size + bytes;
+      n.size <- bytes;
+      unlink sh n;
+      push_front sh n
+    | exception Not_found ->
+      let n = { key = k; value = v; size = bytes; prev = None; next = None } in
+      Tbl.add sh.tbl k n;
+      sh.used <- sh.used + bytes;
+      push_front sh n);
+    evict_over sh;
+    Mutex.unlock sh.lock
 
   let remove t k =
     let sh = shard_of t k in
-    with_shard sh (fun () ->
-        match Tbl.find_opt sh.tbl k with
-        | None -> false
-        | Some n ->
-          unlink sh n;
-          Tbl.remove sh.tbl k;
-          sh.used <- sh.used - n.size;
-          true)
+    Mutex.lock sh.lock;
+    let r =
+      match Tbl.find sh.tbl k with
+      | exception Not_found -> false
+      | n ->
+        unlink sh n;
+        Tbl.remove sh.tbl k;
+        sh.used <- sh.used - n.size;
+        true
+    in
+    Mutex.unlock sh.lock;
+    r
 
-  let sum t f =
+  let fold_shards t f =
     Array.fold_left
-      (fun acc sh -> acc + with_shard sh (fun () -> f sh))
+      (fun acc sh ->
+        Mutex.lock sh.lock;
+        let r = f acc sh in
+        Mutex.unlock sh.lock;
+        r)
       0 t.shards
 
+  let sum t f = fold_shards t (fun acc sh -> acc + f sh)
   let length t = sum t (fun sh -> Tbl.length sh.tbl)
   let bytes t = sum t (fun sh -> sh.used)
   let capacity_bytes t = sum t (fun sh -> sh.capacity)
   let evictions t = sum t (fun sh -> sh.evicted)
+
+  let longest_chain t =
+    fold_shards t (fun acc sh ->
+        Int.max acc (Tbl.stats sh.tbl).Hashtbl.max_bucket_length)
 end

@@ -39,4 +39,8 @@ module Make (K : KEY) : sig
 
   (** Total entries evicted for capacity since creation. *)
   val evictions : 'v t -> int
+
+  (** The longest bucket chain across the shards' hash tables — how well
+      the shard choice and the tables' own bucketing spread the keys. *)
+  val longest_chain : 'v t -> int
 end

@@ -406,17 +406,6 @@ let default_config =
     pao_max_contexts = 10_000;
   }
 
-(* Typed telemetry events, emitted through the hook installed with
-   {!set_hook}. [Observed] fires after every observation and carries
-   the bound-check reading (check_every defaults to 1, so each
-   observation is a bound check); [Climbed] fires when the learner
-   switched strategies internally (or finished); [Conjectured] fires
-   when the consumer polls the switch out. *)
-type event =
-  | Observed of progress
-  | Climbed of progress
-  | Conjectured of progress
-
 type t = {
   name : string;
   observe : Context.t -> Exec.outcome -> unit;
@@ -425,41 +414,18 @@ type t = {
   finished : unit -> bool;
   serialize : unit -> string;
   progress : unit -> progress;
-  hook : (event -> unit) option ref;
   reseed : Spec.dfs -> t;
 }
 
 let pack (type a) (module M : S with type t = a) ~reseed (st : a) =
-  let hook = ref None in
   {
     name = M.name;
-    observe =
-      (fun ctx outcome ->
-        (* The no-hook path pays one branch — progress readings (which
-           allocate for PIB) happen only when someone listens. *)
-        match !hook with
-        | None -> M.observe st ctx outcome
-        | Some emit ->
-          let before = M.progress st in
-          M.observe st ctx outcome;
-          let after = M.progress st in
-          emit (Observed after);
-          if after.climbs > before.climbs || (after.finished && not before.finished)
-          then emit (Climbed after));
+    observe = M.observe st;
     current = (fun () -> M.current st);
-    conjecture =
-      (fun () ->
-        match M.conjecture st with
-        | None -> None
-        | Some d ->
-          (match !hook with
-          | Some emit -> emit (Conjectured (M.progress st))
-          | None -> ());
-          Some d);
+    conjecture = (fun () -> M.conjecture st);
     finished = (fun () -> M.finished st);
     serialize = (fun () -> M.serialize st);
     progress = (fun () -> M.progress st);
-    hook;
     reseed;
   }
 
@@ -492,6 +458,4 @@ let conjecture t = t.conjecture ()
 let finished t = t.finished ()
 let serialize t = t.serialize ()
 let progress t = t.progress ()
-let set_hook t f = t.hook := Some f
-let clear_hook t = t.hook := None
 let reseed t d = t.reseed d

@@ -160,35 +160,17 @@ val pack :
 
 val name : t -> string
 
-(** Feed one (context, outcome) pair; emits {!Observed} (and possibly
-    {!Climbed}) through the hook, if one is installed. *)
+(** Feed one (context, outcome) pair. *)
 val observe : t -> Context.t -> Exec.outcome -> unit
 
 val current : t -> Spec.dfs
 
-(** Poll for a switch; emits {!Conjectured} when it returns [Some]. *)
+(** Poll for a switch. *)
 val conjecture : t -> Spec.dfs option
 
 val finished : t -> bool
 val serialize : t -> string
 val progress : t -> progress
-
-(** {1 Telemetry events}
-
-    [Observed] fires after every observation with the bound-check
-    reading ([check_every] defaults to 1, so every observation is a
-    bound check); [Climbed] when the learner switched strategies
-    internally (or finished); [Conjectured] when the consumer polls the
-    switch out. The hook runs synchronously on the observing thread —
-    keep it cheap. {!reseed} returns a learner {e without} a hook;
-    re-install after reseeding (as {!Live.on_event} does). *)
-type event =
-  | Observed of progress
-  | Climbed of progress
-  | Conjectured of progress
-
-val set_hook : t -> (event -> unit) -> unit
-val clear_hook : t -> unit
 
 (** A fresh learner of the same kind and configuration, started at the
     given strategy. *)

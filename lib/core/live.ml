@@ -21,9 +21,6 @@ type t = {
   mutable switches : int;
   mutable reductions : int;
   mutable retrievals : int;
-  mutable event_hook : (Learner.event -> unit) option;
-      (* remembered so reseeding (which builds a hookless learner)
-         keeps the telemetry stream alive *)
 }
 
 (* Read the per-predicate rule order off the strategy: breadth-first over
@@ -91,7 +88,6 @@ let create ?(learner = `Pib) ?config ~rulebase ~query_form () =
     switches = 0;
     reductions = 0;
     retrievals = 0;
-    event_hook = None;
   }
 
 let graph t = t.built.Build.graph
@@ -107,17 +103,10 @@ let adopt t d =
   t.paths <- Spec.compile d;
   t.order_by_pred <- derive_orders t.built d
 
-let on_event t f =
-  t.event_hook <- Some f;
-  Learner.set_hook t.learner f
-
 let set_strategy t d =
   if d.Spec.graph != t.built.Build.graph then
     invalid_arg "Live.set_strategy: strategy built on a different graph";
   t.learner <- Learner.reseed t.learner d;
-  (match t.event_hook with
-  | Some f -> Learner.set_hook t.learner f
-  | None -> ());
   adopt t d
 
 (* Does the executed strategy answer queries of this form on [db] exactly

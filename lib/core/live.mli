@@ -51,12 +51,6 @@ val climbs : t -> int
     otherwise. *)
 val set_strategy : t -> Strategy.Spec.dfs -> unit
 
-(** Install a learner telemetry hook (see {!Learner.event}). Survives
-    {!set_strategy}'s reseeding: the hook is re-installed on the fresh
-    learner. The hook runs synchronously inside {!answer} — keep it
-    cheap. *)
-val on_event : t -> (Learner.event -> unit) -> unit
-
 type answer = {
   result : Datalog.Subst.t option;  (** first answer, if any *)
   stats : Datalog.Sld.stats;

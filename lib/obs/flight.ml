@@ -30,14 +30,14 @@ let record t ~ts_ns ~code ~loop ~conn ~rid ~a ~b =
     (* Payload first, the slot's seq stamp second, the publish last: a
        concurrent reader that copies this slot mid-write sees a stale
        stamp and drops it. *)
-    Bytes.set_int64_le t.buf (off + 8) ts_ns;
+    Bytes.set_int64_le t.buf (off + 8) (Int64.of_int ts_ns);
     Bytes.set_uint16_le t.buf (off + 16) (code land 0xFFFF);
     Bytes.set_uint16_le t.buf (off + 18) (loop land 0xFFFF);
     Bytes.set_int32_le t.buf (off + 20) (Int32.of_int conn);
     Bytes.set_int32_le t.buf (off + 24) (Int32.of_int rid);
     Bytes.set_int32_le t.buf (off + 28) 0l;
-    Bytes.set_int64_le t.buf (off + 32) a;
-    Bytes.set_int64_le t.buf (off + 40) b;
+    Bytes.set_int64_le t.buf (off + 32) (Int64.of_int a);
+    Bytes.set_int64_le t.buf (off + 40) (Int64.of_int b);
     Bytes.set_int64_le t.buf off (Int64.of_int s);
     Atomic.set t.published (s + 1)
   end

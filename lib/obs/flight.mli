@@ -41,16 +41,18 @@ val capacity : t -> int
 (** Events ever recorded (= the sequence number the next record gets). *)
 val seq : t -> int
 
-(** Append one event. Owning-loop thread only; no-op when disabled. *)
+(** Append one event. Owning-loop thread only; no-op when disabled.
+    Every argument is an immediate [int], so recording allocates
+    nothing. *)
 val record :
   t ->
-  ts_ns:int64 ->
+  ts_ns:int ->
   code:int ->
   loop:int ->
   conn:int ->
   rid:int ->
-  a:int64 ->
-  b:int64 ->
+  a:int ->
+  b:int ->
   unit
 
 (** One decoded record. *)

@@ -33,19 +33,23 @@ type kind = Counter_k | Gauge_k | Histogram_k
    last bucket is the overflow. 22 doubling buckets reach ~4.2 s. *)
 let n_buckets = 22
 
-let bucket_of_value v =
-  let v = int_of_float (Float.max v 0.0) in
-  let rec go i bound = if v < bound then i else go (i + 1) (bound * 2) in
-  Int.min (go 0 2) n_buckets
+(* Top-level and closed, so the hot path allocates no closure. *)
+let rec bucket_from v i bound =
+  if v < bound || i >= n_buckets then i else bucket_from v (i + 1) (bound * 2)
+
+let bucket_of_int v = bucket_from v 0 2
+
+let bucket_of_value v = bucket_of_int (int_of_float (Float.max v 0.0))
 
 (* Upper bound of bucket [i] (the Prometheus [le]); the overflow bucket
    has no finite bound. *)
 let bucket_upper i = 1 lsl (i + 1)
 
+(* [h_sum] is a one-slot float array so adding to it never boxes. *)
 type hist_state = {
   h_lock : Mutex.t;
   mutable h_count : int;
-  mutable h_sum : float;
+  h_sum : float array;
   h_buckets : int array;  (* length n_buckets + 1 *)
 }
 
@@ -128,7 +132,7 @@ let child fam values =
               {
                 h_lock = Mutex.create ();
                 h_count = 0;
-                h_sum = 0.0;
+                h_sum = [| 0.0 |];
                 h_buckets = Array.make (n_buckets + 1) 0;
               }
         in
@@ -220,20 +224,34 @@ module Histogram = struct
 
   let state c = match c.state with Histogram_c h -> h | _ -> assert false
 
-  let observe c v =
+  (* The body cannot raise, so a plain lock/unlock pair replaces
+     [with_lock] and its closure. Inlined, so [v] is never boxed. *)
+  let[@inline] add c b v =
     let h = state c in
-    with_lock h.h_lock (fun () ->
-        h.h_count <- h.h_count + 1;
-        h.h_sum <- h.h_sum +. v;
-        let b = bucket_of_value v in
-        h.h_buckets.(b) <- h.h_buckets.(b) + 1)
+    Mutex.lock h.h_lock;
+    h.h_count <- h.h_count + 1;
+    h.h_sum.(0) <- h.h_sum.(0) +. v;
+    h.h_buckets.(b) <- h.h_buckets.(b) + 1;
+    Mutex.unlock h.h_lock
+
+  let observe c v = add c (bucket_of_value v) v
+
+  (* [observe] of [ns / 1000] µs, taking the duration as an immediate
+     int so the call allocates nothing. *)
+  let observe_ns c ns =
+    let ns = Int.max 0 ns in
+    add c (bucket_of_int (ns / 1000)) (float_of_int ns /. 1e3)
 
   type snapshot = { count : int; sum : float; buckets : int array }
 
   let snapshot c =
     let h = state c in
-    with_lock h.h_lock (fun () ->
-        { count = h.h_count; sum = h.h_sum; buckets = Array.copy h.h_buckets })
+    Mutex.lock h.h_lock;
+    let s =
+      { count = h.h_count; sum = h.h_sum.(0); buckets = Array.copy h.h_buckets }
+    in
+    Mutex.unlock h.h_lock;
+    s
 
   let mean s = if s.count = 0 then 0.0 else s.sum /. float_of_int s.count
 

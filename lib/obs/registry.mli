@@ -102,6 +102,10 @@ module Histogram : sig
   val solo : fam -> t
   val observe : t -> float -> unit
 
+  (** [observe_ns h ns] observes a nanosecond duration in µs
+      ([ns / 1000], negative clamped to 0) without allocating. *)
+  val observe_ns : t -> int -> unit
+
   type snapshot = { count : int; sum : float; buckets : int array }
 
   (** A consistent point-in-time copy. *)

@@ -59,7 +59,7 @@ type t = {
   mutable hwm : int;
   mutable rseq : int;
   mutable last_active : float;  (* for idle timeouts *)
-  accept_ns : int64;  (* accept wall clock, for lifecycle accept spans *)
+  accept_ns : int;  (* accept wall clock, for lifecycle accept spans *)
   (* monotonic byte marks: a sender records the enqueued total right
      after its append ({!send_mark}) and the loop compares it against
      the flushed total to learn when that response has fully drained to
@@ -68,7 +68,7 @@ type t = {
   mutable flushed_bytes : int;
 }
 
-let create ?(accept_ns = 0L) ~id ~peer ~ip ~limits fd =
+let create ?(accept_ns = 0) ~id ~peer ~ip ~limits fd =
   {
     fd;
     id;

@@ -52,17 +52,17 @@ type incoming =
 type read_status = Continue | Eof | Rerror of string
 
 val create :
-  ?accept_ns:int64 ->
+  ?accept_ns:int ->
   id:int -> peer:string -> ip:string -> limits:limits ->
   Unix.file_descr -> t
-(** [accept_ns] (default [0L]) stamps the socket's accept time for the
+(** [accept_ns] (default [0]) stamps the socket's accept time for the
     lifecycle tracker's [accept] spans. *)
 
 val fd : t -> Unix.file_descr
 val id : t -> int
 
-val accept_ns : t -> int64
-(** The [accept_ns] given at create ([0L] when not recorded). *)
+val accept_ns : t -> int
+(** The [accept_ns] given at create ([0] when not recorded). *)
 
 val peer : t -> string
 

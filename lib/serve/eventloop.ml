@@ -158,9 +158,9 @@ let dispatch t fd bits =
   else
     (* Re-check membership per event: an earlier callback in this batch
        may have closed this connection. *)
-    match Hashtbl.find_opt t.handlers fd with
-    | None -> ()
-    | Some e -> e.callback ~readable:(bits land 1 <> 0) ~writable:(bits land 2 <> 0)
+    match Hashtbl.find t.handlers fd with
+    | exception Not_found -> ()
+    | e -> e.callback ~readable:(bits land 1 <> 0) ~writable:(bits land 2 <> 0)
 
 let iterate_epoll t ep ~timeout_ms =
   let n = epoll_wait ep timeout_ms t.out_fds t.out_evs in

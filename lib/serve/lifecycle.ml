@@ -5,13 +5,13 @@ type t = {
   lc_rid : int;
   lc_loop : int;
   lc_framed : bool;
-  lc_label : string;
-  lc_accept_ns : int64;
-  lc_frame_ns : int64;
-  mutable lc_queue_ns : int64;
-  mutable lc_worker_ns : int64;
-  mutable lc_respond_ns : int64;
-  mutable lc_flush_ns : int64;
+  lc_req : Protocol.request;
+  lc_accept_ns : int;
+  lc_frame_ns : int;
+  mutable lc_queue_ns : int;
+  mutable lc_worker_ns : int;
+  mutable lc_respond_ns : int;
+  mutable lc_flush_ns : int;
   mutable lc_backend : backend;
   mutable lc_shed : bool;
   mutable lc_error : bool;
@@ -22,21 +22,24 @@ type t = {
   mutable lc_exec : Trace.span option;
 }
 
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
+(* Wall-clock nanoseconds as an immediate int: the clock {!Trace} spans
+   and flight events use, so a grafted exec tree lines up with the
+   stages, and no stamp is ever boxed. *)
+let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-let create ~conn ~rid ~loop ~framed ~label ~accept_ns ~frame_ns =
+let create ~conn ~rid ~loop ~framed ~req ~accept_ns ~frame_ns =
   {
     lc_conn = conn;
     lc_rid = rid;
     lc_loop = loop;
     lc_framed = framed;
-    lc_label = label;
+    lc_req = req;
     lc_accept_ns = accept_ns;
     lc_frame_ns = frame_ns;
-    lc_queue_ns = 0L;
-    lc_worker_ns = 0L;
-    lc_respond_ns = 0L;
-    lc_flush_ns = 0L;
+    lc_queue_ns = 0;
+    lc_worker_ns = 0;
+    lc_respond_ns = 0;
+    lc_flush_ns = 0;
     lc_backend = B_none;
     lc_shed = false;
     lc_error = false;
@@ -66,11 +69,28 @@ let add_page_wait lc ns =
 (* ---------- reads ---------- *)
 
 let last_ns lc =
-  let m a b = if Int64.compare a b > 0 then a else b in
-  m lc.lc_flush_ns
-    (m lc.lc_respond_ns (m lc.lc_worker_ns lc.lc_queue_ns))
+  Int.max lc.lc_flush_ns
+    (Int.max lc.lc_respond_ns (Int.max lc.lc_worker_ns lc.lc_queue_ns))
 
-let total_ns lc = Int64.max 0L (Int64.sub (last_ns lc) lc.lc_frame_ns)
+let total_ns lc = Int.max 0 (last_ns lc - lc.lc_frame_ns)
+
+(* Rendered only when a record is exported. *)
+let label = function
+  | Protocol.Query a -> "QUERY " ^ a
+  | Protocol.Trace a -> "TRACE " ^ a
+  | Protocol.Strategy a -> "STRATEGY " ^ a
+  | Protocol.Hello | Protocol.Hello_v4 -> "HELLO"
+  | Protocol.Stats -> "STATS"
+  | Protocol.Stats_json -> "STATS JSON"
+  | Protocol.Snapshot -> "SNAPSHOT"
+  | Protocol.Ping -> "PING"
+  | Protocol.Help -> "HELP"
+  | Protocol.Flight -> "FLIGHT"
+  | Protocol.Quit -> "QUIT"
+  | Protocol.Shutdown -> "SHUTDOWN"
+  | Protocol.Empty -> ""
+  | Protocol.Malformed _ -> "(malformed)"
+  | Protocol.Unknown v -> v
 
 let backend_name = function
   | B_none -> "none"
@@ -83,26 +103,59 @@ let backend_of (a : Core.Live.answer) =
   else if a.Core.Live.fallback then B_sld
   else B_exec
 
+(* ---------- finalize ---------- *)
+
+let flight_event flight lc code ts a b =
+  if ts <> 0 then
+    Obs.Flight.record flight ~ts_ns:ts ~code ~loop:lc.lc_loop ~conn:lc.lc_conn
+      ~rid:lc.lc_rid ~a ~b
+
+let observe_stage lh stage ~from ~till =
+  if from <> 0 && till <> 0 then Metrics.observe_stage lh stage (till - from)
+
+(* Every call takes immediate ints and preresolved handles: finalizing
+   a record allocates nothing. *)
+let finalize lc ~flight lh =
+  let total = total_ns lc in
+  flight_event flight lc Obs.Flight.code_request lc.lc_frame_ns 0 0;
+  flight_event flight lc Obs.Flight.code_enqueue lc.lc_queue_ns 0 0;
+  flight_event flight lc Obs.Flight.code_worker lc.lc_worker_ns
+    lc.lc_wal_wait_ns lc.lc_page_wait_ns;
+  if lc.lc_shed then
+    flight_event flight lc Obs.Flight.code_shed lc.lc_respond_ns 0 0
+  else
+    flight_event flight lc Obs.Flight.code_respond lc.lc_respond_ns
+      (if lc.lc_error then 1 else 0)
+      0;
+  flight_event flight lc Obs.Flight.code_flush lc.lc_flush_ns total 0;
+  observe_stage lh Metrics.Frame ~from:lc.lc_frame_ns ~till:lc.lc_queue_ns;
+  observe_stage lh Metrics.Queue ~from:lc.lc_queue_ns ~till:lc.lc_worker_ns;
+  observe_stage lh Metrics.Worker ~from:lc.lc_worker_ns ~till:lc.lc_respond_ns;
+  observe_stage lh Metrics.Flush ~from:lc.lc_respond_ns ~till:lc.lc_flush_ns;
+  Metrics.observe_stage lh Metrics.Total total;
+  if lc.lc_wal_syncs > 0 then
+    Metrics.observe_stage lh Metrics.Wal_fsync lc.lc_wal_wait_ns;
+  if lc.lc_page_reads > 0 then
+    Metrics.observe_stage lh Metrics.Page_read lc.lc_page_wait_ns
+
 (* ---------- span-tree export ---------- *)
 
 let to_span lc =
   let loop_attr = ("loop", string_of_int lc.lc_loop) in
   let stage ?(children = []) ~kind ~from ~till () =
-    if Int64.equal from 0L then None
+    if from = 0 then None
     else
-      let wall =
-        if Int64.equal till 0L then 0L else Int64.max 0L (Int64.sub till from)
-      in
+      let wall = if till = 0 then 0 else Int.max 0 (till - from) in
       Some
-        (Trace.span ~kind ~start_ns:from ~wall_ns:wall ~attrs:[ loop_attr ]
-           ~children kind)
+        (Trace.span ~kind ~start_ns:(Int64.of_int from)
+           ~wall_ns:(Int64.of_int wall) ~attrs:[ loop_attr ] ~children kind)
   in
   let backend_children =
     let wait ~kind ~ns ~count =
       if count = 0 then None
       else
         Some
-          (Trace.span ~kind ~start_ns:lc.lc_worker_ns
+          (Trace.span ~kind ~start_ns:(Int64.of_int lc.lc_worker_ns)
              ~wall_ns:(Int64.of_int ns)
              ~attrs:[ loop_attr; ("count", string_of_int count) ]
              kind)
@@ -119,10 +172,12 @@ let to_span lc =
       | B_none -> backend_children
       | (B_cache | B_exec | B_sld) as b ->
         [
-          Trace.span ~kind:(backend_name b) ~start_ns:lc.lc_worker_ns
+          Trace.span ~kind:(backend_name b)
+            ~start_ns:(Int64.of_int lc.lc_worker_ns)
             ~wall_ns:
-              (if Int64.equal lc.lc_respond_ns 0L then 0L
-               else Int64.max 0L (Int64.sub lc.lc_respond_ns lc.lc_worker_ns))
+              (Int64.of_int
+                 (if lc.lc_respond_ns = 0 then 0
+                  else Int.max 0 (lc.lc_respond_ns - lc.lc_worker_ns)))
             ~attrs:[ loop_attr ] ~children:backend_children (backend_name b);
         ]
     in
@@ -140,7 +195,8 @@ let to_span lc =
       ]
   in
   let flag b = if b then "true" else "false" in
-  Trace.span ~kind:"request" ~start_ns:lc.lc_frame_ns ~wall_ns:(total_ns lc)
+  Trace.span ~kind:"request" ~start_ns:(Int64.of_int lc.lc_frame_ns)
+    ~wall_ns:(Int64.of_int (total_ns lc))
     ~attrs:
       [
         loop_attr;
@@ -151,4 +207,4 @@ let to_span lc =
         ("shed", flag lc.lc_shed);
         ("error", flag lc.lc_error);
       ]
-    ~children lc.lc_label
+    ~children (label lc.lc_req)

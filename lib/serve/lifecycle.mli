@@ -14,6 +14,17 @@
     ([--no-lifecycle]) no record exists and every touch point is one
     [Option] test.
 
+    The loop reads the clock once per stage boundary and shares a stamp
+    wherever boundaries coincide: [frame] is the stamp of the read that
+    parsed the request (shared by every request that read parsed);
+    [queue] is the stamp of the execution pass that runs it (shared by
+    the pass); [worker] is the previous request's [respond] stamp, or the
+    pass's stamp for the pass's first request; [respond] is read when
+    its execution ends; [flush] is the stamp of the finalize pass that
+    saw its bytes drained (shared by that pass). The frame stage is
+    therefore read-to-pass, the queue stage the wait behind the pass's
+    earlier requests.
+
     The ambient {!current} pointer (for store-wait attribution from
     layers that cannot see the request) is domain-local, and each loop
     domain executes one request at a time, so a wait is always charged
@@ -28,13 +39,15 @@ type t = {
   lc_rid : int;             (** request id (v4 client id / line seqno) *)
   lc_loop : int;            (** owning event loop *)
   lc_framed : bool;         (** v4 frame (vs line dialect) *)
-  lc_label : string;        (** verb word, plus the atom for queries *)
-  lc_accept_ns : int64;     (** the connection's accept time *)
-  lc_frame_ns : int64;      (** request parsed out of the read buffer *)
-  mutable lc_queue_ns : int64;    (** appended to the FIFO (0 = never) *)
-  mutable lc_worker_ns : int64;   (** execution started (0 = never) *)
-  mutable lc_respond_ns : int64;  (** response enqueued (0 = never) *)
-  mutable lc_flush_ns : int64;    (** response drained (0 = never) *)
+  lc_req : Protocol.request;
+      (** the request; its label (verb word, plus the atom for queries)
+          is rendered only on export *)
+  lc_accept_ns : int;       (** the connection's accept time *)
+  lc_frame_ns : int;        (** the read that parsed the request *)
+  mutable lc_queue_ns : int;      (** its execution pass began (0 = never) *)
+  mutable lc_worker_ns : int;     (** execution started (0 = never) *)
+  mutable lc_respond_ns : int;    (** execution ended (0 = never) *)
+  mutable lc_flush_ns : int;      (** response drained (0 = never) *)
   mutable lc_backend : backend;
   mutable lc_shed : bool;         (** answered BUSY: its FIFO was full *)
   mutable lc_error : bool;        (** error reply, or the conn died *)
@@ -46,16 +59,18 @@ type t = {
       (** the armed tracer's span tree, when this request was traced *)
 }
 
-val now_ns : unit -> int64
+(** Wall-clock nanoseconds (the clock of {!Trace} spans), as an
+    immediate [int]: one read per stage boundary, never boxed. *)
+val now_ns : unit -> int
 
 val create :
   conn:int ->
   rid:int ->
   loop:int ->
   framed:bool ->
-  label:string ->
-  accept_ns:int64 ->
-  frame_ns:int64 ->
+  req:Protocol.request ->
+  accept_ns:int ->
+  frame_ns:int ->
   t
 
 (** {1 Ambient record (store-wait attribution)} *)
@@ -73,12 +88,21 @@ val add_page_wait : t -> int -> unit
 
 (** Whole-request nanoseconds: parse to flush (or to the last stamped
     timestamp for requests that never flushed). *)
-val total_ns : t -> int64
+val total_ns : t -> int
 
 val backend_name : backend -> string
 
 (** The backend that produced an answer. *)
 val backend_of : Core.Live.answer -> backend
+
+(** {1 Finalize} *)
+
+(** Replay the record's stamps into the loop's flight ring (request,
+    enqueue, worker, respond or shed, flush events) and observe its
+    stage latencies ([frame], [queue], [worker], [flush], [total], plus
+    [wal_fsync]/[page_read] when the store waited). Owning loop thread
+    only; allocates nothing once each stage's series exists. *)
+val finalize : t -> flight:Obs.Flight.t -> Metrics.loop_handles -> unit
 
 (** {1 Span-tree export}
 

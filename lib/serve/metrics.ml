@@ -193,25 +193,50 @@ let json_block buf name stats r =
   if last <> "" then Buffer.add_char buf '}';
   Buffer.add_string buf "},"
 
+type stage = Frame | Queue | Worker | Flush | Total | Wal_fsync | Page_read
+
+let n_stages = 7
+
+let stage_index = function
+  | Frame -> 0
+  | Queue -> 1
+  | Worker -> 2
+  | Flush -> 3
+  | Total -> 4
+  | Wal_fsync -> 5
+  | Page_read -> 6
+
+let stage_name = function
+  | Frame -> "frame"
+  | Queue -> "queue"
+  | Worker -> "worker"
+  | Flush -> "flush"
+  | Total -> "total"
+  | Wal_fsync -> "wal_fsync"
+  | Page_read -> "page_read"
+
 (* Per-loop hot-path handles, obtained once by each event loop of the
    reactor fleet at spawn — the loop updates only its own (uncontended)
-   series. *)
+   series. Levels the loop sets per request are plain ints, mirrored
+   into their gauges at collect time so no update boxes a float. *)
 type loop_handles = {
   loop_id : int;
   lg_conns : R.Gauge.t;
   lc_wakeups : R.Counter.t;
   lg_pipeline : R.Gauge.t;
+  lh_pipeline : int Atomic.t;
   (* the loop's {domain} series: requests it executed, and for how long *)
   lc_served : R.Counter.t;
   lc_busy_us : R.Counter.t;
-  (* stage -> child of the {stage, loop} latency histogram family;
-     filled lazily, loop thread only *)
+  (* the {stage, loop} latency histogram children, indexed by
+     [stage_index]; each is created on its stage's first observation
+     (so a stage never seen exports no series), loop thread only *)
   lh_stage_fam : R.Histogram.fam;
-  lh_stages : (string, R.Histogram.t) Hashtbl.t;
+  lh_stages : R.Histogram.t option array;
   lg_exemplar : R.Gauge.t;
 }
 
-type form_handles = {
+type form = {
   c_queries : R.Counter.t;
   c_answered : R.Counter.t;
   c_climbs : R.Counter.t;
@@ -222,24 +247,30 @@ type form_handles = {
   g_samples_total : R.Gauge.t;
   g_learner_climbs : R.Gauge.t;
   g_finished : R.Gauge.t;
-  mutable strategy : string;
+  strategy : string Atomic.t;
 }
 
 type t = {
   reg : R.t;
   started : float;
   lock : Mutex.t;  (* guards [forms] creation and the providers *)
-  forms : (string, form_handles) Hashtbl.t;
+  forms : (string, form) Hashtbl.t;
   trace_lock : Mutex.t;
   traces : Trace.Ring.t option;
   mutable cache_provider : (unit -> cache_reading option) option;
   mutable store_provider : (unit -> Store.stats option) option;
   mirror_cache : cache_reading option -> unit;
   mirror_store : Store.stats option -> unit;
-  (* Window high-water accumulator, consumed (reset) by whichever of
-     STATS or a /metrics scrape reads it first — "max depth since the
-     last read". The all-time high-water gauge never resets. *)
-  window_hwm : float Atomic.t;
+  (* Queue and pipeline levels, set per request as ints and mirrored
+     into their gauges at collect time. The window high water is
+     consumed (reset) by whichever of STATS or a /metrics scrape reads
+     it first — "max depth since the last read"; the all-time high
+     waters never reset. *)
+  queue_depth : int Atomic.t;
+  queue_hwm : int Atomic.t;
+  window_hwm : int Atomic.t;
+  pipeline_depth : int Atomic.t;
+  pipeline_hwm : int Atomic.t;
   g_domains : R.Gauge.t;
   f_domain_conns : R.Counter.fam;
   f_domain_busy_us : R.Counter.fam;
@@ -333,7 +364,11 @@ let create ?(trace_capacity = 0) () =
       store_provider = None;
       mirror_cache = register reg cache_stats;
       mirror_store = register reg store_stats;
-      window_hwm = Atomic.make 0.0;
+      queue_depth = Atomic.make 0;
+      queue_hwm = Atomic.make 0;
+      window_hwm = Atomic.make 0;
+      pipeline_depth = Atomic.make 0;
+      pipeline_hwm = Atomic.make 0;
       g_domains =
         gauge "Domains running event loops (one per loop)" "strategem_domains";
       f_domain_conns =
@@ -469,19 +504,29 @@ let create ?(trace_capacity = 0) () =
           ~labels:[ "form" ] "strategem_learner_finished";
     }
   in
+  let level g a = R.Gauge.set g (float_of_int (Atomic.get a)) in
   R.on_collect reg (fun () ->
       R.Gauge.set t.g_uptime (Unix.gettimeofday () -. t.started);
       let n_forms = with_lock t (fun () -> Hashtbl.length t.forms) in
       R.Gauge.set t.g_forms_active (float_of_int n_forms);
-      R.Gauge.set t.g_queue_hwm_window (Atomic.exchange t.window_hwm 0.0);
+      level t.g_queue_depth t.queue_depth;
+      level t.g_queue_hwm t.queue_hwm;
+      R.Gauge.set t.g_queue_hwm_window
+        (float_of_int (Atomic.exchange t.window_hwm 0));
+      level t.g_pipeline_depth t.pipeline_depth;
+      level t.g_pipeline_hwm t.pipeline_hwm;
+      List.iter
+        (fun lh -> level lh.lg_pipeline lh.lh_pipeline)
+        (with_lock t (fun () -> t.loop_list));
       let cache, store = readings t in
       Option.iter t.mirror_cache cache;
       Option.iter t.mirror_store store);
   t
 
 let render_prometheus t = Obs.Expo.render t.reg
+let on_collect t f = R.on_collect t.reg f
 
-let form_handles t key =
+let form t key =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.forms key with
       | Some fh -> fh
@@ -499,7 +544,7 @@ let form_handles t key =
             g_samples_total = R.Gauge.labels t.f_learner_samples_total l;
             g_learner_climbs = R.Gauge.labels t.f_learner_climbs l;
             g_finished = R.Gauge.labels t.f_learner_finished l;
-            strategy = "";
+            strategy = Atomic.make "";
           }
         in
         (* A new form's epsilon starts at +inf: no evidence yet. *)
@@ -524,31 +569,30 @@ let loop_handles t ~loop =
       lg_conns = R.Gauge.labels t.f_loop_conns l;
       lc_wakeups = R.Counter.labels t.f_loop_wakeups l;
       lg_pipeline = R.Gauge.labels t.f_loop_pipeline l;
+      lh_pipeline = Atomic.make 0;
       lc_served = R.Counter.labels t.f_domain_conns l;
       lc_busy_us = R.Counter.labels t.f_domain_busy_us l;
       lh_stage_fam = t.f_stage_latency;
-      lh_stages = Hashtbl.create 8;
+      lh_stages = Array.make n_stages None;
       lg_exemplar = R.Gauge.labels t.f_retained_exemplar l;
     }
   in
   with_lock t (fun () -> t.loop_list <- lh :: t.loop_list);
   lh
 
-(* Loop thread only (like every [lh] update): the per-stage child cache
+(* Loop thread only (like every [lh] update): the per-stage child array
    needs no lock. *)
-let observe_stage lh ~stage us =
-  let h =
-    match Hashtbl.find_opt lh.lh_stages stage with
-    | Some h -> h
-    | None ->
-      let h =
-        R.Histogram.labels lh.lh_stage_fam
-          [ stage; string_of_int lh.loop_id ]
-      in
-      Hashtbl.add lh.lh_stages stage h;
-      h
-  in
-  R.Histogram.observe h us
+let observe_stage lh stage ns =
+  let i = stage_index stage in
+  match lh.lh_stages.(i) with
+  | Some h -> R.Histogram.observe_ns h ns
+  | None ->
+    let h =
+      R.Histogram.labels lh.lh_stage_fam
+        [ stage_name stage; string_of_int lh.loop_id ]
+    in
+    lh.lh_stages.(i) <- Some h;
+    R.Histogram.observe_ns h ns
 
 let lifecycle_finalized t = R.Counter.inc t.c_lifecycle
 
@@ -565,11 +609,11 @@ let loop_conn_closed lh = R.Gauge.add lh.lg_conns (-1.0)
 (* The loop owns the monotonic count (Eventloop.wakeups); the series
    mirrors it. *)
 let set_loop_wakeups lh n = R.Counter.set lh.lc_wakeups n
-let set_loop_pipeline_depth lh n = R.Gauge.set lh.lg_pipeline (float_of_int n)
+let set_loop_pipeline_depth lh n = Atomic.set lh.lh_pipeline n
 
-let loop_served lh ~busy_us =
+let loop_served lh ~busy_ns =
   R.Counter.inc lh.lc_served;
-  R.Counter.add lh.lc_busy_us (int_of_float busy_us)
+  R.Counter.add lh.lc_busy_us (busy_ns / 1000)
 
 let write_overflow t ~shed_bytes =
   R.Counter.inc t.c_write_overflow;
@@ -589,10 +633,14 @@ let conn_opened t = R.Gauge.add t.g_conns_open 1.0
 let conn_closed t = R.Gauge.add t.g_conns_open (-1.0)
 let conns_open t = int_of_float (R.Gauge.value t.g_conns_open)
 
+(* Closed and top-level, so the hot path allocates no closure. *)
+let rec atomic_max a v =
+  let cur = Atomic.get a in
+  if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
+
 let set_pipeline_depth t d =
-  let d = float_of_int d in
-  R.Gauge.set t.g_pipeline_depth d;
-  R.Gauge.set_max t.g_pipeline_hwm d
+  Atomic.set t.pipeline_depth d;
+  atomic_max t.pipeline_hwm d
 
 let set_backend t s = t.backend <- s
 
@@ -603,16 +651,11 @@ let snapshot_saved t ~forms =
 let forms_loaded t n = R.Counter.add t.c_forms_loaded n
 
 let observe_queue_depth t d =
-  let d = float_of_int d in
-  R.Gauge.set t.g_queue_depth d;
-  R.Gauge.set_max t.g_queue_hwm d;
-  let rec bump () =
-    let cur = Atomic.get t.window_hwm in
-    if d > cur && not (Atomic.compare_and_set t.window_hwm cur d) then bump ()
-  in
-  bump ()
+  Atomic.set t.queue_depth d;
+  atomic_max t.queue_hwm d;
+  atomic_max t.window_hwm d
 
-let queue_waited t ~wait_us = R.Histogram.observe t.h_queue_wait wait_us
+let queue_waited t ~wait_ns = R.Histogram.observe_ns t.h_queue_wait wait_ns
 let slow_query t = R.Counter.inc t.c_slow
 
 let trace_sampling t = t.traces <> None
@@ -622,9 +665,8 @@ let trace t json =
   | None -> ()
   | Some ring ->
     Mutex.lock t.trace_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.trace_lock)
-      (fun () -> Trace.Ring.add ring json)
+    Trace.Ring.add ring json;
+    Mutex.unlock t.trace_lock
 
 let recent_traces t =
   match t.traces with
@@ -635,20 +677,16 @@ let recent_traces t =
       ~finally:(fun () -> Mutex.unlock t.trace_lock)
       (fun () -> Trace.Ring.to_list ring)
 
-let query t ~form ~latency_us ~answered ~switched =
-  let fh = form_handles t form in
+let query fh ~latency_ns ~answered ~switched =
   R.Counter.inc fh.c_queries;
   if answered then R.Counter.inc fh.c_answered;
   if switched then R.Counter.inc fh.c_climbs;
-  R.Histogram.observe fh.h_latency latency_us
+  R.Histogram.observe_ns fh.h_latency latency_ns
 
-let set_form_strategy t ~form s =
-  let fh = form_handles t form in
-  with_lock t (fun () -> fh.strategy <- s)
+let set_strategy fh s = Atomic.set fh.strategy s
 
-let learner_progress t ~form ~samples ~samples_total ~climbs ~epsilon ~delta
+let learner_progress fh ~samples ~samples_total ~climbs ~epsilon ~delta
     ~finished =
-  let fh = form_handles t form in
   R.Gauge.set fh.g_eps epsilon;
   R.Gauge.set fh.g_delta delta;
   R.Gauge.set fh.g_samples (float_of_int samples);
@@ -673,7 +711,7 @@ let climbs_total t =
   sum_forms (sorted_forms t) (fun fh -> R.Counter.value fh.c_climbs)
 
 let busy_total t = R.Counter.value t.c_busy
-let queue_high_water t = int_of_float (R.Gauge.value t.g_queue_hwm)
+let queue_high_water t = Atomic.get t.queue_hwm
 
 (* Every STATS field and its order is part of the frozen text contract;
    values are read out of the registry instruments. New fields are only
@@ -699,12 +737,10 @@ let render_text t =
       Printf.sprintf "snapshots_total %d" (R.Counter.value t.c_snapshots);
       Printf.sprintf "forms_loaded %d" (R.Counter.value t.c_forms_loaded);
       Printf.sprintf "forms_active %d" (List.length forms);
-      Printf.sprintf "queue_high_water %d"
-        (int_of_float (R.Gauge.value t.g_queue_hwm));
-      Printf.sprintf "queue_depth %d"
-        (int_of_float (R.Gauge.value t.g_queue_depth));
+      Printf.sprintf "queue_high_water %d" (Atomic.get t.queue_hwm);
+      Printf.sprintf "queue_depth %d" (Atomic.get t.queue_depth);
       Printf.sprintf "queue_high_water_window %d"
-        (int_of_float (Atomic.exchange t.window_hwm 0.0));
+        (Atomic.exchange t.window_hwm 0);
       Printf.sprintf "queue_wait_count %d" qw.R.Histogram.count;
       Printf.sprintf "queue_wait_mean_us %.0f" (R.Histogram.mean qw);
       Printf.sprintf "queue_wait_p95_us %d" (R.Histogram.quantile qw 0.95);
@@ -713,10 +749,9 @@ let render_text t =
       (* Additive (event-loop front end): reactor connection and
          pipelining state. *)
       Printf.sprintf "conns_open %d" (conns_open t);
-      Printf.sprintf "pipeline_depth %d"
-        (int_of_float (R.Gauge.value t.g_pipeline_depth));
+      Printf.sprintf "pipeline_depth %d" (Atomic.get t.pipeline_depth);
       Printf.sprintf "pipeline_depth_high_water %d"
-        (int_of_float (R.Gauge.value t.g_pipeline_hwm));
+        (Atomic.get t.pipeline_hwm);
       (* Additive (reactor fleet): loop count plus the write-cap, idle
          and per-IP shedding counters. *)
       Printf.sprintf "loops %d" (loops t);
@@ -751,7 +786,7 @@ let render_text t =
           (R.Histogram.quantile h 0.50)
           (R.Histogram.quantile h 0.95)
           (R.Histogram.quantile h 0.99)
-          (with_lock t (fun () -> fh.strategy)))
+          (Atomic.get fh.strategy))
       forms
   in
   counters @ form_lines
@@ -798,9 +833,8 @@ let render_json t =
        (R.Counter.value t.c_snapshots)
        (R.Counter.value t.c_forms_loaded)
        (List.length forms)
-       (int_of_float (R.Gauge.value t.g_queue_hwm))
-       (int_of_float (R.Gauge.value t.g_queue_depth))
-       (int_of_float (Atomic.exchange t.window_hwm 0.0))
+       (Atomic.get t.queue_hwm) (Atomic.get t.queue_depth)
+       (Atomic.exchange t.window_hwm 0)
        qw.R.Histogram.count (R.Histogram.mean qw)
        (R.Histogram.quantile qw 0.50)
        (R.Histogram.quantile qw 0.95)
@@ -814,8 +848,8 @@ let render_json t =
         \"conns_open\":%d,\"pipeline_depth\":%d,\
         \"pipeline_depth_high_water\":%d},"
        (json_escape t.backend) Frame.version (conns_open t)
-       (int_of_float (R.Gauge.value t.g_pipeline_depth))
-       (int_of_float (R.Gauge.value t.g_pipeline_hwm)));
+       (Atomic.get t.pipeline_depth)
+       (Atomic.get t.pipeline_hwm));
   (* Additive block (schema stays 1): the reactor fleet — per-loop
      connection/wakeup/pipeline readings plus the shedding counters. *)
   Buffer.add_string buf
@@ -837,7 +871,7 @@ let render_json t =
            lh.loop_id
            (int_of_float (R.Gauge.value lh.lg_conns))
            (R.Counter.value lh.lc_wakeups)
-           (int_of_float (R.Gauge.value lh.lg_pipeline))))
+           (Atomic.get lh.lh_pipeline)))
     (sorted_loops t);
   Buffer.add_string buf "]},";
   (* Additive block (schema stays 1): request-lifecycle tracing. *)
@@ -866,7 +900,7 @@ let render_json t =
            (R.Histogram.quantile h 0.50)
            (R.Histogram.quantile h 0.95)
            (R.Histogram.quantile h 0.99)
-           (json_escape (with_lock t (fun () -> fh.strategy)))))
+           (json_escape (Atomic.get fh.strategy))))
     forms;
   Buffer.add_string buf "}";
   (match t.traces with

@@ -31,8 +31,13 @@ val create : ?trace_capacity:int -> unit -> t
 
 (** The whole registry in Prometheus text exposition format 0.0.4 —
     the [GET /metrics] body. Runs the collect hooks (cache mirror,
-    uptime, windowed high-water). *)
+    uptime, queue and pipeline levels, windowed high-water, learner
+    gauges). *)
 val render_prometheus : t -> string
+
+(** Register a hook run before every [/metrics] render (see
+    {!Obs.Registry.on_collect}). *)
+val on_collect : t -> (unit -> unit) -> unit
 
 (** {1 Events} *)
 
@@ -57,9 +62,9 @@ val forms_loaded : t -> int -> unit
     [/metrics] scrape reads it. *)
 val observe_queue_depth : t -> int -> unit
 
-(** A request spent [wait_us] in its loop's FIFO before the loop began
-    executing it. *)
-val queue_waited : t -> wait_us:float -> unit
+(** A request spent [wait_ns] in its loop's FIFO before the loop began
+    executing it (recorded in µs). *)
+val queue_waited : t -> wait_ns:int -> unit
 
 (** A query took at least the slow-query threshold
     ([strategem_slow_queries_total]). *)
@@ -114,18 +119,24 @@ val set_loop_wakeups : loop_handles -> int -> unit
 (** Requests in this loop's FIFO as an execution pass starts. *)
 val set_loop_pipeline_depth : loop_handles -> int -> unit
 
-(** One request executed by this loop, which spent [busy_us] on it (FIFO
-    wait excluded). The family name
-    [strategem_domain_connections_total] predates per-request
-    accounting; the name is frozen, the unit is a request. *)
-val loop_served : loop_handles -> busy_us:float -> unit
+(** One request executed by this loop, which spent [busy_ns] on it (FIFO
+    wait excluded; counted in whole µs). The
+    family name [strategem_domain_connections_total] predates
+    per-request accounting; the name is frozen, the unit is a
+    request. *)
+val loop_served : loop_handles -> busy_ns:int -> unit
 
-(** One stage of a finalized request's lifecycle, in microseconds:
-    [strategem_stage_latency_us{stage, loop}]. Stage vocabulary:
-    [frame], [queue], [worker], [flush], [total], plus [wal_fsync] and
-    [page_read] when the store waited. Loop thread only (the per-stage
-    child cache is unlocked). *)
-val observe_stage : loop_handles -> stage:string -> float -> unit
+(** The lifecycle stages with a latency series, labeled [frame],
+    [queue], [worker], [flush], [total], [wal_fsync] and [page_read]. *)
+type stage = Frame | Queue | Worker | Flush | Total | Wal_fsync | Page_read
+
+(** One stage of a finalized request's lifecycle, given in nanoseconds
+    and recorded in microseconds:
+    [strategem_stage_latency_us{stage, loop}]. [Wal_fsync] and
+    [Page_read] are observed only when the store waited. Loop thread
+    only (the per-stage handles are unlocked); allocation-free once the
+    stage's series exists. *)
+val observe_stage : loop_handles -> stage -> int -> unit
 
 (** A request's lifecycle record was finalized
     ([strategem_lifecycle_requests_total]). *)
@@ -157,22 +168,32 @@ val trace_sampling : t -> bool
     no-op when sampling is off. *)
 val trace : t -> string -> unit
 
+(** {1 Per-form series} *)
+
+(** One query form's handles: its query/answer/climb counters, latency
+    histogram, learner gauges and strategy string. *)
+type form
+
+(** The handles of the form with this key, created on first use (cold
+    path: takes the metrics lock — callers keep the handle). A new
+    form's epsilon gauge starts at [+inf]. *)
+val form : t -> string -> form
+
 (** One answered query: latency, whether an answer was found, and whether
-    it triggered a strategy climb. *)
+    it triggered a strategy climb. Lock- and allocation-free. *)
 val query :
-  t -> form:string -> latency_us:float -> answered:bool -> switched:bool ->
-  unit
+  form -> latency_ns:int -> answered:bool -> switched:bool -> unit
 
 (** The form's current strategy, pre-rendered (shown by [STATS]). *)
-val set_form_strategy : t -> form:string -> string -> unit
+val set_strategy : form -> string -> unit
 
-(** Update the form's [strategem_learner_*] convergence gauges from a
+(** Set the form's [strategem_learner_*] convergence gauges from a
     {!Core.Learner.progress} reading (fields passed positionally so this
-    module stays core-agnostic). Called from the learner event hook on
-    every observation. *)
+    module stays core-agnostic). The registry calls it from an
+    {!on_collect} hook, so the gauges are read off the learner at scrape
+    time. *)
 val learner_progress :
-  t ->
-  form:string ->
+  form ->
   samples:int ->
   samples_total:int ->
   climbs:int ->

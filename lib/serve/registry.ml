@@ -1,31 +1,25 @@
 module D = Datalog
+module By_pred = Map.Make (Int)
 
 type entry = {
   key : string;
   form : D.Atom.t;
   live : Core.Live.t;
   lock : Mutex.t;
+  metrics : Metrics.form;
 }
 
 type t = {
-  lock : Mutex.t;
+  lock : Mutex.t;  (* serializes entry creation *)
   rulebase : D.Rulebase.t;
   learner : Core.Learner.kind;
   config : Core.Learner.config;
   metrics : Metrics.t;
-  entries : (string, entry) Hashtbl.t;
+  (* Entries by predicate id; a bucket's entries differ in arity or
+     adornment. The map is immutable and replaced whole (under [lock])
+     when an entry is added, so a lookup reads it without a lock. *)
+  forms : entry list By_pred.t Atomic.t;
 }
-
-let create ?(learner = `Pib) ?(config = Core.Learner.default_config) ~rulebase
-    metrics =
-  {
-    lock = Mutex.create ();
-    rulebase;
-    learner;
-    config;
-    metrics;
-    entries = Hashtbl.create 8;
-  }
 
 let form_of_query (q : D.Atom.t) =
   let args =
@@ -57,118 +51,171 @@ let key_of_form (form : D.Atom.t) =
 let render live =
   Format.asprintf "%a" Strategy.Spec.pp_dfs (Core.Live.strategy live)
 
+(* A plain lock/unlock pair around [f] — no [Fun.protect] closure — that
+   still releases the lock if [f] raises. *)
 let with_live (entry : entry) f =
   Mutex.lock entry.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock entry.lock) (fun () ->
-      f entry.live)
+  match f entry.live with
+  | v ->
+    Mutex.unlock entry.lock;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Mutex.unlock entry.lock;
+    Printexc.raise_with_backtrace e bt
 
 let strategy_string entry = with_live entry render
 
-(* Forward the learner's telemetry into the per-form convergence
-   gauges. The hook fires on every observation (bound check), climb,
-   and adopted conjecture — the gauges always show the latest
-   reading. *)
-let publish_progress metrics ~form (p : Core.Learner.progress) =
-  Metrics.learner_progress metrics ~form
-    ~samples:p.Core.Learner.samples
-    ~samples_total:p.Core.Learner.samples_total
-    ~climbs:p.Core.Learner.climbs ~epsilon:p.Core.Learner.epsilon
-    ~delta:p.Core.Learner.delta ~finished:p.Core.Learner.finished
+(* Same arity, and a constant exactly where the form has its bound
+   marker: the query has this form. Compares in place, allocating
+   nothing. *)
+let rec same_adornment args form_args =
+  match (args, form_args) with
+  | [], [] -> true
+  | a :: rest, f :: form_rest ->
+    Bool.equal (D.Term.is_const a) (D.Term.is_const f)
+    && same_adornment rest form_rest
+  | _ -> false
 
-let install_telemetry metrics ~form live =
-  Core.Live.on_event live (fun ev ->
-      match ev with
-      | Core.Learner.Observed p
-      | Core.Learner.Climbed p
-      | Core.Learner.Conjectured p -> publish_progress metrics ~form p);
-  publish_progress metrics ~form
-    (Core.Learner.progress (Core.Live.learner live))
+let rec find_form (q : D.Atom.t) = function
+  | [] -> raise Not_found
+  | e :: rest ->
+    if same_adornment q.D.Atom.args e.form.D.Atom.args then e
+    else find_form q rest
 
-let find_or_create t atom =
-  let form = form_of_query atom in
-  let key = key_of_form form in
+(* Raises [Not_found] when the query's form has no entry yet. *)
+let lookup t (q : D.Atom.t) =
+  find_form q (By_pred.find (D.Symbol.id q.D.Atom.pred) (Atomic.get t.forms))
+
+let all_entries t =
+  By_pred.fold (fun _ es acc -> es @ acc) (Atomic.get t.forms) []
+
+(* The learner gauges are read off each learner when /metrics is
+   rendered: one source per statistic, and nothing paid per
+   observation. *)
+let publish_progress t =
+  List.iter
+    (fun (e : entry) ->
+      let p =
+        with_live e (fun live -> Core.Learner.progress (Core.Live.learner live))
+      in
+      Metrics.learner_progress e.metrics ~samples:p.Core.Learner.samples
+        ~samples_total:p.Core.Learner.samples_total
+        ~climbs:p.Core.Learner.climbs ~epsilon:p.Core.Learner.epsilon
+        ~delta:p.Core.Learner.delta ~finished:p.Core.Learner.finished)
+    (all_entries t)
+
+let create ?(learner = `Pib) ?(config = Core.Learner.default_config) ~rulebase
+    metrics =
+  let t =
+    {
+      lock = Mutex.create ();
+      rulebase;
+      learner;
+      config;
+      metrics;
+      forms = Atomic.make By_pred.empty;
+    }
+  in
+  Metrics.on_collect metrics (fun () -> publish_progress t);
+  t
+
+let add_entry t atom =
   Mutex.lock t.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.lock)
     (fun () ->
-      match Hashtbl.find_opt t.entries key with
-      | Some e -> e
-      | None ->
+      match lookup t atom with
+      | e -> e (* another domain added it first *)
+      | exception Not_found ->
+        let form = form_of_query atom in
+        let key = key_of_form form in
         let live =
           Core.Live.create ~learner:t.learner ~config:t.config
             ~rulebase:t.rulebase ~query_form:form ()
         in
-        let e = { key; form; live; lock = Mutex.create () } in
-        Hashtbl.add t.entries key e;
-        install_telemetry t.metrics ~form:key live;
-        Metrics.set_form_strategy t.metrics ~form:key (render live);
+        let metrics = Metrics.form t.metrics key in
+        Metrics.set_strategy metrics (render live);
+        let e = { key; form; live; lock = Mutex.create (); metrics } in
+        let id = D.Symbol.id atom.D.Atom.pred in
+        let forms = Atomic.get t.forms in
+        let bucket = Option.value ~default:[] (By_pred.find_opt id forms) in
+        Atomic.set t.forms (By_pred.add id (e :: bucket) forms);
         e)
+
+let find_or_create t atom =
+  match lookup t atom with e -> e | exception Not_found -> add_entry t atom
 
 let learner_kind t = t.learner
 
-let answer ?(tracer = Trace.null) ?parent ?cache ?memo t ~db q =
-  let entry = find_or_create t q in
-  (* Cache service is visible in traces as an event on the caller's span:
-     a hit records what the fill paid; a miss is a marker. *)
-  let cache_event kind attrs =
-    match parent with
+(* Cache service is visible in traces as an event on the caller's span:
+   a hit records what the fill paid; a miss is a marker. Only called
+   when tracing, so the attrs are never rendered otherwise. *)
+let cache_event tracer sp q kind attrs =
+  Trace.event tracer sp ~kind ~attrs (D.Atom.to_string q)
+
+let answer_locked ~tracer ?parent ?cache ?memo entry ~db q =
+  let live = entry.live in
+  let hit =
+    match cache with Some c -> Cache.Answers.find c ~db q | None -> None
+  in
+  match hit with
+  | Some h ->
+    (match parent with
     | Some sp when Trace.enabled tracer ->
-      Trace.event tracer sp ~kind ~attrs (D.Atom.to_string q)
-    | _ -> ()
-  in
-  let ans, strategy =
-    with_live entry (fun live ->
-        let hit =
-          match cache with
-          | Some c -> Cache.Answers.find c ~db q
-          | None -> None
-        in
-        let a =
-          match hit with
-          | Some h ->
-            cache_event "cache_hit"
-              [
-                ("saved_reductions", string_of_int h.Cache.Answers.reductions);
-                ("saved_retrievals", string_of_int h.Cache.Answers.retrievals);
-                ("fill_cost", Printf.sprintf "%g" h.Cache.Answers.cost);
-              ];
-            Core.Live.answer_cached ~tracer ?parent live ~db
-              ~result:h.Cache.Answers.result q
-          | None ->
-            if Option.is_some cache then cache_event "cache_miss" [];
-            let a = Core.Live.answer ~tracer ?parent ?memo live ~db q in
-            (* The fill records the execution that answered: its paid
-               arcs and its paper cost. *)
-            (match cache with
-            | Some c when not a.Core.Live.stats.D.Sld.truncated ->
-              (* A truncated non-answer (only a fallback form's SLD
-                 truncates) is "unknown", not "no" — never cache it. *)
-              Cache.Answers.store c ~db q ~result:a.Core.Live.result
-                ~reductions:a.Core.Live.stats.D.Sld.reductions
-                ~retrievals:a.Core.Live.stats.D.Sld.retrievals
-                ~cost:a.Core.Live.cost
-            | _ -> ());
-            a
-        in
-        (a, if a.Core.Live.switched then Some (render live) else None))
-  in
-  Option.iter
-    (fun s -> Metrics.set_form_strategy t.metrics ~form:entry.key s)
-    strategy;
-  ans
+      cache_event tracer sp q "cache_hit"
+        [
+          ("fill_reductions", string_of_int h.Cache.Answers.reductions);
+          ("fill_retrievals", string_of_int h.Cache.Answers.retrievals);
+          ("fill_cost", Printf.sprintf "%g" h.Cache.Answers.cost);
+        ]
+    | _ -> ());
+    Core.Live.answer_cached ~tracer ?parent live ~db
+      ~result:h.Cache.Answers.result q
+  | None ->
+    (match (parent, cache) with
+    | Some sp, Some _ when Trace.enabled tracer ->
+      cache_event tracer sp q "cache_miss" []
+    | _ -> ());
+    let a = Core.Live.answer ~tracer ?parent ?memo live ~db q in
+    (* The fill records the execution that answered: its paid arcs and
+       its paper cost. *)
+    (match cache with
+    | Some c when not a.Core.Live.stats.D.Sld.truncated ->
+      (* A truncated non-answer (only a fallback form's SLD truncates)
+         is "unknown", not "no" — never cache it. *)
+      Cache.Answers.store c ~db q ~result:a.Core.Live.result
+        ~reductions:a.Core.Live.stats.D.Sld.reductions
+        ~retrievals:a.Core.Live.stats.D.Sld.retrievals ~cost:a.Core.Live.cost
+    | _ -> ());
+    a
+
+(* [with_live] written out, so the per-query path builds no closure. *)
+let answer_entry ?(tracer = Trace.null) ?parent ?cache ?memo (entry : entry)
+    ~db q =
+  Mutex.lock entry.lock;
+  match answer_locked ~tracer ?parent ?cache ?memo entry ~db q with
+  | a ->
+    if a.Core.Live.switched then
+      Metrics.set_strategy entry.metrics (render entry.live);
+    Mutex.unlock entry.lock;
+    a
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Mutex.unlock entry.lock;
+    Printexc.raise_with_backtrace e bt
+
+let answer ?tracer ?parent ?cache ?memo t ~db q =
+  answer_entry ?tracer ?parent ?cache ?memo (find_or_create t q) ~db q
 
 let entries t =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () -> Hashtbl.fold (fun _ e acc -> e :: acc) t.entries [])
-  |> List.sort (fun a b -> String.compare a.key b.key)
+  List.sort (fun a b -> String.compare a.key b.key) (all_entries t)
 
 let key e = e.key
 let form e = e.form
+let metrics (e : entry) = e.metrics
 
 let publish_strategies t =
   List.iter
-    (fun e ->
-      Metrics.set_form_strategy t.metrics ~form:e.key (strategy_string e))
+    (fun (e : entry) -> Metrics.set_strategy e.metrics (strategy_string e))
     (entries t)

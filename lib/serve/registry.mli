@@ -6,8 +6,10 @@
     the server. Concurrency contract: queries of the {e same} form
     serialize on the entry's lock (the learner is stateful — Figure 4's
     PIB watches a single execution stream), while queries of different
-    forms proceed in parallel; the registry-wide lock is held only for
-    table lookup/insertion.
+    forms proceed in parallel. Looking an entry up takes no lock and
+    allocates nothing: entries are found by predicate id, then by arity
+    and adornment compared in place, in an immutable table that the
+    registry-wide lock replaces whole when a form is first seen.
 
     Forms are canonicalized so that [instructor(manolis)] and
     [instructor(russ)] share a learner (form [instructor(q)], key
@@ -38,10 +40,10 @@ val form_of_query : Datalog.Atom.t -> Datalog.Atom.t
 (** Filesystem/metrics-safe key of a form, e.g. ["instructor_1_b"]. *)
 val key_of_form : Datalog.Atom.t -> string
 
-(** Look up or lazily build the entry for a form (the atom is
-    canonicalized first). May raise {!Infgraph.Build.Not_disjunctive} (a
-    conjunctive rule body) or [Invalid_argument] (a graph PIB cannot
-    learn on). *)
+(** Look up or lazily build the entry for the query's form (a new
+    entry's form is the canonicalized atom). May raise
+    {!Infgraph.Build.Not_disjunctive} (a conjunctive rule body) or
+    [Invalid_argument] (a graph PIB cannot learn on). *)
 val find_or_create : t -> Datalog.Atom.t -> entry
 
 (** Answer one concrete query with the form's learner, serialized against
@@ -55,9 +57,11 @@ val find_or_create : t -> Datalog.Atom.t -> entry
     execution so the learner observes the query, and a miss stores the
     fresh result unless the search was depth-truncated. When [parent] is given
     and tracing is on, cache service is recorded on it as a [cache_hit]
-    event (attrs [saved_reductions]/[saved_retrievals]/[fill_cost]) or a
-    [cache_miss] event. [memo] is threaded to the SLD engine for subgoal
-    memoization on fallback-form misses. *)
+    event (attrs [fill_reductions]/[fill_retrievals]/[fill_cost]: what
+    the execution that filled the entry paid — a hit re-executes the
+    strategy and pays its arcs again) or a [cache_miss] event. [memo] is
+    threaded to the SLD engine for subgoal memoization on fallback-form
+    misses. *)
 val answer :
   ?tracer:Trace.t ->
   ?parent:Trace.span ->
@@ -68,11 +72,27 @@ val answer :
   Datalog.Atom.t ->
   Core.Live.answer
 
+(** {!answer} on an entry already resolved by {!find_or_create}. *)
+val answer_entry :
+  ?tracer:Trace.t ->
+  ?parent:Trace.span ->
+  ?cache:Cache.Answers.t ->
+  ?memo:Datalog.Sld.Memo.t ->
+  entry ->
+  db:Datalog.Database.t ->
+  Datalog.Atom.t ->
+  Core.Live.answer
+
 (** All entries, sorted by form key. *)
 val entries : t -> entry list
 
 val key : entry -> string
 val form : entry -> Datalog.Atom.t
+
+(** The form's per-form metric handles. Its [strategem_learner_*]
+    gauges are refreshed from the learner's progress by a collect hook
+    that {!create} installs, on every [/metrics] render. *)
+val metrics : entry -> Metrics.form
 
 (** Run [f] on the entry's processor while holding its lock. *)
 val with_live : entry -> (Core.Live.t -> 'a) -> 'a

@@ -71,8 +71,8 @@ type job = {
   rid : int;  (* v4: the client's frame id; lines: a per-conn sequence *)
   framed : bool;  (* captured at dispatch — upgrades don't retitle jobs *)
   req : Protocol.request;
-  enqueued : float;
   lc : Lifecycle.t option;  (* lifecycle record; None when --no-lifecycle *)
+  mutable mark : int;  (* the conn's byte mark of the response, once sent *)
 }
 
 (* One event loop of the reactor fleet. Each loop is its own domain
@@ -91,7 +91,7 @@ type loop_state = {
      [(fd, peer, ip, id, accept_ns)]. The loop materializes the [Conn.t]
      and registers the fd itself — {!Eventloop.add} is loop-thread-only. *)
   inc_lock : Mutex.t;
-  incoming : (Unix.file_descr * string * string * int * int64) Queue.t;
+  incoming : (Unix.file_descr * string * string * int * int) Queue.t;
   (* parsed requests waiting to run, oldest first: appended while a
      poll's events are dispatched, executed by [loop_tick] *)
   fifo : job Queue.t;
@@ -102,6 +102,17 @@ type loop_state = {
      the loop's drain condition, and the acceptor's busy signal *)
   inflight : int Atomic.t;
   mutable draining : bool;
+  (* The loop's latest clock stamp ({!stamp}). A stage boundary that
+     coincides with the last one taken reads this instead of the clock:
+     a request's execution starts at its pass's stamp or at its
+     predecessor's end. *)
+  mutable clock : int;
+  (* the stamp of the execution pass now running: the queue stage of
+     every request it runs starts here *)
+  mutable pass_ns : int;
+  (* the stamp a query handler took at its answer's end (its latency
+     needs it), reused as the request's end; 0 when none was taken *)
+  mutable answer_ns : int;
   (* loop-thread timestamp, refreshed once per iteration when the idle
      timeout is on — per-event [Conn.touch] never calls gettimeofday *)
   mutable now : float;
@@ -115,11 +126,11 @@ type loop_state = {
      (conn events directly; request events at finalize, replayed from
      the lifecycle record's timestamps), snapshotted by anyone *)
   flight : Obs.Flight.t;
-  (* records awaiting finalize, newest first: [respond] registers
-     [(byte mark, lifecycle record, conn)]; the loop finalizes the record
-     — flight events, stage histograms, retention — once the conn's
-     flushed-bytes total reaches the mark (or the conn died) *)
-  mutable pending_fin : (int * Lifecycle.t * Conn.t) list;
+  (* jobs whose lifecycle record awaits finalize, newest first:
+     [respond] registers them with their byte mark; the loop finalizes
+     the record — flight events, stage histograms, retention — once the
+     conn's flushed-bytes total reaches the mark (or the conn died) *)
+  mutable pending_fin : job list;
   (* tail-retained traces, newest first; written by the loop at
      finalize, read by FLIGHT / /debug/flight. Inserts keep the
      finalized record and render the span tree lazily at dump time:
@@ -201,25 +212,6 @@ let result_string = function
   | Some s when D.Subst.is_empty s -> "yes"
   | Some s -> Format.asprintf "%a" D.Subst.pp s
 
-(* The lifecycle record's label: the verb word, plus the atom for the
-   query-shaped verbs. *)
-let request_label = function
-  | Protocol.Query a -> "QUERY " ^ a
-  | Protocol.Trace a -> "TRACE " ^ a
-  | Protocol.Strategy a -> "STRATEGY " ^ a
-  | Protocol.Hello | Protocol.Hello_v4 -> "HELLO"
-  | Protocol.Stats -> "STATS"
-  | Protocol.Stats_json -> "STATS JSON"
-  | Protocol.Snapshot -> "SNAPSHOT"
-  | Protocol.Ping -> "PING"
-  | Protocol.Help -> "HELP"
-  | Protocol.Flight -> "FLIGHT"
-  | Protocol.Quit -> "QUIT"
-  | Protocol.Shutdown -> "SHUTDOWN"
-  | Protocol.Empty -> ""
-  | Protocol.Malformed _ -> "(malformed)"
-  | Protocol.Unknown v -> v
-
 (* --- response encoding --- *)
 
 let encode_reply ~framed ~rid reply =
@@ -252,13 +244,24 @@ let encode_reply ~framed ~rid reply =
     | R_bye -> Protocol.bye ^ "\n"
     | R_none -> assert false
 
+(* Stamp differences are computed in ns; metrics and logs speak µs. A
+   float is boxed only where a log field or record needs it. *)
+let us_of_ns ns = float_of_int ns /. 1e3
+
+(* Take a clock stamp and make it the loop's latest. *)
+let stamp ls =
+  let t = Lifecycle.now_ns () in
+  ls.clock <- t;
+  t
+
 (* Enqueue the encoded response on the job's connection and register its
    lifecycle record for finalize once the bytes drain. The owning loop
-   flushes when it next services the connection. *)
-let respond st ls job reply =
+   flushes when it next services the connection. [now] is the request's
+   end stamp. *)
+let respond st ls job reply ~now =
   (match job.lc with
   | Some l ->
-    l.Lifecycle.lc_respond_ns <- Lifecycle.now_ns ();
+    l.Lifecycle.lc_respond_ns <- now;
     (match reply with
     | R_err _ -> l.Lifecycle.lc_error <- true
     | R_busy -> l.Lifecycle.lc_shed <- true
@@ -279,36 +282,41 @@ let respond st ls job reply =
     Conn.set_closing job.conn
   | _ -> ());
   Conn.decr_inflight job.conn;
-  (match job.lc with
-  | Some l -> ls.pending_fin <- (mark, l, job.conn) :: ls.pending_fin
-  | None -> ());
+  if Option.is_some job.lc then begin
+    job.mark <- mark;
+    ls.pending_fin <- job :: ls.pending_fin
+  end;
   ignore (Atomic.fetch_and_add ls.inflight (-1));
-  let now = Atomic.fetch_and_add st.inflight_total (-1) - 1 in
-  Metrics.set_pipeline_depth st.metrics now
+  let depth = Atomic.fetch_and_add st.inflight_total (-1) - 1 in
+  Metrics.set_pipeline_depth st.metrics depth
 
 (* --- request handlers (pure of socket I/O) --- *)
 
 (* Root a [serve] span covering this query's whole execution; the FIFO
    wait the request already paid is attached as an attribute (it
    happened before the span could exist). *)
-let serve_root tracer ~wait_us atom_text =
+let serve_root tracer ~wait_ns atom_text =
   let root = Trace.root tracer ~kind:"serve" atom_text in
   Trace.set_attr tracer root "queue_wait_us"
-    (Printf.sprintf "%.0f" wait_us);
+    (Printf.sprintf "%.0f" (float_of_int wait_ns /. 1e3));
   root
 
 (* Answer [q] through the registry, tracing if [tracer] is enabled, and
-   record the query metrics. Returns the answer and its latency
-   (exceptions escape). *)
-let answer_traced st ~wait_us ~t0 tracer q =
+   record the query metrics. [w] is the execution's start stamp; the
+   answer's end is stamped here and becomes the request's end. Returns
+   the answer and its latency in ns (exceptions escape). *)
+let answer_traced st ls ~w tracer q =
+  let traced = Trace.enabled tracer in
   let root =
-    if Trace.enabled tracer then
-      serve_root tracer ~wait_us (D.Atom.to_string q)
+    if traced then
+      serve_root tracer ~wait_ns:(w - ls.pass_ns) (D.Atom.to_string q)
     else Trace.dummy
   in
+  let entry = Registry.find_or_create st.registry q in
   let ans =
-    Registry.answer ~tracer ~parent:root ?cache:st.cache ?memo:st.memo
-      st.registry ~db:st.db q
+    Registry.answer_entry ~tracer
+      ?parent:(if traced then Some root else None)
+      ?cache:st.cache ?memo:st.memo entry ~db:st.db q
   in
   Trace.finish tracer root;
   (* lifecycle attribution: which backend answered, and — when this
@@ -317,25 +325,24 @@ let answer_traced st ~wait_us ~t0 tracer q =
   (match Lifecycle.current () with
   | Some lc ->
     lc.Lifecycle.lc_backend <- Lifecycle.backend_of ans;
-    if Trace.enabled tracer then
-      lc.Lifecycle.lc_exec <- Trace.root_span tracer
+    if traced then lc.Lifecycle.lc_exec <- Trace.root_span tracer
   | None -> ());
-  let latency_us = (Unix.gettimeofday () -. t0) *. 1e6 in
-  Metrics.query st.metrics
-    ~form:(Registry.key_of_form (Registry.form_of_query q))
-    ~latency_us
-    ~answered:(ans.Core.Live.result <> None)
+  let r = stamp ls in
+  ls.answer_ns <- r;
+  let latency_ns = r - w in
+  Metrics.query (Registry.metrics entry) ~latency_ns
+    ~answered:(Option.is_some ans.Core.Live.result)
     ~switched:ans.Core.Live.switched;
-  if Metrics.trace_sampling st.metrics && Trace.enabled tracer then
+  if traced && Metrics.trace_sampling st.metrics then
     Option.iter
       (fun sp -> Metrics.trace st.metrics (Trace.to_json sp))
       (Trace.root_span tracer);
-  (ans, latency_us)
+  (ans, latency_ns)
 
 (* Per-query log records: a debug record for every answered query, plus a
    rate-limited warn record — with the query's span tree inlined — for
    queries at or over the slow-query threshold. *)
-let log_query st ~conn ~qid ~latency_us ~tracer atom_text
+let log_query st ~conn ~qid ~latency_ns ~tracer atom_text
     (ans : Core.Live.answer) =
   if Obs.Log.enabled st.log Obs.Log.Debug then
     Obs.Log.debug st.log "query answered"
@@ -344,12 +351,13 @@ let log_query st ~conn ~qid ~latency_us ~tracer atom_text
           ("conn", Obs.Log.I conn);
           ("query", Obs.Log.I qid);
           ("q", Obs.Log.S atom_text);
-          ("latency_us", Obs.Log.F latency_us);
+          ("latency_us", Obs.Log.F (us_of_ns latency_ns));
           ("answered", Obs.Log.B (ans.Core.Live.result <> None));
           ("cached", Obs.Log.B ans.Core.Live.cached);
           ("switched", Obs.Log.B ans.Core.Live.switched);
         ];
-  if st.cfg.slow_query_us > 0.0 && latency_us >= st.cfg.slow_query_us then begin
+  if st.cfg.slow_query_us > 0.0 && us_of_ns latency_ns >= st.cfg.slow_query_us
+  then begin
     Metrics.slow_query st.metrics;
     match
       Obs.Log.Limiter.admit st.slow_limiter ~now:(Unix.gettimeofday ())
@@ -371,7 +379,7 @@ let log_query st ~conn ~qid ~latency_us ~tracer atom_text
             ("conn", Obs.Log.I conn);
             ("query", Obs.Log.I qid);
             ("q", Obs.Log.S atom_text);
-            ("latency_us", Obs.Log.F latency_us);
+            ("latency_us", Obs.Log.F (us_of_ns latency_ns));
             ("threshold_us", Obs.Log.F st.cfg.slow_query_us);
             ("suppressed", Obs.Log.I suppressed);
             ("reductions", Obs.Log.I ans.Core.Live.stats.D.Sld.reductions);
@@ -410,7 +418,7 @@ let with_query st atom_text f =
       R_err (`Internal, msg)
     | reply -> reply)
 
-let handle_query st ~conn ~qid ~wait_us ~t0 atom_text =
+let handle_query st ls ~conn ~qid ~w atom_text =
   with_query st atom_text (fun q ->
       (* Slow-query mode traces only when armed by a previous slow
          detection (see [trace_next]) — never speculatively. *)
@@ -425,8 +433,8 @@ let handle_query st ~conn ~qid ~wait_us ~t0 atom_text =
         then Trace.make ()
         else Trace.null
       in
-      let ans, latency_us = answer_traced st ~wait_us ~t0 tracer q in
-      log_query st ~conn ~qid ~latency_us ~tracer atom_text ans;
+      let ans, latency_ns = answer_traced st ls ~w tracer q in
+      log_query st ~conn ~qid ~latency_ns ~tracer atom_text ans;
       R_lines
         ( [
             Protocol.answer_line ~result:(result_string ans.Core.Live.result)
@@ -437,11 +445,11 @@ let handle_query st ~conn ~qid ~wait_us ~t0 atom_text =
           ],
           false ))
 
-let handle_trace st ~conn ~qid ~wait_us ~t0 atom_text =
+let handle_trace st ls ~conn ~qid ~w atom_text =
   with_query st atom_text (fun q ->
       let tracer = Trace.make () in
-      let ans, latency_us = answer_traced st ~wait_us ~t0 tracer q in
-      log_query st ~conn ~qid ~latency_us ~tracer atom_text ans;
+      let ans, latency_ns = answer_traced st ls ~w tracer q in
+      log_query st ~conn ~qid ~latency_ns ~tracer atom_text ans;
       let paper_cost = exec_cost_of_trace tracer in
       let monitor_cost = ans.Core.Live.cost in
       let span_json =
@@ -564,7 +572,7 @@ let flight_json st =
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
-let process st ~wait_us ~t0 job =
+let process st ls ~w job =
   match job.req with
   (* Empty is never dispatched; Hello_v4 is answered inline by the loop *)
   | Protocol.Empty | Protocol.Hello_v4 -> R_none
@@ -578,9 +586,9 @@ let process st ~wait_us ~t0 job =
   | Protocol.Stats -> R_lines (Metrics.render_text st.metrics, true)
   | Protocol.Stats_json -> R_lines ([ Metrics.render_json st.metrics ], false)
   | Protocol.Query atom ->
-    handle_query st ~conn:(Conn.id job.conn) ~qid:job.rid ~wait_us ~t0 atom
+    handle_query st ls ~conn:(Conn.id job.conn) ~qid:job.rid ~w atom
   | Protocol.Trace atom ->
-    handle_trace st ~conn:(Conn.id job.conn) ~qid:job.rid ~wait_us ~t0 atom
+    handle_trace st ls ~conn:(Conn.id job.conn) ~qid:job.rid ~w atom
   | Protocol.Strategy atom -> handle_strategy st atom
   | Protocol.Flight -> R_lines ([ flight_json st ], false)
   | Protocol.Snapshot -> handle_snapshot st
@@ -632,33 +640,29 @@ let dispatch st ls c ~framed ~rid req =
   ignore (Atomic.fetch_and_add ls.inflight 1);
   let d = Atomic.fetch_and_add st.inflight_total 1 + 1 in
   Metrics.set_pipeline_depth st.metrics d;
-  (* the lifecycle record is born here, right after the parse —
-     [frame_ns] is its birth stamp, [queue_ns] the FIFO append *)
+  (* the lifecycle record is born here, right after the parse; its
+     [frame_ns] is the loop's latest stamp: the read that parsed it, or,
+     for a line request fed later from its conn's pending queue, the
+     latest stamp before it was fed *)
   let lc =
     if st.cfg.lifecycle then
       Some
-        (Lifecycle.create ~conn:(Conn.id c) ~rid ~loop:ls.lid ~framed
-           ~label:(request_label req) ~accept_ns:(Conn.accept_ns c)
-           ~frame_ns:(Lifecycle.now_ns ()))
+        (Lifecycle.create ~conn:(Conn.id c) ~rid ~loop:ls.lid ~framed ~req
+           ~accept_ns:(Conn.accept_ns c) ~frame_ns:ls.clock)
     else None
   in
-  let job =
-    { conn = c; rid; framed; req; enqueued = Unix.gettimeofday (); lc }
-  in
+  let job = { conn = c; rid; framed; req; lc; mark = 0 } in
   if Queue.length ls.fifo < st.fifo_cap then begin
-    (match lc with
-    | Some l -> l.Lifecycle.lc_queue_ns <- Lifecycle.now_ns ()
-    | None -> ());
     Queue.push job ls.fifo;
     Metrics.observe_queue_depth st.metrics (Queue.length ls.fifo)
   end
   else begin
     (* never queued: no queue stage; the shed flag is set by the inline
        BUSY respond below *)
+    let now = stamp ls in
     if Option.is_none lc then
-      Obs.Flight.record ls.flight ~ts_ns:(Lifecycle.now_ns ())
-        ~code:Obs.Flight.code_shed ~loop:ls.lid ~conn:(Conn.id c) ~rid
-        ~a:0L ~b:0L;
+      Obs.Flight.record ls.flight ~ts_ns:now ~code:Obs.Flight.code_shed
+        ~loop:ls.lid ~conn:(Conn.id c) ~rid ~a:0 ~b:0;
     Metrics.busy st.metrics;
     if Obs.Log.enabled st.log Obs.Log.Debug then
       Obs.Log.debug st.log "request shed: queue full"
@@ -668,7 +672,7 @@ let dispatch st ls c ~framed ~rid req =
             ("loop", Obs.Log.I ls.lid);
             ("queue_depth", Obs.Log.I st.cfg.queue_depth);
           ];
-    respond st ls job R_busy
+    respond st ls job R_busy ~now
   end
 
 let on_incoming st ls c inc =
@@ -710,8 +714,8 @@ let reap st ls c =
     Eventloop.remove ls.ev (Conn.fd c);
     Obs.Flight.record ls.flight ~ts_ns:(Lifecycle.now_ns ())
       ~code:Obs.Flight.code_close ~loop:ls.lid ~conn:(Conn.id c) ~rid:0
-      ~a:(if Conn.dead c then 1L else 0L)
-      ~b:0L;
+      ~a:(if Conn.dead c then 1 else 0)
+      ~b:0;
     Conn.kill c;
     (try Unix.close (Conn.fd c) with Unix.Unix_error _ -> ());
     ignore (Atomic.fetch_and_add ls.n_conns (-1));
@@ -789,18 +793,21 @@ let service st ls c =
     end
   end
 
-let on_conn_event st ls c ~readable ~writable:_ =
+(* [emit] is the connection's [on_incoming], built once at adopt. *)
+let on_conn_event st ls c ~emit ~readable ~writable:_ =
   (if
      readable && not (Conn.read_closed c) && not (Conn.closing c)
      && not (Conn.dead c)
    then begin
      if st.cfg.idle_timeout_s > 0.0 then Conn.touch c ~now:ls.now;
-     match Conn.on_readable c ~emit:(on_incoming st ls c) with
+     (* the frame stamp of every request this read parses *)
+     if st.cfg.lifecycle then ignore (stamp ls);
+     match Conn.on_readable c ~emit with
      | Conn.Continue -> ()
      | Conn.Eof ->
        (* honor a final unterminated line, like the blocking server's
           [input_line] did *)
-       Conn.finish_read c ~emit:(on_incoming st ls c);
+       Conn.finish_read c ~emit;
        Conn.set_read_closed c
      | Conn.Rerror msg ->
        if Obs.Log.enabled st.log Obs.Log.Debug then
@@ -816,21 +823,25 @@ let on_conn_event st ls c ~readable ~writable:_ =
 
 (* --- execution (loop thread) --- *)
 
-(* Run one request on this loop's thread and enqueue its response. *)
+(* Run one request on this loop's thread and enqueue its response. Its
+   execution starts at the loop's latest stamp (its pass's, or its
+   predecessor's end) and ends at one fresh stamp; the FIFO wait, the
+   per-form latency and the loop's busy time are all differences of
+   these stamps. *)
 let execute st ls job =
-  let t0 = Unix.gettimeofday () in
-  let wait_us = (t0 -. job.enqueued) *. 1e6 in
-  Metrics.queue_waited st.metrics ~wait_us;
+  let w = ls.clock in
+  Metrics.queue_waited st.metrics ~wait_ns:(w - ls.pass_ns);
   Metrics.observe_queue_depth st.metrics (Queue.length ls.fifo);
-  (* stamp the start and expose the record ambiently, so store waits
+  (* record the start and expose the record ambiently, so store waits
      (WAL fsync, page faults) land on the request that paid them *)
   (match job.lc with
   | Some l ->
-    l.Lifecycle.lc_worker_ns <- Lifecycle.now_ns ();
+    l.Lifecycle.lc_queue_ns <- ls.pass_ns;
+    l.Lifecycle.lc_worker_ns <- w;
     Lifecycle.set_current job.lc
   | None -> ());
   let reply =
-    try process st ~wait_us ~t0 job
+    try process st ls ~w job
     with exn ->
       Metrics.error st.metrics;
       Obs.Log.error st.log "request handler crashed"
@@ -841,10 +852,12 @@ let execute st ls job =
           ];
       R_err (`Internal, Printexc.to_string exn)
   in
-  if job.lc <> None then Lifecycle.set_current None;
-  respond st ls job reply;
-  if job.req = Protocol.Shutdown then initiate_shutdown st;
-  Metrics.loop_served ls.lh ~busy_us:((Unix.gettimeofday () -. t0) *. 1e6)
+  if Option.is_some job.lc then Lifecycle.set_current None;
+  let r = if ls.answer_ns <> 0 then ls.answer_ns else stamp ls in
+  ls.answer_ns <- 0;
+  respond st ls job reply ~now:r;
+  (match job.req with Protocol.Shutdown -> initiate_shutdown st | _ -> ());
+  Metrics.loop_served ls.lh ~busy_ns:(r - w)
 
 (* Execute the FIFO oldest-first, then service each connection that got
    a response. Servicing feeds a line connection its next pending
@@ -853,6 +866,7 @@ let execute st ls job =
 let rec run_fifo st ls =
   if not (Queue.is_empty ls.fifo) then begin
     Metrics.set_loop_pipeline_depth ls.lh (Queue.length ls.fifo);
+    ls.pass_ns <- stamp ls;
     let touched = ref [] in
     while not (Queue.is_empty ls.fifo) do
       let job = Queue.pop ls.fifo in
@@ -904,11 +918,13 @@ let adopt_incoming st ls =
       end;
       Hashtbl.replace ls.conns id c;
       Obs.Flight.record ls.flight ~ts_ns:accept_ns
-        ~code:Obs.Flight.code_accept ~loop:ls.lid ~conn:id ~rid:0
-        ~a:(Int64.of_int ls.lid) ~b:0L;
+        ~code:Obs.Flight.code_accept ~loop:ls.lid ~conn:id ~rid:0 ~a:ls.lid
+        ~b:0;
       Metrics.loop_conn_opened ls.lh;
+      let emit = on_incoming st ls c in
       Eventloop.add ls.ev fd ~read:true ~write:false
-        (fun ~readable ~writable -> on_conn_event st ls c ~readable ~writable);
+        (fun ~readable ~writable ->
+          on_conn_event st ls c ~emit ~readable ~writable);
       if Obs.Log.enabled st.log Obs.Log.Debug then
         Obs.Log.debug st.log "connection accepted"
           ~fields:
@@ -986,49 +1002,15 @@ let rec take n = function
    retention — the full span tree is kept only for slow / error / shed
    requests. *)
 let finalize_lc st ls (lc : Lifecycle.t) =
-  let open Lifecycle in
-  let ev code ts a b =
-    if not (Int64.equal ts 0L) then
-      Obs.Flight.record ls.flight ~ts_ns:ts ~code ~loop:ls.lid
-        ~conn:lc.lc_conn ~rid:lc.lc_rid ~a ~b
-  in
-  let total = total_ns lc in
-  ev Obs.Flight.code_request lc.lc_frame_ns 0L 0L;
-  ev Obs.Flight.code_enqueue lc.lc_queue_ns 0L 0L;
-  ev Obs.Flight.code_worker lc.lc_worker_ns
-    (Int64.of_int lc.lc_wal_wait_ns)
-    (Int64.of_int lc.lc_page_wait_ns);
-  if lc.lc_shed then ev Obs.Flight.code_shed lc.lc_respond_ns 0L 0L
-  else
-    ev Obs.Flight.code_respond lc.lc_respond_ns
-      (if lc.lc_error then 1L else 0L)
-      0L;
-  ev Obs.Flight.code_flush lc.lc_flush_ns total 0L;
-  let stage_us from till =
-    if Int64.equal from 0L || Int64.equal till 0L then None
-    else Some (Int64.to_float (Int64.max 0L (Int64.sub till from)) /. 1e3)
-  in
-  let obs stage v =
-    Option.iter (fun v -> Metrics.observe_stage ls.lh ~stage v) v
-  in
-  obs "frame" (stage_us lc.lc_frame_ns lc.lc_queue_ns);
-  obs "queue" (stage_us lc.lc_queue_ns lc.lc_worker_ns);
-  obs "worker" (stage_us lc.lc_worker_ns lc.lc_respond_ns);
-  obs "flush" (stage_us lc.lc_respond_ns lc.lc_flush_ns);
-  Metrics.observe_stage ls.lh ~stage:"total" (Int64.to_float total /. 1e3);
-  if lc.lc_wal_syncs > 0 then
-    Metrics.observe_stage ls.lh ~stage:"wal_fsync"
-      (float_of_int lc.lc_wal_wait_ns /. 1e3);
-  if lc.lc_page_reads > 0 then
-    Metrics.observe_stage ls.lh ~stage:"page_read"
-      (float_of_int lc.lc_page_wait_ns /. 1e3);
+  Lifecycle.finalize lc ~flight:ls.flight ls.lh;
   Metrics.lifecycle_finalized st.metrics;
   (* tail-based retention *)
-  let total_us = Int64.to_float total /. 1e3 in
+  let total_ns = Lifecycle.total_ns lc in
   let reason =
-    if lc.lc_shed then Some "shed"
-    else if lc.lc_error then Some "error"
-    else if st.cfg.slow_query_us > 0.0 && total_us >= st.cfg.slow_query_us
+    if lc.Lifecycle.lc_shed then Some "shed"
+    else if lc.Lifecycle.lc_error then Some "error"
+    else if
+      st.cfg.slow_query_us > 0.0 && us_of_ns total_ns >= st.cfg.slow_query_us
     then Some "slow"
     else None
   in
@@ -1036,6 +1018,7 @@ let finalize_lc st ls (lc : Lifecycle.t) =
   | None -> ()
   | Some _ when st.cfg.retain <= 0 -> ()
   | Some reason ->
+    let total_us = us_of_ns total_ns in
     let seq = Atomic.fetch_and_add st.retained_seq 1 in
     let entry =
       { re_seq = seq; re_reason = reason; re_total_us = total_us; re_lc = lc }
@@ -1066,8 +1049,8 @@ let finalize_lc st ls (lc : Lifecycle.t) =
           ~fields:
             [
               ("loop", Obs.Log.I ls.lid);
-              ("conn", Obs.Log.I lc.lc_conn);
-              ("rid", Obs.Log.I lc.lc_rid);
+              ("conn", Obs.Log.I lc.Lifecycle.lc_conn);
+              ("rid", Obs.Log.I lc.Lifecycle.lc_rid);
               ("reason", Obs.Log.S reason);
               ("total_us", Obs.Log.F total_us);
               ("retained_seq", Obs.Log.I seq);
@@ -1082,24 +1065,29 @@ let finalize_pass st ls =
   match ls.pending_fin with
   | [] -> ()
   | pend ->
+    (* one flush stamp for every record this pass finalizes *)
+    let now = stamp ls in
     ls.pending_fin <-
-      List.rev pend
-      |> List.filter (fun (mark, lc, c) ->
-             (* drained-first: a response fully flushed before the
-                connection closed (QUIT, BYE) is a success, not an
-                error *)
-             if Conn.flushed_bytes c >= mark then begin
-               lc.Lifecycle.lc_flush_ns <- Lifecycle.now_ns ();
-               finalize_lc st ls lc;
-               false
-             end
-             else if Conn.dead c || Conn.overflowed c then begin
-               lc.Lifecycle.lc_error <- true;
-               finalize_lc st ls lc;
-               false
-             end
-             else true)
-      |> List.rev
+      List.fold_right
+        (fun job keep ->
+          match job.lc with
+          | None -> keep
+          | Some lc ->
+            let c = job.conn in
+            (* drained-first: a response fully flushed before the
+               connection closed (QUIT, BYE) is a success, not an error *)
+            if Conn.flushed_bytes c >= job.mark then begin
+              lc.Lifecycle.lc_flush_ns <- now;
+              finalize_lc st ls lc;
+              keep
+            end
+            else if Conn.dead c || Conn.overflowed c then begin
+              lc.Lifecycle.lc_error <- true;
+              finalize_lc st ls lc;
+              keep
+            end
+            else job :: keep)
+        pend []
 
 (* The loop's post-poll hook, run once per iteration: adopt handoffs,
    start the drain once stopping flips, execute every request the poll
@@ -1348,6 +1336,9 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
           n_conns = Atomic.make 0;
           inflight = Atomic.make 0;
           draining = false;
+          clock = 0;
+          pass_ns = 0;
+          answer_ns = 0;
           now = 0.0;
           last_sweep = 0.0;
           wheel = Array.make wheel_slots [];

@@ -113,6 +113,30 @@ let lru_eviction_order () =
   check_int "empty" 0 (Int_lru.length t);
   check_int "no bytes" 0 (Int_lru.bytes t)
 
+(* The answer cache keys on atoms whose hash is built from sequential
+   symbol ids. A shard picked from the same low hash bits its table
+   buckets on would leave most of each shard's buckets empty (chains of
+   8-16); the mixed shard choice keeps every chain short. *)
+module Atom_lru = Cache.Lru.Make (struct
+  type t = D.Atom.t
+
+  let equal = D.Atom.equal
+  let hash = D.Atom.hash
+end)
+
+let lru_shards_spread_sequential_keys () =
+  let t = Atom_lru.create ~capacity_bytes:(1 lsl 30) () in
+  for i = 1 to 10_000 do
+    Atom_lru.add t
+      (D.Atom.make "lru_seq" [ D.Term.const (Printf.sprintf "lru_seq_%d" i) ])
+      i ~bytes:1
+  done;
+  check_int "every key kept" 10_000 (Atom_lru.length t);
+  let chain = Atom_lru.longest_chain t in
+  (* About 1250 keys per shard over 1024 buckets: a well-spread shard's
+     longest chain is 5-7; the unmixed choice gave 10. *)
+  if chain > 8 then Alcotest.failf "longest bucket chain %d > 8" chain
+
 (* ---------- Answers ---------- *)
 
 let answers_roundtrip () =
@@ -447,7 +471,11 @@ let suite =
         key_alpha_equivalence;
         key_canonical_fixpoint;
       ] );
-    ("cache.lru", [ case "eviction order and accounting" lru_eviction_order ]);
+    ( "cache.lru",
+      [
+        case "eviction order and accounting" lru_eviction_order;
+        case "shards spread sequential keys" lru_shards_spread_sequential_keys;
+      ] );
     ( "cache.answers",
       [
         case "store/find through alpha-variants" answers_roundtrip;

@@ -294,8 +294,8 @@ let flight_records_and_snapshots () =
   check_int "capacity kept" 8 (F.capacity r);
   for i = 0 to 4 do
     F.record r
-      ~ts_ns:(Int64.of_int (1000 + i))
-      ~code:F.code_request ~loop:2 ~conn:7 ~rid:i ~a:(Int64.of_int i) ~b:9L
+      ~ts_ns:(1000 + i)
+      ~code:F.code_request ~loop:2 ~conn:7 ~rid:i ~a:i ~b:9
   done;
   check_int "seq counts events" 5 (F.seq r);
   let evs = F.snapshot r in
@@ -317,8 +317,8 @@ let flight_records_and_snapshots () =
 let flight_wraps () =
   let r = F.create ~capacity:4 in
   for i = 0 to 9 do
-    F.record r ~ts_ns:(Int64.of_int i) ~code:F.code_accept ~loop:0 ~conn:i
-      ~rid:0 ~a:0L ~b:0L
+    F.record r ~ts_ns:i ~code:F.code_accept ~loop:0 ~conn:i ~rid:0 ~a:0
+      ~b:0
   done;
   let evs = F.snapshot r in
   check_int "only the last capacity survive" 4 (List.length evs);
@@ -331,8 +331,7 @@ let flight_capacity_edge_cases () =
     (F.capacity (F.create ~capacity:5));
   let d = F.create ~capacity:0 in
   check_bool "capacity 0 disables" false (F.enabled d);
-  F.record d ~ts_ns:1L ~code:F.code_accept ~loop:0 ~conn:0 ~rid:0 ~a:0L
-    ~b:0L;
+  F.record d ~ts_ns:1 ~code:F.code_accept ~loop:0 ~conn:0 ~rid:0 ~a:0 ~b:0;
   check_int "disabled ring records nothing" 0 (List.length (F.snapshot d));
   check_int "disabled ring has no seq" 0 (F.seq d)
 

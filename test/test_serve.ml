@@ -168,10 +168,9 @@ let metrics_counters_and_histogram () =
   Serve.Metrics.busy m;
   Serve.Metrics.observe_queue_depth m 3;
   Serve.Metrics.observe_queue_depth m 1;
+  let form = Serve.Metrics.form m "f_1_b" in
   for i = 1 to 100 do
-    Serve.Metrics.query m ~form:"f_1_b"
-      ~latency_us:(float_of_int i)
-      ~answered:(i mod 2 = 0)
+    Serve.Metrics.query form ~latency_ns:(i * 1000) ~answered:(i mod 2 = 0)
       ~switched:(i = 50)
   done;
   check_int "queries" 100 (Serve.Metrics.queries_total m);
@@ -190,6 +189,103 @@ let metrics_counters_and_histogram () =
   check_bool "json one line" true (not (String.contains json '\n'));
   check_bool "json has form" true (contains "\"f_1_b\"" json);
   check_bool "json has climbs" true (contains "\"climbs\":1" json)
+
+(* The per-request bookkeeping a served query pays outside the engine:
+   the FIFO-wait, queue-depth, pipeline-depth and per-form query
+   updates, the loop's busy time, and the lifecycle finalize (flight
+   events plus every stage histogram, WAL and page waits included). Once
+   each stage's series exists, 1,000 requests of it allocate nothing. *)
+let bookkeeping_allocates_nothing () =
+  let m = Serve.Metrics.create () in
+  let lh = Serve.Metrics.loop_handles m ~loop:0 in
+  let form = Serve.Metrics.form m "instructor_1_b" in
+  let flight = Obs.Flight.create ~capacity:64 in
+  let n = 1_000 in
+  let records =
+    Array.init (n + 1) (fun i ->
+        let t = 1_000_000 * (i + 1) in
+        let lc =
+          Serve.Lifecycle.create ~conn:1 ~rid:i ~loop:0 ~framed:true
+            ~req:(Serve.Protocol.Query "instructor(manolis)") ~accept_ns:t
+            ~frame_ns:(t + 1_000)
+        in
+        lc.Serve.Lifecycle.lc_queue_ns <- t + 2_000;
+        lc.Serve.Lifecycle.lc_worker_ns <- t + 3_000;
+        lc.Serve.Lifecycle.lc_respond_ns <- t + 9_000;
+        lc.Serve.Lifecycle.lc_flush_ns <- t + 12_000;
+        Serve.Lifecycle.add_wal_wait lc 500;
+        Serve.Lifecycle.add_page_wait lc 700;
+        lc)
+  in
+  let serve (lc : Serve.Lifecycle.t) =
+    let w = lc.Serve.Lifecycle.lc_worker_ns
+    and r = lc.Serve.Lifecycle.lc_respond_ns in
+    Serve.Metrics.set_pipeline_depth m 1;
+    Serve.Metrics.observe_queue_depth m 1;
+    Serve.Metrics.queue_waited m ~wait_ns:(w - lc.Serve.Lifecycle.lc_queue_ns);
+    Serve.Metrics.query form ~latency_ns:(r - w) ~answered:true
+      ~switched:false;
+    Serve.Metrics.loop_served lh ~busy_ns:(r - w);
+    Serve.Metrics.set_pipeline_depth m 0;
+    Serve.Lifecycle.finalize lc ~flight lh;
+    Serve.Metrics.lifecycle_finalized m
+  in
+  (* the first request creates each stage's histogram series *)
+  serve records.(0);
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    serve records.(i)
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0.0 then
+    Alcotest.failf "%.0f minor words for %d requests (budget: 0)" words n;
+  check_int "every query counted" (n + 1) (Serve.Metrics.queries_total m)
+
+(* The learner gauges are pulled from the learner at render time: after
+   a stream that climbs, each /metrics gauge equals the learner's own
+   progress reading. *)
+let learner_gauges_read_at_render () =
+  let rulebase, db = kb () in
+  let m = Serve.Metrics.create () in
+  let reg = Serve.Registry.create ~rulebase m in
+  let manolis = D.Parser.parse_atom "instructor(manolis)" in
+  for _ = 1 to 200 do
+    ignore (Serve.Registry.answer reg ~db manolis)
+  done;
+  let entry = List.hd (Serve.Registry.entries reg) in
+  let p =
+    Serve.Registry.with_live entry (fun live ->
+        Core.Learner.progress (Core.Live.learner live))
+  in
+  check_bool "the stream climbed" true (p.Core.Learner.climbs > 0);
+  let samples = Obs.Expo.parse_samples (Serve.Metrics.render_prometheus m) in
+  let gauge name =
+    match
+      List.find_opt
+        (fun s ->
+          s.Obs.Expo.metric = name
+          && s.Obs.Expo.labels = [ ("form", "instructor_1_b") ])
+        samples
+    with
+    | Some s -> s.Obs.Expo.value
+    | None -> Alcotest.failf "no %s sample for instructor_1_b" name
+  in
+  (* compared as exposed: rendered to 12 significant digits *)
+  let check_gauge name v =
+    check_string (name ^ " equals the learner's reading")
+      (Obs.Expo.float_str v)
+      (Obs.Expo.float_str (gauge name))
+  in
+  check_gauge "strategem_learner_samples" (float_of_int p.Core.Learner.samples);
+  check_gauge "strategem_learner_samples_total"
+    (float_of_int p.Core.Learner.samples_total);
+  check_gauge "strategem_learner_climbs" (float_of_int p.Core.Learner.climbs);
+  check_gauge "strategem_learner_epsilon" p.Core.Learner.epsilon;
+  check_gauge "strategem_learner_delta" p.Core.Learner.delta;
+  check_gauge "strategem_learner_finished"
+    (if p.Core.Learner.finished then 1.0 else 0.0);
+  check_int "samples_total counts every query" 200
+    p.Core.Learner.samples_total
 
 (* Golden lock on the cache, memo and store statistics: the STATS lines,
    the STATS JSON blocks and the Prometheus families, byte for byte.
@@ -1865,5 +1961,8 @@ let suite =
           server_snapshot_verb_unix_error;
         case "lifecycle labels the engine that answered"
           lifecycle_backend_labels;
+        case "request bookkeeping allocates nothing"
+          bookkeeping_allocates_nothing;
+        case "learner gauges are read at render" learner_gauges_read_at_render;
       ] );
   ]
