@@ -608,9 +608,11 @@ let serve_cmd =
       value & opt int 0
       & info [ "trace-sample" ] ~docv:"N"
           ~doc:
-            "Keep the last N query traces in a ring exposed by STATS JSON \
-             (0 disables tracing of ordinary queries; TRACE always \
-             traces).")
+            "Trace every query and keep the last N query traces per loop \
+             in its retained buffer; STATS JSON lists the newest N across \
+             loops as recent_traces (0 disables tracing of ordinary \
+             queries; TRACE always traces). Needs the lifecycle layer \
+             (see --no-lifecycle).")
   in
   let cache_mb =
     Arg.(
@@ -652,9 +654,10 @@ let serve_cmd =
       & opt (some int) None
       & info [ "metrics-port" ] ~docv:"PORT"
           ~doc:
-            "Serve GET /metrics (Prometheus text format) and GET /healthz \
-             on this port (0 picks one; the bound port is printed at \
-             startup). Off by default.")
+            "Serve GET /metrics (Prometheus text format), GET /healthz \
+             and GET /debug/flight on this port, from the event loops (0 \
+             picks one; the bound port is printed at startup). Off by \
+             default.")
   in
   let log_level =
     Arg.(
@@ -686,9 +689,11 @@ let serve_cmd =
       value & opt float 0.0
       & info [ "slow-query-ms" ] ~docv:"MS"
           ~doc:
-            "Log queries at or over MS milliseconds at warn level, with \
-             the query's trace span tree inlined (rate limited to one \
-             record per second). 0 disables.")
+            "Count and retain requests whose end-to-end time reaches MS \
+             milliseconds, each with one warn record inlining its span \
+             tree (rate limited to one record per second); a slow \
+             request with no query trace arms tracing of its loop's next \
+             query. Needs the lifecycle layer. 0 disables.")
   in
   let data_dir =
     Arg.(
@@ -777,9 +782,9 @@ let serve_cmd =
       & info [ "no-lifecycle" ]
           ~doc:
             "Turn off per-request lifecycle tracking (on by default): \
-             stage latency histograms, tail-based trace retention, and \
-             flight-ring request events. The flight ring still records \
-             accepts and closes.")
+             stage latency histograms, trace retention and sampling, the \
+             slow-query log, and flight-ring request events. The flight \
+             ring still records accepts and closes.")
   in
   let flight_capacity =
     Arg.(
@@ -798,7 +803,8 @@ let serve_cmd =
           ~doc:
             "Tail-retained trace buffer size per loop: the full span \
              trees of the last N slow / error / shed requests, served \
-             by FLIGHT and /debug/flight. 0 disables retention.")
+             by FLIGHT and /debug/flight. 0 keeps none (their warn \
+             records are still written).")
   in
   Cmd.v
     (Cmd.info "serve"

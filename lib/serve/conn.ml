@@ -1,16 +1,18 @@
-type mode = Sniff | Lines | Frames
+type mode = Sniff | Lines | Frames | Http
 
 type incoming =
   | Line_req of Protocol.request
   | Frame_req of Frame.t
   | Upgrade
   | Junk of string
+  | Http_req of string
 
 type read_status = Continue | Eof | Rerror of string
 
 let initial_buf = 4096
 let max_line = 1 lsl 20
 let max_rbuf = Frame.header_size + Frame.max_payload
+let max_http_head = 8192
 let default_max_output = 64 * 1024 * 1024
 
 (* Write-buffer budget, shared by every connection of a server: a
@@ -68,14 +70,14 @@ type t = {
   mutable flushed_bytes : int;
 }
 
-let create ?(accept_ns = 0) ~id ~peer ~ip ~limits fd =
+let create ?(accept_ns = 0) ?(http = false) ~id ~peer ~ip ~limits fd =
   {
     fd;
     id;
     peer;
     ip;
     limits;
-    mode = Sniff;
+    mode = (if http then Http else Sniff);
     rbuf = Bytes.create initial_buf;
     rpos = 0;
     rend = 0;
@@ -106,6 +108,7 @@ let ip t = t.ip
 let touch t ~now = t.last_active <- now
 let last_active t = t.last_active
 let framed t = t.mode = Frames
+let http t = t.mode = Http
 let read_closed t = t.read_closed
 let set_read_closed t = t.read_closed <- true
 let closing t = t.closing
@@ -180,6 +183,18 @@ let find_nl b pos limit =
 
 let stopped t = t.closing || t.dead
 
+(* Emit an HTTP connection's request line (up to the first CR) and
+   consume the whole head. *)
+let emit_http t ~emit =
+  let line_end =
+    match Bytes.index_from_opt t.rbuf t.rpos '\r' with
+    | Some i when i < t.rend -> i
+    | _ -> t.rend
+  in
+  let line = Bytes.sub_string t.rbuf t.rpos (line_end - t.rpos) in
+  t.rpos <- t.rend;
+  emit (Http_req line)
+
 let rec parse_all t ~emit =
   if not (stopped t) then
     match t.mode with
@@ -191,6 +206,7 @@ let rec parse_all t ~emit =
       end
     | Lines -> parse_lines t ~emit
     | Frames -> parse_frames t ~emit
+    | Http -> parse_http t ~emit
 
 and parse_lines t ~emit =
   match find_nl t.rbuf t.rpos t.rend with
@@ -220,6 +236,20 @@ and parse_frames t ~emit =
   | Frame.Need_more _ -> ()
   | Frame.Corrupt msg -> emit (Junk msg)
 
+(* One HTTP request per connection: wait for the end of the head
+   (CRLFCRLF) and emit its request line; headers are ignored. A head
+   past 8 KiB with no end in sight is closed without a reply. *)
+and parse_http t ~emit =
+  let b = t.rbuf in
+  let rec has_end i =
+    i + 3 < t.rend
+    && ((Bytes.get b i = '\r' && Bytes.get b (i + 1) = '\n'
+        && Bytes.get b (i + 2) = '\r' && Bytes.get b (i + 3) = '\n')
+       || has_end (i + 1))
+  in
+  if has_end t.rpos then emit_http t ~emit
+  else if t.rend - t.rpos > max_http_head then kill t
+
 let on_readable t ~emit =
   if not (ensure_read_space t) then begin
     emit (Junk "read buffer overflow");
@@ -242,6 +272,7 @@ let finish_read t ~emit =
   if t.rend > t.rpos && not (stopped t) then
     match t.mode with
     | Frames -> () (* partial frame torn by EOF: nothing to honor *)
+    | Http -> emit_http t ~emit (* a head cut short by EOF still counts *)
     | Sniff when Bytes.get t.rbuf t.rpos = Frame.magic -> ()
     | Sniff | Lines -> (
       let req = Protocol.parse_sub t.rbuf ~pos:t.rpos ~len:(t.rend - t.rpos) in

@@ -3,7 +3,9 @@
 
     Each connection starts in sniff mode: the first byte decides the
     dialect ({!Frame.magic} means framed v4, anything else the v2/v3
-    line protocol), and a line-mode [HELLO V4] upgrades mid-stream. The
+    line protocol), and a line-mode [HELLO V4] upgrades mid-stream.
+    Connections accepted on the metrics port start in HTTP mode instead:
+    one request head (capped at 8 KiB), one response, close. The
     read side (buffering, dialect detection, incremental parsing) lives
     here; dispatch policy — FIFO stop-and-wait for line mode, free
     pipelining for frames — lives in [server.ml].
@@ -48,15 +50,20 @@ type incoming =
   | Junk of string
       (** unrecoverable input (bad magic, oversized line or frame): the
           caller should answer with an error and close *)
+  | Http_req of string
+      (** an HTTP connection's request line, once its head is complete
+          (or cut short by EOF); the caller answers once and closes *)
 
 type read_status = Continue | Eof | Rerror of string
 
 val create :
   ?accept_ns:int ->
+  ?http:bool ->
   id:int -> peer:string -> ip:string -> limits:limits ->
   Unix.file_descr -> t
 (** [accept_ns] (default [0]) stamps the socket's accept time for the
-    lifecycle tracker's [accept] spans. *)
+    lifecycle tracker's [accept] spans. [http] (default [false]) starts
+    the connection in HTTP mode instead of sniffing its dialect. *)
 
 val fd : t -> Unix.file_descr
 val id : t -> int
@@ -78,6 +85,9 @@ val last_active : t -> float
 val framed : t -> bool
 (** True once the connection has sniffed (or upgraded) into v4. *)
 
+val http : t -> bool
+(** A metrics-port connection (created with [~http:true]). *)
+
 (** {2 Read side} *)
 
 val on_readable : t -> emit:(incoming -> unit) -> read_status
@@ -88,7 +98,7 @@ val on_readable : t -> emit:(incoming -> unit) -> read_status
 val finish_read : t -> emit:(incoming -> unit) -> unit
 (** Call on EOF: flushes an unterminated trailing line (the blocking
     server honored those — [input_line] yields a final line without a
-    newline) and discards any partial frame. *)
+    newline) or HTTP head, and discards any partial frame. *)
 
 val read_closed : t -> bool
 val set_read_closed : t -> unit

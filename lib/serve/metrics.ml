@@ -5,7 +5,7 @@
    single registration site of the metric-name inventory (everything is
    prefixed [strategem_]; see docs/OBSERVABILITY.md) plus the few
    STATS-only bits a scraper has no use for: per-form strategy strings
-   and the sampled-trace ring. *)
+   and, passed in by the server, the sampled query traces. *)
 
 module R = Obs.Registry
 
@@ -255,8 +255,6 @@ type t = {
   started : float;
   lock : Mutex.t;  (* guards [forms] creation and the providers *)
   forms : (string, form) Hashtbl.t;
-  trace_lock : Mutex.t;
-  traces : Trace.Ring.t option;
   mutable cache_provider : (unit -> cache_reading option) option;
   mutable store_provider : (unit -> Store.stats option) option;
   mirror_cache : cache_reading option -> unit;
@@ -332,7 +330,7 @@ let readings t =
   in
   (Option.map (fun f -> f ()) cache, Option.map (fun f -> f ()) store)
 
-let create ?(trace_capacity = 0) () =
+let create () =
   let reg = R.create () in
   let counter help name = R.Counter.solo (R.Counter.v reg ~help name) in
   let gauge help name = R.Gauge.solo (R.Gauge.v reg ~help name) in
@@ -355,11 +353,6 @@ let create ?(trace_capacity = 0) () =
       started = Unix.gettimeofday ();
       lock = Mutex.create ();
       forms = Hashtbl.create 8;
-      trace_lock = Mutex.create ();
-      traces =
-        (if trace_capacity > 0 then
-           Some (Trace.Ring.create ~capacity:trace_capacity)
-         else None);
       cache_provider = None;
       store_provider = None;
       mirror_cache = register reg cache_stats;
@@ -460,7 +453,7 @@ let create ?(trace_capacity = 0) () =
         counter "Connections refused by the per-IP cap"
           "strategem_ip_limited_total";
       c_slow =
-        counter "Queries at or over the slow-query threshold"
+        counter "Requests whose end-to-end time reached the slow-query threshold"
           "strategem_slow_queries_total";
       backend = "";
       h_queue_wait =
@@ -658,25 +651,6 @@ let observe_queue_depth t d =
 let queue_waited t ~wait_ns = R.Histogram.observe_ns t.h_queue_wait wait_ns
 let slow_query t = R.Counter.inc t.c_slow
 
-let trace_sampling t = t.traces <> None
-
-let trace t json =
-  match t.traces with
-  | None -> ()
-  | Some ring ->
-    Mutex.lock t.trace_lock;
-    Trace.Ring.add ring json;
-    Mutex.unlock t.trace_lock
-
-let recent_traces t =
-  match t.traces with
-  | None -> []
-  | Some ring ->
-    Mutex.lock t.trace_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.trace_lock)
-      (fun () -> Trace.Ring.to_list ring)
-
 let query fh ~latency_ns ~answered ~switched =
   R.Counter.inc fh.c_queries;
   if answered then R.Counter.inc fh.c_answered;
@@ -807,7 +781,7 @@ let json_escape s =
 
 let schema_version = 1
 
-let render_json t =
+let render_json ?recent_traces t =
   let cache, store = readings t in
   let forms = sorted_forms t in
   let qw = R.Histogram.snapshot t.h_queue_wait in
@@ -903,16 +877,11 @@ let render_json t =
            (json_escape (Atomic.get fh.strategy))))
     forms;
   Buffer.add_string buf "}";
-  (match t.traces with
-  | None -> ()
-  | Some _ ->
-    Buffer.add_string buf ",\"recent_traces\":[";
-    List.iteri
-      (fun i json ->
-        if i > 0 then Buffer.add_char buf ',';
-        (* Entries are already rendered JSON objects. *)
-        Buffer.add_string buf json)
-      (recent_traces t);
-    Buffer.add_char buf ']');
+  Option.iter
+    (fun traces ->
+      Buffer.add_string buf ",\"recent_traces\":[";
+      Buffer.add_string buf (String.concat "," traces);
+      Buffer.add_char buf ']')
+    recent_traces;
   Buffer.add_char buf '}';
   Buffer.contents buf

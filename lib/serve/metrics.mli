@@ -23,11 +23,7 @@
 
 type t
 
-(** [trace_capacity > 0] keeps a ring of the last that many rendered
-    query traces (the daemon's [--trace-sample N]), exposed in the
-    [STATS JSON] [recent_traces] array; [0] (the default) disables
-    sampling. *)
-val create : ?trace_capacity:int -> unit -> t
+val create : unit -> t
 
 (** The whole registry in Prometheus text exposition format 0.0.4 —
     the [GET /metrics] body. Runs the collect hooks (cache mirror,
@@ -66,8 +62,8 @@ val observe_queue_depth : t -> int -> unit
     executing it (recorded in µs). *)
 val queue_waited : t -> wait_ns:int -> unit
 
-(** A query took at least the slow-query threshold
-    ([strategem_slow_queries_total]). *)
+(** A finalized request's end-to-end time reached the slow-query
+    threshold ([strategem_slow_queries_total]). *)
 val slow_query : t -> unit
 
 (** {1 Reactor (protocol v4)} *)
@@ -161,13 +157,6 @@ val idle_closed : t -> unit
     ([strategem_ip_limited_total]). *)
 val ip_limited : t -> unit
 
-(** Is trace sampling on ([trace_capacity > 0])? *)
-val trace_sampling : t -> bool
-
-(** Add one rendered trace (a {!Trace.to_json} line) to the sample ring;
-    no-op when sampling is off. *)
-val trace : t -> string -> unit
-
 (** {1 Per-form series} *)
 
 (** One query form's handles: its query/answer/climb counters, latency
@@ -234,5 +223,8 @@ val queue_high_water : t -> int
     line per query form (sorted by form key). Deterministic field order. *)
 val render_text : t -> string list
 
-(** The same data as a single JSON object (one line). *)
-val render_json : t -> string
+(** The same data as a single JSON object (one line). [recent_traces]
+    (rendered {!Trace.to_json} objects, oldest first) is appended as the
+    [recent_traces] array when given — the daemon passes it when
+    [--trace-sample] is on. *)
+val render_json : ?recent_traces:string list -> t -> string

@@ -131,16 +131,27 @@ type loop_state = {
      the record — flight events, stage histograms, retention — once the
      conn's flushed-bytes total reaches the mark (or the conn died) *)
   mutable pending_fin : job list;
-  (* tail-retained traces, newest first; written by the loop at
-     finalize, read by FLIGHT / /debug/flight. Inserts keep the
-     finalized record and render the span tree lazily at dump time:
-     under sustained overload every shed request retains, and an eager
-     render per insert was measured at ~30 us — a 2-3x throughput
+  (* The loop's retained buffer: the only place a trace is stored.
+     Written by the loop at finalize, read under [ret_lock] by FLIGHT /
+     /debug/flight ([tail]: shed, error and slow requests) and by STATS
+     JSON ([sample]: the queries traced under --trace-sample). Inserts
+     keep the finalized record and render the span tree lazily at read
+     time: under sustained overload every shed request retains, and an
+     eager render per insert was measured at ~30 us — a 2-3x throughput
      collapse on the shed path, paid for entries that are mostly
-     evicted unread. *)
+     evicted unread. The lanes are separate so a sampled query never
+     evicts a tail entry. *)
   ret_lock : Mutex.t;
-  mutable retained : retained_entry list;
-  mutable retained_n : int;
+  tail : lane;
+  sample : lane;
+  (* a slow request was retained without a span tree: trace this loop's
+     next query, so a consistently slow workload's records carry one *)
+  mutable armed : bool;
+  (* ids of metrics-port connections, counting down from -1 so they
+     never collide with the acceptor's connection ids *)
+  mutable http_seq : int;
+  (* the open metrics-port connections, with their close deadlines *)
+  mutable http_open : (float * Conn.t) list;
 }
 
 and retained_entry = {
@@ -150,26 +161,33 @@ and retained_entry = {
   re_lc : Lifecycle.t;  (* immutable once finalized *)
 }
 
+(* A bounded newest-first list of retained entries. *)
+and lane = {
+  cap : int;
+  mutable entries : retained_entry list;
+  mutable n : int;
+}
+
 type state = {
   cfg : config;
   metrics : Metrics.t;
   registry : Registry.t;
   db : D.Database.t;
   log : Obs.Log.t;
-  (* at most one slow-query record per second; the rest are counted *)
-  slow_limiter : Obs.Log.Limiter.t;
-  (* one-shot "trace the next query" flag: tracing every query just in
-     case it turns out slow costs ~15% throughput (E21), so instead a
-     slow query detected without a live tracer arms this, and the next
-     query runs traced — a consistently slow workload gets its span
-     tree into the next admitted record at the cost of one traced query
-     per record *)
-  trace_next : bool Atomic.t;
+  (* the slow-query threshold in ns; 0 = off *)
+  slow_ns : int;
+  (* queries traced and kept per loop for STATS JSON; 0 = sampling off
+     (always 0 without the lifecycle layer) *)
+  sample_cap : int;
   (* global sequence over retained traces, so `strategem tail` can
      dedupe across loops *)
   retained_seq : int Atomic.t;
-  (* at most one auto flight dump per second; the rest are counted *)
-  flight_limiter : Obs.Log.Limiter.t;
+  (* at most one retained-request record per second; the rest are
+     counted *)
+  retain_limiter : Obs.Log.Limiter.t;
+  (* the metrics port's listening socket, polled by every loop; set
+     before the loops start *)
+  mutable msock : Unix.file_descr option;
   conn_seq : int Atomic.t;  (* connection ids, for log correlation *)
   (* acceptor-only rotation for power-of-two-choices placement *)
   accept_rr : int Atomic.t;
@@ -333,17 +351,11 @@ let answer_traced st ls ~w tracer q =
   Metrics.query (Registry.metrics entry) ~latency_ns
     ~answered:(Option.is_some ans.Core.Live.result)
     ~switched:ans.Core.Live.switched;
-  if traced && Metrics.trace_sampling st.metrics then
-    Option.iter
-      (fun sp -> Metrics.trace st.metrics (Trace.to_json sp))
-      (Trace.root_span tracer);
   (ans, latency_ns)
 
-(* Per-query log records: a debug record for every answered query, plus a
-   rate-limited warn record — with the query's span tree inlined — for
-   queries at or over the slow-query threshold. *)
-let log_query st ~conn ~qid ~latency_ns ~tracer atom_text
-    (ans : Core.Live.answer) =
+(* A debug record for every answered query; slow ones are logged once,
+   at finalize ([log_retained]). *)
+let log_query st ~conn ~qid ~latency_ns atom_text (ans : Core.Live.answer) =
   if Obs.Log.enabled st.log Obs.Log.Debug then
     Obs.Log.debug st.log "query answered"
       ~fields:
@@ -355,38 +367,7 @@ let log_query st ~conn ~qid ~latency_ns ~tracer atom_text
           ("answered", Obs.Log.B (ans.Core.Live.result <> None));
           ("cached", Obs.Log.B ans.Core.Live.cached);
           ("switched", Obs.Log.B ans.Core.Live.switched);
-        ];
-  if st.cfg.slow_query_us > 0.0 && us_of_ns latency_ns >= st.cfg.slow_query_us
-  then begin
-    Metrics.slow_query st.metrics;
-    match
-      Obs.Log.Limiter.admit st.slow_limiter ~now:(Unix.gettimeofday ())
-    with
-    | None -> ()
-    | Some suppressed ->
-      let span =
-        match Trace.root_span tracer with
-        | Some sp -> Trace.to_json sp
-        | None ->
-          (* no tracer was live for this one — arm a trace for the next
-             query so the next admitted record carries a span tree *)
-          Atomic.set st.trace_next true;
-          "null"
-      in
-      Obs.Log.warn st.log "slow query"
-        ~fields:
-          [
-            ("conn", Obs.Log.I conn);
-            ("query", Obs.Log.I qid);
-            ("q", Obs.Log.S atom_text);
-            ("latency_us", Obs.Log.F (us_of_ns latency_ns));
-            ("threshold_us", Obs.Log.F st.cfg.slow_query_us);
-            ("suppressed", Obs.Log.I suppressed);
-            ("reductions", Obs.Log.I ans.Core.Live.stats.D.Sld.reductions);
-            ("retrievals", Obs.Log.I ans.Core.Live.stats.D.Sld.retrievals);
-            ("span", Obs.Log.J span);
-          ]
-  end
+        ]
 
 (* The paper-cost total of the trace's [exec] spans, checked against the
    cost the learner pipeline recorded — the built-in consistency check on
@@ -420,21 +401,17 @@ let with_query st atom_text f =
 
 let handle_query st ls ~conn ~qid ~w atom_text =
   with_query st atom_text (fun q ->
-      (* Slow-query mode traces only when armed by a previous slow
-         detection (see [trace_next]) — never speculatively. *)
+      (* traced when sampled, or when armed by a slow request retained
+         without a tree ([finalize_lc]) — never speculatively *)
       let tracer =
-        if
-          Metrics.trace_sampling st.metrics
-          || st.cfg.slow_query_us > 0.0
-             (* plain read first: the flag is almost always false, and a
-                CAS per query on a shared line costs real throughput *)
-             && Atomic.get st.trace_next
-             && Atomic.compare_and_set st.trace_next true false
-        then Trace.make ()
+        if st.sample_cap > 0 || ls.armed then begin
+          ls.armed <- false;
+          Trace.make ()
+        end
         else Trace.null
       in
       let ans, latency_ns = answer_traced st ls ~w tracer q in
-      log_query st ~conn ~qid ~latency_ns ~tracer atom_text ans;
+      log_query st ~conn ~qid ~latency_ns atom_text ans;
       R_lines
         ( [
             Protocol.answer_line ~result:(result_string ans.Core.Live.result)
@@ -449,7 +426,7 @@ let handle_trace st ls ~conn ~qid ~w atom_text =
   with_query st atom_text (fun q ->
       let tracer = Trace.make () in
       let ans, latency_ns = answer_traced st ls ~w tracer q in
-      log_query st ~conn ~qid ~latency_ns ~tracer atom_text ans;
+      log_query st ~conn ~qid ~latency_ns atom_text ans;
       let paper_cost = exec_cost_of_trace tracer in
       let monitor_cost = ans.Core.Live.cost in
       let span_json =
@@ -526,6 +503,28 @@ let handle_snapshot st =
     Metrics.error st.metrics;
     R_err (`Internal, Printf.sprintf "%s: %s %s" fn (Unix.error_message e) arg)
 
+(* One lane of every loop's retained buffer, as (loop id, entry) pairs
+   in loop order, each loop's newest first. Safe from any thread. *)
+let lane_entries st lane =
+  Array.to_list st.loops
+  |> List.concat_map (fun ls ->
+         Mutex.lock ls.ret_lock;
+         let r = (lane ls).entries in
+         Mutex.unlock ls.ret_lock;
+         List.map (fun e -> (ls.lid, e)) r)
+
+(* STATS JSON's [recent_traces]: the newest [--trace-sample] sampled
+   query trees across loops, oldest first, rendered now. *)
+let recent_traces st =
+  let sampled =
+    lane_entries st (fun ls -> ls.sample)
+    |> List.sort (fun (_, a) (_, b) -> Int.compare b.re_seq a.re_seq)
+  in
+  List.filteri (fun i _ -> i < st.cfg.trace_sample) sampled
+  |> List.rev
+  |> List.filter_map (fun (_, e) ->
+         Option.map Trace.to_json e.re_lc.Lifecycle.lc_exec)
+
 (* The flight-recorder dump: every loop's ring (merged, time-ordered)
    plus every loop's tail-retained traces, as one JSON object. Safe from
    any thread — ring snapshots validate sequence stamps, the retained
@@ -550,14 +549,6 @@ let flight_json st =
       Buffer.add_string buf (Obs.Flight.event_to_json e))
     events;
   Buffer.add_string buf "],\"retained\":[";
-  let retained =
-    Array.to_list st.loops
-    |> List.concat_map (fun ls ->
-           Mutex.lock ls.ret_lock;
-           let r = ls.retained in
-           Mutex.unlock ls.ret_lock;
-           List.rev_map (fun e -> (ls.lid, e)) r |> List.rev)
-  in
   List.iteri
     (fun i (lid, e) ->
       if i > 0 then Buffer.add_char buf ',';
@@ -568,7 +559,7 @@ let flight_json st =
            e.re_seq lid e.re_lc.Lifecycle.lc_conn e.re_lc.Lifecycle.lc_rid
            e.re_reason e.re_total_us
            (Trace.to_json (Lifecycle.to_span e.re_lc))))
-    retained;
+    (lane_entries st (fun ls -> ls.tail));
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
@@ -584,7 +575,11 @@ let process st ls ~w job =
   | Protocol.Ping -> R_lines ([ Protocol.pong ], false)
   | Protocol.Help -> R_lines (Protocol.help_lines, true)
   | Protocol.Stats -> R_lines (Metrics.render_text st.metrics, true)
-  | Protocol.Stats_json -> R_lines ([ Metrics.render_json st.metrics ], false)
+  | Protocol.Stats_json ->
+    let recent_traces =
+      if st.cfg.trace_sample > 0 then Some (recent_traces st) else None
+    in
+    R_lines ([ Metrics.render_json ?recent_traces st.metrics ], false)
   | Protocol.Query atom ->
     handle_query st ls ~conn:(Conn.id job.conn) ~qid:job.rid ~w atom
   | Protocol.Trace atom ->
@@ -675,8 +670,54 @@ let dispatch st ls c ~framed ~rid req =
     respond st ls job R_busy ~now
   end
 
+(* --- the metrics port: one HTTP GET per connection, on the loop --- *)
+
+let http_response status content_type body =
+  let reason =
+    match status with
+    | 200 -> "OK"
+    | 400 -> "Bad Request"
+    | 404 -> "Not Found"
+    | 405 -> "Method Not Allowed"
+    | _ -> "Service Unavailable"
+  in
+  Printf.sprintf
+    "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\
+     Connection: close\r\n\r\n%s"
+    status reason content_type (String.length body) body
+
+(* Route one request line, answer it, and close. A known path answers
+   whatever the method; the query string is ignored. *)
+let serve_http st c request_line =
+  let text = "text/plain; charset=utf-8" in
+  let status, content_type, body =
+    match String.split_on_char ' ' request_line with
+    | meth :: target :: _ -> (
+      let path =
+        match String.index_opt target '?' with
+        | Some i -> String.sub target 0 i
+        | None -> target
+      in
+      match path with
+      | "/metrics" ->
+        ( 200,
+          "text/plain; version=0.0.4; charset=utf-8",
+          Metrics.render_prometheus st.metrics )
+      | "/healthz" ->
+        if Atomic.get st.stopping then (503, text, "draining\n")
+        else (200, text, "ready\n")
+      | "/debug/flight" -> (200, "application/json", flight_json st)
+      | _ when meth <> "GET" && meth <> "HEAD" ->
+        (405, text, "method not allowed\n")
+      | _ -> (404, text, "not found\n"))
+    | _ -> (400, text, "bad request\n")
+  in
+  Conn.send c (http_response status content_type body);
+  Conn.set_closing c
+
 let on_incoming st ls c inc =
   match inc with
+  | Conn.Http_req line -> serve_http st c line
   | Conn.Line_req Protocol.Empty -> ()  (* blank lines never dispatch *)
   | Conn.Line_req req -> Conn.push_pending c req
   | Conn.Upgrade ->
@@ -712,28 +753,32 @@ let reap st ls c =
   if Hashtbl.mem ls.conns (Conn.id c) then begin
     Hashtbl.remove ls.conns (Conn.id c);
     Eventloop.remove ls.ev (Conn.fd c);
-    Obs.Flight.record ls.flight ~ts_ns:(Lifecycle.now_ns ())
-      ~code:Obs.Flight.code_close ~loop:ls.lid ~conn:(Conn.id c) ~rid:0
-      ~a:(if Conn.dead c then 1 else 0)
-      ~b:0;
+    let dirty = Conn.dead c in
     Conn.kill c;
     (try Unix.close (Conn.fd c) with Unix.Unix_error _ -> ());
-    ignore (Atomic.fetch_and_add ls.n_conns (-1));
-    (* the overflow counters bump exactly once, here: [overflowed] is
-       sticky and a shed connection reaches reap exactly once *)
-    if Conn.overflowed c then
-      Metrics.write_overflow st.metrics ~shed_bytes:(Conn.take_shed_bytes c);
-    release_ip st (Conn.ip c);
-    Metrics.conn_closed st.metrics;
-    Metrics.loop_conn_closed ls.lh;
-    if Obs.Log.enabled st.log Obs.Log.Debug then
-      Obs.Log.debug st.log "connection closed"
-        ~fields:
-          [
-            ("conn", Obs.Log.I (Conn.id c));
-            ("loop", Obs.Log.I ls.lid);
-            ("pipeline_hwm", Obs.Log.I (Conn.pipeline_hwm c));
-          ]
+    (* a metrics-port connection was never counted: closing is all *)
+    if not (Conn.http c) then begin
+      Obs.Flight.record ls.flight ~ts_ns:(Lifecycle.now_ns ())
+        ~code:Obs.Flight.code_close ~loop:ls.lid ~conn:(Conn.id c) ~rid:0
+        ~a:(if dirty then 1 else 0)
+        ~b:0;
+      ignore (Atomic.fetch_and_add ls.n_conns (-1));
+      (* the overflow counters bump exactly once, here: [overflowed] is
+         sticky and a shed connection reaches reap exactly once *)
+      if Conn.overflowed c then
+        Metrics.write_overflow st.metrics ~shed_bytes:(Conn.take_shed_bytes c);
+      release_ip st (Conn.ip c);
+      Metrics.conn_closed st.metrics;
+      Metrics.loop_conn_closed ls.lh;
+      if Obs.Log.enabled st.log Obs.Log.Debug then
+        Obs.Log.debug st.log "connection closed"
+          ~fields:
+            [
+              ("conn", Obs.Log.I (Conn.id c));
+              ("loop", Obs.Log.I ls.lid);
+              ("pipeline_hwm", Obs.Log.I (Conn.pipeline_hwm c));
+            ]
+    end
   end
 
 (* Read interest stays off while a line connection has a full FIFO's
@@ -744,7 +789,9 @@ let update_interest st ls c =
   let read =
     not (Conn.read_closed c)
     && not (Conn.closing c)
-    && not (Atomic.get st.stopping)
+    (* the metrics port keeps reading through the drain: /healthz
+       answers "draining" until the loops exit *)
+    && ((not (Atomic.get st.stopping)) || Conn.http c)
     && Conn.pending_count c < st.fifo_cap
   in
   Eventloop.modify ls.ev (Conn.fd c) ~read ~write:(Conn.has_output c)
@@ -787,7 +834,8 @@ let service st ls c =
       in
       if
         idle
-        && (Conn.closing c || Conn.read_closed c || Atomic.get st.stopping)
+        && (Conn.closing c || Conn.read_closed c
+           || (Atomic.get st.stopping && not (Conn.http c)))
       then reap st ls c
       else update_interest st ls c
     end
@@ -895,6 +943,58 @@ let wheel_insert ls ~at c =
   let slot = s mod wheel_slots in
   ls.wheel.(slot) <- c :: ls.wheel.(slot)
 
+(* Make [c] one of this loop's connections: the connection table and
+   the poller (both loop-thread-only). *)
+let register st ls c =
+  Hashtbl.replace ls.conns (Conn.id c) c;
+  let emit = on_incoming st ls c in
+  Eventloop.add ls.ev (Conn.fd c) ~read:true ~write:false
+    (fun ~readable ~writable -> on_conn_event st ls c ~emit ~readable ~writable)
+
+(* A metrics-port connection is closed this long after its accept,
+   answered or not, so a silent client holds neither an fd nor the
+   drain for longer. *)
+let http_deadline_s = 5.0
+
+(* Accept every pending metrics-port connection. Every loop polls the
+   listener; whichever wakes first takes the connection, the others see
+   EAGAIN. HTTP connections count toward no connection cap or gauge;
+   their responses are uncapped, as a scrape's body is the server's
+   own. *)
+let rec accept_http st ls msock =
+  match Unix.accept ~cloexec:true msock with
+  | exception Unix.Unix_error _ -> ()
+  | fd, _ ->
+    Unix.set_nonblock fd;
+    ls.http_seq <- ls.http_seq - 1;
+    let c =
+      Conn.create ~http:true ~id:ls.http_seq ~peer:"" ~ip:""
+        ~limits:(Conn.limits ~max_buf:0 ()) fd
+    in
+    register st ls c;
+    ls.http_open <-
+      (Unix.gettimeofday () +. http_deadline_s, c) :: ls.http_open;
+    accept_http st ls msock
+
+(* Forget the metrics-port connections already closed; close those past
+   their deadline. *)
+let http_sweep st ls =
+  match ls.http_open with
+  | [] -> ()
+  | conns ->
+    let now = Unix.gettimeofday () in
+    ls.http_open <-
+      List.filter
+        (fun (deadline, c) ->
+          Hashtbl.mem ls.conns (Conn.id c)
+          && (deadline > now
+             || begin
+                  Conn.kill c;
+                  reap st ls c;
+                  false
+                end))
+        conns
+
 (* Adopt sockets the acceptor handed over: materialize the [Conn.t] and
    register the fd, both loop-thread-only operations. *)
 let adopt_incoming st ls =
@@ -916,15 +1016,11 @@ let adopt_incoming st ls =
         Conn.touch c ~now:ls.now;
         wheel_insert ls ~at:(ls.now +. st.cfg.idle_timeout_s) c
       end;
-      Hashtbl.replace ls.conns id c;
+      register st ls c;
       Obs.Flight.record ls.flight ~ts_ns:accept_ns
         ~code:Obs.Flight.code_accept ~loop:ls.lid ~conn:id ~rid:0 ~a:ls.lid
         ~b:0;
       Metrics.loop_conn_opened ls.lh;
-      let emit = on_incoming st ls c in
-      Eventloop.add ls.ev fd ~read:true ~write:false
-        (fun ~readable ~writable ->
-          on_conn_event st ls c ~emit ~readable ~writable);
       if Obs.Log.enabled st.log Obs.Log.Debug then
         Obs.Log.debug st.log "connection accepted"
           ~fields:
@@ -996,67 +1092,91 @@ let rec take n = function
   | _ when n <= 0 -> []
   | x :: tl -> x :: take (n - 1) tl
 
+(* Keep [e] as the newest entry of [lane], dropping the oldest past its
+   cap. Under the loop's [ret_lock]. *)
+let push lane e =
+  if lane.cap > 0 then begin
+    lane.entries <- e :: lane.entries;
+    lane.n <- lane.n + 1;
+    if lane.n > lane.cap then begin
+      lane.entries <- take lane.cap lane.entries;
+      lane.n <- lane.cap
+    end
+  end
+
+(* The one record a retained request writes: its span tree (with the
+   query's exec tree grafted when it ran traced) and the tail of its
+   loop's flight ring, at most one per second; the record carries how
+   many were suppressed since the last. *)
+let log_retained st ls e =
+  if Obs.Log.enabled st.log Obs.Log.Warn then
+    match
+      Obs.Log.Limiter.admit st.retain_limiter ~now:(Unix.gettimeofday ())
+    with
+    | None -> ()
+    | Some suppressed ->
+      let lc = e.re_lc in
+      let events =
+        take 16 (List.rev (Obs.Flight.snapshot ls.flight))
+        |> List.rev_map Obs.Flight.event_to_json
+      in
+      Obs.Log.warn st.log "request trace retained"
+        ~fields:
+          [
+            ("loop", Obs.Log.I ls.lid);
+            ("conn", Obs.Log.I lc.Lifecycle.lc_conn);
+            ("rid", Obs.Log.I lc.Lifecycle.lc_rid);
+            ("reason", Obs.Log.S e.re_reason);
+            ("total_us", Obs.Log.F e.re_total_us);
+            ("retained_seq", Obs.Log.I e.re_seq);
+            ("suppressed", Obs.Log.I suppressed);
+            ("span", Obs.Log.J (Trace.to_json (Lifecycle.to_span lc)));
+            ("events", Obs.Log.J ("[" ^ String.concat "," events ^ "]"));
+          ]
+
 (* Finalize one request's lifecycle record: replay its stamps into the
    loop's flight ring (single-writer: only this loop's thread runs
-   this), feed the per-stage latency histograms, and apply tail-based
-   retention — the full span tree is kept only for slow / error / shed
-   requests. *)
+   this), feed the per-stage latency histograms, and decide — here and
+   nowhere else — whether its trace is kept, and why: [shed], [error]
+   and [slow] requests go to the tail lane (FLIGHT, /debug/flight, one
+   warn record each), and a query traced under --trace-sample also goes
+   to the sample lane (STATS JSON), with reason [sample] when it has no
+   other. *)
 let finalize_lc st ls (lc : Lifecycle.t) =
   Lifecycle.finalize lc ~flight:ls.flight ls.lh;
   Metrics.lifecycle_finalized st.metrics;
-  (* tail-based retention *)
   let total_ns = Lifecycle.total_ns lc in
-  let reason =
+  let slow = st.slow_ns > 0 && total_ns >= st.slow_ns in
+  if slow then Metrics.slow_query st.metrics;
+  let tail =
     if lc.Lifecycle.lc_shed then Some "shed"
     else if lc.Lifecycle.lc_error then Some "error"
-    else if
-      st.cfg.slow_query_us > 0.0 && us_of_ns total_ns >= st.cfg.slow_query_us
-    then Some "slow"
+    else if slow then Some "slow"
     else None
   in
-  match reason with
-  | None -> ()
-  | Some _ when st.cfg.retain <= 0 -> ()
-  | Some reason ->
-    let total_us = us_of_ns total_ns in
-    let seq = Atomic.fetch_and_add st.retained_seq 1 in
-    let entry =
-      { re_seq = seq; re_reason = reason; re_total_us = total_us; re_lc = lc }
+  let sampled = st.sample_cap > 0 && Option.is_some lc.Lifecycle.lc_exec in
+  if sampled || Option.is_some tail then begin
+    let e =
+      {
+        re_seq = Atomic.fetch_and_add st.retained_seq 1;
+        re_reason = Option.value tail ~default:"sample";
+        re_total_us = us_of_ns total_ns;
+        re_lc = lc;
+      }
     in
     Mutex.lock ls.ret_lock;
-    ls.retained <- entry :: ls.retained;
-    ls.retained_n <- ls.retained_n + 1;
-    if ls.retained_n > st.cfg.retain then begin
-      ls.retained <- take st.cfg.retain ls.retained;
-      ls.retained_n <- st.cfg.retain
-    end;
+    if sampled then push ls.sample e;
+    if Option.is_some tail then push ls.tail e;
     Mutex.unlock ls.ret_lock;
-    Metrics.trace_retained st.metrics ls.lh ~reason ~seq;
-    (* the automatic flight dump a retained request triggers: the
-       loop's recent ring events, inlined in one rate-limited record *)
-    if Obs.Log.enabled st.log Obs.Log.Warn then
-      match
-        Obs.Log.Limiter.admit st.flight_limiter ~now:(Unix.gettimeofday ())
-      with
-      | None -> ()
-      | Some suppressed ->
-        let events = Obs.Flight.snapshot ls.flight in
-        let tail =
-          take 16 (List.rev events) |> List.rev
-          |> List.map Obs.Flight.event_to_json
-        in
-        Obs.Log.warn st.log "flight: request trace retained"
-          ~fields:
-            [
-              ("loop", Obs.Log.I ls.lid);
-              ("conn", Obs.Log.I lc.Lifecycle.lc_conn);
-              ("rid", Obs.Log.I lc.Lifecycle.lc_rid);
-              ("reason", Obs.Log.S reason);
-              ("total_us", Obs.Log.F total_us);
-              ("retained_seq", Obs.Log.I seq);
-              ("suppressed", Obs.Log.I suppressed);
-              ("events", Obs.Log.J ("[" ^ String.concat "," tail ^ "]"));
-            ]
+    match tail with
+    | None -> ()
+    | Some reason ->
+      if st.cfg.retain > 0 then
+        Metrics.trace_retained st.metrics ls.lh ~reason ~seq:e.re_seq;
+      (* no tree to show for this one: trace the loop's next query *)
+      if slow && Option.is_none lc.Lifecycle.lc_exec then ls.armed <- true;
+      log_retained st ls e
+  end
 
 (* Finalize every registered record whose response bytes have drained
    (or whose connection died trying). Oldest first, so ring order
@@ -1106,6 +1226,7 @@ let loop_tick st ls =
      finalizes in the same tick *)
   finalize_pass st ls;
   idle_sweep st ls;
+  http_sweep st ls;
   Metrics.set_loop_wakeups ls.lh (Eventloop.wakeups ls.ev)
 
 let incoming_empty ls =
@@ -1115,17 +1236,24 @@ let incoming_empty ls =
   e
 
 (* A loop domain's whole life: poll until told to stop and fully
-   drained. The loop's [Eventloop.t] stays open after exit — a late
-   acceptor or shutdown wake must hit a live eventfd, not a recycled
-   descriptor — and is closed by the main thread once every domain has
-   joined. *)
+   drained. A metrics-port connection holds the drain like any other,
+   at most until its deadline. The loop's [Eventloop.t] stays open after
+   exit — a late acceptor or shutdown wake must hit a live eventfd, not
+   a recycled descriptor — and is closed by the main thread once every
+   domain has joined, as is the metrics listener. *)
 let loop_main st ls =
   Eventloop.on_wake ls.ev (fun () -> loop_tick st ls);
+  Option.iter
+    (fun fd ->
+      Eventloop.add ls.ev fd ~read:true ~write:false
+        (fun ~readable:_ ~writable:_ -> accept_http st ls fd))
+    st.msock;
   Eventloop.run ls.ev ~stop:(fun () ->
       Atomic.get st.stopping
       && Hashtbl.length ls.conns = 0
       && Atomic.get ls.inflight = 0
       && incoming_empty ls);
+  Option.iter (Eventloop.remove ls.ev) st.msock;
   (* belt and braces for exceptional exits: release any survivors *)
   Hashtbl.iter
     (fun _ c ->
@@ -1303,7 +1431,7 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
      this server's log is closed *)
   let caller_reporter = Logs.reporter () in
   if cfg.log_level <> None then Obs.Log.install_logs_reporter log;
-  let metrics = Metrics.create ~trace_capacity:cfg.trace_sample () in
+  let metrics = Metrics.create () in
   let registry =
     Registry.create ~learner:cfg.learner ~config:cfg.learner_config ~rulebase
       metrics
@@ -1345,8 +1473,11 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
           flight = Obs.Flight.create ~capacity:cfg.flight_capacity;
           pending_fin = [];
           ret_lock = Mutex.create ();
-          retained = [];
-          retained_n = 0;
+          tail = { cap = cfg.retain; entries = []; n = 0 };
+          sample = { cap = cfg.trace_sample; entries = []; n = 0 };
+          armed = false;
+          http_seq = 0;
+          http_open = [];
         })
   in
   Metrics.set_loops metrics n_loops;
@@ -1365,10 +1496,14 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
       registry;
       db;
       log;
-      slow_limiter = Obs.Log.Limiter.create ~min_interval_s:1.0;
-      trace_next = Atomic.make false;
+      slow_ns =
+        (if cfg.slow_query_us > 0.0 then
+           int_of_float (Float.ceil (cfg.slow_query_us *. 1e3))
+         else 0);
+      sample_cap = (if cfg.lifecycle then cfg.trace_sample else 0);
       retained_seq = Atomic.make 0;
-      flight_limiter = Obs.Log.Limiter.create ~min_interval_s:1.0;
+      retain_limiter = Obs.Log.Limiter.create ~min_interval_s:1.0;
+      msock = None;
       conn_seq = Atomic.make 1;
       accept_rr = Atomic.make 0;
       fifo_cap = (cfg.queue_depth + n_loops - 1) / n_loops;
@@ -1412,10 +1547,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
             memo = D.Sld.Memo.counters m;
           }
       | _ -> None);
-  (* The metrics responder is created inside the protected body (after
-     the main socket binds, so a busy serve port can't leak it) but must
-     be torn down on any exit path, hence the ref. *)
-  let http = ref None in
   (* The listener closes at drain start (so clients see refusals, not
      hangs) but also on every exceptional path; the ref keeps the close
      single-shot — a second close of a recycled fd number would hit an
@@ -1430,7 +1561,9 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
   Fun.protect
     ~finally:(fun () ->
       if cfg.lifecycle then Store.Hooks.clear ();
-      Option.iter (fun h -> try Obs.Http.stop h with _ -> ()) !http;
+      Option.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        st.msock;
       (* loops have joined (or never started) by now: their eventloops
          are closed here, centrally, so a late wake can never hit a
          recycled descriptor *)
@@ -1467,34 +1600,28 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
             (Sys.Signal_handle (fun _ -> prerr_endline (flight_json st)))
         with Invalid_argument _ | Sys_error _ -> ()
       end;
-      (match cfg.metrics_port with
-      | None -> ()
-      | Some mp ->
-        let handler ~meth:_ ~path =
-          match path with
-          | "/metrics" ->
-            Some
-              {
-                Obs.Http.status = 200;
-                content_type = "text/plain; version=0.0.4; charset=utf-8";
-                body = Metrics.render_prometheus metrics;
-              }
-          | "/healthz" ->
-            Some
-              (if Atomic.get st.stopping then Obs.Http.text 503 "draining\n"
-               else Obs.Http.text 200 "ready\n")
-          | "/debug/flight" ->
-            Some
-              {
-                Obs.Http.status = 200;
-                content_type = "application/json";
-                body = flight_json st;
-              }
-          | _ -> None
-        in
-        let h = Obs.Http.start ~host:cfg.host ~port:mp ~handler () in
-        http := Some h;
-        on_metrics_listen (Obs.Http.port h));
+      (* The metrics listener binds inside the protected body (after the
+         main socket, so a busy serve port can't leak it); every loop
+         polls it, and the main thread closes it once they have joined. *)
+      Option.iter
+        (fun mp ->
+          let ms = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          st.msock <- Some ms;
+          Unix.setsockopt ms Unix.SO_REUSEADDR true;
+          Unix.bind ms
+            (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, mp));
+          Unix.listen ms 16;
+          Unix.set_nonblock ms)
+        cfg.metrics_port;
+      let metrics_port =
+        Option.map
+          (fun ms ->
+            match Unix.getsockname ms with
+            | Unix.ADDR_INET (_, p) -> p
+            | _ -> assert false)
+          st.msock
+      in
+      Option.iter on_metrics_listen metrics_port;
       let snapshotter =
         if cfg.snapshot_interval > 0.0 && cfg.state_dir <> None then
           Some (Thread.create (fun () -> snapshot_loop st stop_r) ())
@@ -1517,16 +1644,16 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
             ( "learner",
               Obs.Log.S (Core.Learner.kind_to_string cfg.learner) );
             ( "metrics_port",
-              match !http with
-              | Some h -> Obs.Log.I (Obs.Http.port h)
+              match metrics_port with
+              | Some p -> Obs.Log.I p
               | None -> Obs.Log.J "null" );
           ];
       (* The main thread is the dedicated acceptor until shutdown. *)
       acceptor st sock stop_r;
       (* Drain: stop accepting and wake every loop so each runs what it
-         has parsed and drains its own connections. The metrics
-         responder stays up through the drain so /healthz reports
-         "draining" to probes. *)
+         has parsed and drains its own connections. The loops keep
+         answering the metrics port through the drain, so /healthz
+         reports "draining" to probes. *)
       Obs.Log.info log "shutdown initiated: draining"
         ~fields:
           [

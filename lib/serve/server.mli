@@ -63,10 +63,13 @@ type config = {
   learner : Core.Learner.kind;    (** per-form learner ([--learner]) *)
   learner_config : Core.Learner.config;
   trace_sample : int;
-      (** keep the last [N] query traces in a ring exposed by
-          [STATS JSON] ([recent_traces]); [0] = sampling off. Tracing a
-          query costs span allocations, so the default is off; [TRACE]
-          always traces its own query regardless. *)
+      (** trace every query and keep the last [N] traced queries per loop
+          in its retained buffer; [STATS JSON] lists the newest [N]
+          across loops ([recent_traces]), rendered when read. [0] =
+          sampling off. Tracing a query costs span allocations, so the
+          default is off; [TRACE] always traces its own query
+          regardless. A sampled query is never listed by [FLIGHT] unless
+          retention kept it for its own reason. Needs [lifecycle]. *)
   cache_mb : int;
       (** answer-cache budget in MiB ([--cache-mb]); [0] ([--no-cache])
           disables both the answer cache and subgoal memoization. Only
@@ -74,23 +77,27 @@ type config = {
           current strategy so its learner observes every query, and
           learning is unaffected. *)
   metrics_port : int option;
-      (** serve [GET /metrics] (Prometheus text 0.0.4) and
-          [GET /healthz] ([200 ready] / [503 draining]) on this port
-          ([--metrics-port]; [0] picks an ephemeral port, read back via
-          [on_metrics_listen]); [None] = no HTTP responder. *)
+      (** serve [GET /metrics] (Prometheus text 0.0.4), [GET /healthz]
+          ([200 ready] / [503 draining]) and [GET /debug/flight] on this
+          port ([--metrics-port]; [0] picks an ephemeral port, read back
+          via [on_metrics_listen]); [None] = no metrics port. Every event
+          loop polls the listener and answers one request per
+          connection, so no thread is started. *)
   log_level : Obs.Log.level option;
       (** JSONL structured-log threshold ([--log-level]); [None] turns
           structured logging off entirely. *)
   log_file : string option;
       (** structured-log destination ([--log-file]); [None] = stderr. *)
   slow_query_us : float;
-      (** queries at or over this latency are counted
-          ([strategem_slow_queries_total]) and logged at [warn] — rate
-          limited to one record per second ([--slow-query-ms]); [0.] =
-          off. A slow detection arms tracing for the next query, so
-          under consistently slow traffic the admitted records carry
-          the query's span tree inlined, without paying for speculative
-          tracing of every query (see E21). *)
+      (** requests whose end-to-end time, judged once at finalize,
+          reaches this threshold are counted
+          ([strategem_slow_queries_total]), retained with reason [slow]
+          and logged in one [warn] record — rate limited to one record
+          per second ([--slow-query-ms]); [0.] = off. A slow request
+          retained without a query trace arms its loop, whose next query
+          runs traced, so under consistently slow traffic the records
+          carry an exec tree without speculative tracing of every query
+          (see E21). Needs [lifecycle]. *)
   loops : int;
       (** event loops in the reactor fleet ([--loops], also spelled
           [--workers]); [0] (the default) means
@@ -124,9 +131,11 @@ type config = {
           parse → queue → worker → respond → flush, with WAL-fsync and
           page-fault waits attributed while its loop executes it. Finalized
           records feed [strategem_stage_latency_us{stage, loop}], the
-          flight recorder, and tail-based retention (the full span tree
-          is kept only for slow / error / shed requests, in a bounded
-          per-loop buffer served by [FLIGHT] / [/debug/flight]). *)
+          flight recorder, and retention (the full span tree is kept
+          only for slow / error / shed requests, in a bounded per-loop
+          buffer served by [FLIGHT] / [/debug/flight], and for sampled
+          queries). Off, there is no capture path at all: nothing is
+          retained or sampled and no slow record is written. *)
   flight_capacity : int;
       (** per-loop flight-recorder ring capacity in events
           ([--flight-capacity], rounded up to a power of two; default
@@ -134,7 +143,7 @@ type config = {
           and lock-free: the owning loop writes, anyone snapshots. *)
   retain : int;
       (** tail-retained trace buffer size per loop ([--retain]; default
-          64; [0] disables retention). *)
+          64; [0] keeps no tree, the warn records are still written). *)
 }
 
 (** 127.0.0.1:4280, [min 4 cores] loops, queue depth 64, max 10_000

@@ -349,31 +349,6 @@ module Json = struct
     v
 end
 
-module Ring = struct
-  type t = {
-    items : string array;
-    mutable next : int;  (* slot the next add writes *)
-    mutable len : int;
-  }
-
-  let create ~capacity =
-    if capacity < 1 then invalid_arg "Ring.create: capacity must be >= 1";
-    { items = Array.make capacity ""; next = 0; len = 0 }
-
-  let capacity t = Array.length t.items
-  let length t = t.len
-
-  let add t s =
-    t.items.(t.next) <- s;
-    t.next <- (t.next + 1) mod Array.length t.items;
-    if t.len < Array.length t.items then t.len <- t.len + 1
-
-  let to_list t =
-    let cap = Array.length t.items in
-    List.init t.len (fun i ->
-        t.items.((t.next - t.len + i + (2 * cap)) mod cap))
-end
-
 let of_json_value v =
   let fail msg = raise (Parse_error msg) in
   let rec span_of = function

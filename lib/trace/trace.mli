@@ -164,27 +164,3 @@ val of_json_value : Json.value -> span
     absent) — so a fleet trace lanes per event loop. Paper cost and all
     attributes ride in [args]. *)
 val to_chrome : ?tid_attr:string -> span list -> string
-
-(** A bounded ring of recent rendered traces.
-
-    Holds the last [capacity] entries (each typically one {!to_json}
-    line); adding to a full ring evicts the oldest. {b Not} thread-safe —
-    callers that share a ring across threads must serialize access
-    themselves ([Serve.Metrics] guards its ring with the metrics lock,
-    keeping this library dependency-light). *)
-module Ring : sig
-  type t
-
-  (** Raises [Invalid_argument] unless [capacity >= 1]. *)
-  val create : capacity:int -> t
-
-  val capacity : t -> int
-
-  (** Entries currently held (0 to [capacity]). *)
-  val length : t -> int
-
-  val add : t -> string -> unit
-
-  (** Oldest first. *)
-  val to_list : t -> string list
-end

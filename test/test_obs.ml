@@ -431,53 +431,6 @@ let limiter_admits_and_counts () =
   check_bool "after the interval, admitted with the suppressed count" true
     (Obs.Log.Limiter.admit lim ~now:110.5 = Some 2)
 
-(* ---------- HTTP responder ---------- *)
-
-let http_get ~port path =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd
-        (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
-      let req =
-        Printf.sprintf "GET %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-          path
-      in
-      ignore (Unix.write_substring fd req 0 (String.length req));
-      let buf = Buffer.create 1024 in
-      let chunk = Bytes.create 1024 in
-      let rec go () =
-        match Unix.read fd chunk 0 1024 with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          go ()
-      in
-      go ();
-      Buffer.contents buf)
-
-let http_serves_and_404s () =
-  let handler ~meth:_ ~path =
-    match path with
-    | "/metrics" -> Some (Obs.Http.text 200 "all_good 1\n")
-    | _ -> None
-  in
-  let t = Obs.Http.start ~port:0 ~handler () in
-  Fun.protect
-    ~finally:(fun () -> Obs.Http.stop t)
-    (fun () ->
-      let port = Obs.Http.port t in
-      check_bool "ephemeral port chosen" true (port > 0);
-      let ok = http_get ~port "/metrics" in
-      check_bool "200 status line" true (contains ok "HTTP/1.1 200 OK");
-      check_bool "body served" true (contains ok "all_good 1");
-      check_bool "content-length present" true (contains ok "Content-Length:");
-      let qs = http_get ~port "/metrics?x=1" in
-      check_bool "query string stripped" true (contains qs "all_good 1");
-      let missing = http_get ~port "/nope" in
-      check_bool "unhandled path is 404" true (contains missing "404"))
-
 let suite =
   [
     ( "obs",
@@ -505,6 +458,5 @@ let suite =
         case "log level filtering" log_level_filter;
         case "log level round-trip" log_levels_roundtrip;
         case "slow-query limiter" limiter_admits_and_counts;
-        case "http responder serves and 404s" http_serves_and_404s;
       ] );
   ]

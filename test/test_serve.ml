@@ -1284,36 +1284,76 @@ let eventloop_wakeups_coalesce () =
 
 (* ---------- Request lifecycle + flight recorder ---------- *)
 
-(* One blocking HTTP GET against the daemon's metrics responder. *)
-let http_get ~port path =
+(* Open a connection to [port] and send [request] verbatim. *)
+let http_open ~port request =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  ignore (Unix.write_substring fd request 0 (String.length request));
+  fd
+
+(* Send the rest of a request on [fd] (if any) and read the reply until
+   the server closes; a reset (a close with unread input) reads as an
+   empty reply. *)
+let http_finish fd rest =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf
-          "GET %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n" path
-      in
-      ignore (Unix.write_substring fd req 0 (String.length req));
+      if rest <> "" then
+        ignore (Unix.write_substring fd rest 0 (String.length rest));
       let buf = Buffer.create 4096 in
       let chunk = Bytes.create 4096 in
       let rec go () =
         match Unix.read fd chunk 0 4096 with
-        | 0 -> ()
+        | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
         | n ->
           Buffer.add_subbytes buf chunk 0 n;
           go ()
       in
       go ();
-      let raw = Buffer.contents buf in
-      let rec body_start i =
-        if i + 4 > String.length raw then 0
-        else if String.sub raw i 4 = "\r\n\r\n" then i + 4
-        else body_start (i + 1)
-      in
-      let i = body_start 0 in
-      String.sub raw i (String.length raw - i))
+      Buffer.contents buf)
+
+(* Send [request] verbatim to the metrics port and read the reply. *)
+let http_raw ~port request = http_finish (http_open ~port request) ""
+
+(* Split a raw HTTP reply into its head and its body. *)
+let http_split raw =
+  let rec body_start i =
+    if i + 4 > String.length raw then None
+    else if String.sub raw i 4 = "\r\n\r\n" then Some i
+    else body_start (i + 1)
+  in
+  match body_start 0 with
+  | Some i ->
+    (String.sub raw 0 i, String.sub raw (i + 4) (String.length raw - i - 4))
+  | None -> (raw, "")
+
+(* One blocking HTTP GET against the daemon's metrics port: the body. *)
+let http_get ~port path =
+  snd
+    (http_split
+       (http_raw ~port
+          (Printf.sprintf
+             "GET %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n" path)))
+
+(* Start an in-process server with [cfg] on the university KB: its
+   thread, port and metrics port (0 without one). *)
+let start_cfg_server cfg =
+  let rulebase, db = kb () in
+  let port = Atomic.make 0 and mport = Atomic.make 0 in
+  let thread =
+    Thread.create
+      (fun () ->
+        Serve.Server.run ~on_listen:(Atomic.set port)
+          ~on_metrics_listen:(Atomic.set mport) cfg ~rulebase ~db)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  if Atomic.get port = 0 then Alcotest.fail "server did not start";
+  (thread, Atomic.get port, Atomic.get mport)
 
 let server_lifecycle_flight_e2e () =
   (* End to end over a 1-loop fleet with a threshold that marks every
@@ -1904,6 +1944,238 @@ let server_learning_same_across_loops () =
   check_int "two strategy files" 2 (List.length f1);
   check_bool "byte-identical snapshot strategies" true (f1 = f4)
 
+(* ---------- The metrics port on the loops ---------- *)
+
+let server_metrics_port_on_loops () =
+  (* The metrics port is served by the event loops, one request per
+     connection, byte for byte: status line, headers, body; /healthz
+     turns to 503 once a drain has begun and answers through it. *)
+  let thread, port, mport =
+    start_cfg_server
+      { (server_config ~loops:2 ()) with Serve.Server.metrics_port = Some 0 }
+  in
+  check_bool "ephemeral metrics port chosen" true (mport > 0);
+  let get path =
+    http_raw ~port:mport
+      (Printf.sprintf "GET %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+         path)
+  in
+  let plain status reason body =
+    Printf.sprintf
+      "HTTP/1.1 %d %s\r\nContent-Type: text/plain; charset=utf-8\r\n\
+       Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+      status reason (String.length body) body
+  in
+  check_string "/healthz ready" (plain 200 "OK" "ready\n") (get "/healthz");
+  let head, body = http_split (get "/metrics") in
+  check_bool "200 status line" true
+    (String.length head >= 15 && String.sub head 0 15 = "HTTP/1.1 200 OK");
+  check_bool "exposition content type" true
+    (contains "Content-Type: text/plain; version=0.0.4; charset=utf-8" head);
+  check_bool "content-length present and exact" true
+    (contains (Printf.sprintf "Content-Length: %d" (String.length body)) head);
+  (match Obs.Expo.lint body with
+  | Ok () -> ()
+  | Error problems ->
+    Alcotest.failf "scrape must lint: %s" (String.concat "; " problems));
+  check_bool "body served" true (contains "strategem_uptime_seconds" body);
+  check_bool "query string stripped" true
+    (contains "strategem_uptime_seconds" (get "/metrics?x=1"));
+  check_string "unknown path is 404" (plain 404 "Not Found" "not found\n")
+    (get "/nope");
+  check_string "POST elsewhere is 405"
+    (plain 405 "Method Not Allowed" "method not allowed\n")
+    (http_raw ~port:mport "POST /nope HTTP/1.1\r\nHost: x\r\n\r\n");
+  check_string "garbage request line is 400"
+    (plain 400 "Bad Request" "bad request\n")
+    (http_raw ~port:mport "garbage\r\n\r\n");
+  check_string "a head over 8 KiB is closed unanswered" ""
+    (http_raw ~port:mport ("GET /" ^ String.make 9000 'a'));
+  check_bool "scrapes are not serve connections" true
+    (List.mem "conns_open 1" (talk port [ "STATS" ]));
+  (* A scrape whose head is unfinished holds its loop's drain until it
+     is answered (or its deadline passes), and the loops keep accepting
+     scrapes while they drain. Two heads are split across the start of
+     the drain: one is finished mid-drain, the other holds the drain
+     open through the checks and is finished last. *)
+  let split = http_open ~port:mport "GET /healthz HTTP/1.1\r\n" in
+  let held = http_open ~port:mport "GET /metrics HTTP/1.1\r\n" in
+  Thread.delay 0.05;
+  check_bool "shutdown acknowledged" true (talk port [ "SHUTDOWN" ] = [ "BYE" ]);
+  Thread.delay 0.1;
+  check_string "a head split across the drain's start is answered"
+    (plain 503 "Service Unavailable" "draining\n")
+    (http_finish split "Host: x\r\n\r\n");
+  check_string "/healthz draining during the drain"
+    (plain 503 "Service Unavailable" "draining\n")
+    (get "/healthz");
+  check_bool "/metrics still served during the drain" true
+    (contains "strategem_uptime_seconds" (get "/metrics"));
+  check_bool "the held scrape is answered last" true
+    (contains "strategem_uptime_seconds" (http_finish held "Host: x\r\n\r\n"));
+  Thread.join thread
+
+(* ---------- One trace-capture path ---------- *)
+
+let json_field name = function
+  | Trace.Json.Obj fields -> List.assoc_opt name fields
+  | _ -> None
+
+(* The parsed warn records a retained request wrote to [path]. *)
+let retained_records path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (contains "\"msg\":\"request trace retained\"")
+  |> List.map Trace.Json.parse
+
+let server_retained_record () =
+  (* With every request slow: one warn record per retained request,
+     rate limited to one a second with a suppressed count, carrying the
+     request's span tree and its loop's flight tail. A slow request
+     with no tree arms the loop, so the next query runs traced and the
+     next record carries its exec subtree. *)
+  let root = temp_dir () in
+  Store.Fsync.ensure_dir root;
+  let log_path = Filename.concat root "serve.log" in
+  let thread, port, _ =
+    start_cfg_server
+      {
+        (server_config ~loops:1 ()) with
+        Serve.Server.log_level = Some Obs.Log.Warn;
+        log_file = Some log_path;
+        slow_query_us = 0.001;
+      }
+  in
+  let _fd, ic, oc = connect port in
+  let ask line =
+    send oc line;
+    ignore (input_line ic)
+  in
+  let rec await n =
+    let records = retained_records log_path in
+    if List.length records >= n then records
+    else begin
+      Thread.delay 0.01;
+      await n
+    end
+  in
+  ask "QUERY instructor(manolis)";
+  let first = List.hd (await 1) in
+  let str name =
+    match json_field name first with Some (Trace.Json.Str v) -> v | _ -> ""
+  in
+  check_string "at warn" "warn" (str "level");
+  check_string "reason" "slow" (str "reason");
+  check_bool "total_us" true
+    (match json_field "total_us" first with
+    | Some (Trace.Json.Num _) -> true
+    | _ -> false);
+  check_bool "nothing suppressed yet" true
+    (json_field "suppressed" first = Some (Trace.Json.Num "0"));
+  let span_of record =
+    match json_field "span" record with
+    | Some v -> Trace.of_json_value v
+    | None -> Alcotest.fail "record without a span"
+  in
+  let span = span_of first in
+  check_string "the request span" "request" (Trace.kind span);
+  check_bool "an untraced query has no exec subtree" true
+    (Trace.find_kind span "serve" = []);
+  check_bool "the flight tail" true
+    (match json_field "events" first with
+    | Some (Trace.Json.Arr (_ :: _)) -> true
+    | _ -> false);
+  (* a burst inside the same second: all suppressed; the PING (slow,
+     with no tree) leaves the loop armed *)
+  for i = 1 to 10 do
+    ask (Printf.sprintf "QUERY instructor(p%d)" i)
+  done;
+  ask "PING";
+  Thread.delay 0.2;
+  check_int "one record for the burst" 1
+    (List.length (retained_records log_path));
+  Thread.delay 1.0;
+  ask "QUERY instructor(russ)";
+  let second = List.nth (await 2) 1 in
+  check_bool "the next record counts the burst" true
+    (json_field "suppressed" second = Some (Trace.Json.Num "11"));
+  check_bool "the armed query carries its exec subtree" true
+    (Trace.find_kind (span_of second) "serve" <> []
+    && Trace.find_kind (span_of second) "exec" <> []);
+  ask "SHUTDOWN";
+  close_in_noerr ic;
+  Thread.join thread
+
+let server_sampling_through_retention () =
+  (* --trace-sample N: STATS JSON lists the newest N traced query trees
+     across loops, oldest first, from the loops' retained buffers; a
+     sampled query is never listed by FLIGHT, which keeps only shed,
+     error and slow requests. *)
+  let recent c =
+    match
+      json_field "recent_traces"
+        (Trace.Json.parse (Serve.Client.request c "STATS JSON"))
+    with
+    | Some (Trace.Json.Arr traces) -> List.map Trace.of_json_value traces
+    | _ -> Alcotest.fail "STATS JSON without recent_traces"
+  in
+  let retained c =
+    match
+      json_field "retained" (Trace.Json.parse (Serve.Client.request c "FLIGHT"))
+    with
+    | Some (Trace.Json.Arr entries) -> entries
+    | _ -> Alcotest.fail "FLIGHT without retained"
+  in
+  let run ~slow_query_us =
+    let thread, port, _ =
+      start_cfg_server
+        {
+          (server_config ~loops:2 ()) with
+          Serve.Server.trace_sample = 2;
+          slow_query_us;
+        }
+    in
+    let c = Serve.Client.connect ~proto:`V4 ~port () in
+    ignore (Serve.Client.request c "STATS");
+    List.iter
+      (fun i ->
+        ignore
+          (Serve.Client.request c (Printf.sprintf "QUERY instructor(q%d)" i)))
+      [ 1; 2; 3; 4; 5 ];
+    let traces = recent c and entries = retained c in
+    ignore (Serve.Client.request c "SHUTDOWN");
+    Serve.Client.close c;
+    Thread.join thread;
+    (traces, entries)
+  in
+  let check_recent traces =
+    check_bool "the last two query trees, oldest first" true
+      (List.map Trace.name traces = [ "instructor(q4)"; "instructor(q5)" ]);
+    List.iter
+      (fun sp -> check_string "a query tree" "serve" (Trace.kind sp))
+      traces
+  in
+  (* every request slow: the STATS is retained, and so is every query *)
+  let traces, entries = run ~slow_query_us:0.001 in
+  check_recent traces;
+  check_bool "FLIGHT holds the slow STATS" true
+    (List.exists
+       (fun e ->
+         json_field "reason" e = Some (Trace.Json.Str "slow")
+         &&
+         match json_field "span" e with
+         | Some v -> Trace.name (Trace.of_json_value v) = "STATS"
+         | None -> false)
+       entries);
+  check_bool "and no sample entry" true
+    (List.for_all
+       (fun e -> json_field "reason" e <> Some (Trace.Json.Str "sample"))
+       entries);
+  (* nothing slow: the queries are sampled only, and FLIGHT lists none *)
+  let traces, entries = run ~slow_query_us:0.0 in
+  check_recent traces;
+  check_int "FLIGHT lists no sampled query" 0 (List.length entries)
+
 let suite =
   [
     ( "serve",
@@ -1964,5 +2236,11 @@ let suite =
         case "request bookkeeping allocates nothing"
           bookkeeping_allocates_nothing;
         case "learner gauges are read at render" learner_gauges_read_at_render;
+        slow_case "metrics port served on the loops"
+          server_metrics_port_on_loops;
+        slow_case "one rate-limited record per retained request"
+          server_retained_record;
+        slow_case "trace sampling through retention"
+          server_sampling_through_retention;
       ] );
   ]

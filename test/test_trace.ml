@@ -269,23 +269,6 @@ let chrome_export_shape () =
       | _ -> false)
   | _ -> Alcotest.fail "chrome export must be {traceEvents:[...]}"
 
-(* ---------- Ring ---------- *)
-
-let ring_evicts_oldest () =
-  let r = T.Ring.create ~capacity:3 in
-  check_int "capacity" 3 (T.Ring.capacity r);
-  check_int "empty" 0 (T.Ring.length r);
-  List.iter (T.Ring.add r) [ "a"; "b" ];
-  Alcotest.(check (list string)) "partial" [ "a"; "b" ] (T.Ring.to_list r);
-  List.iter (T.Ring.add r) [ "c"; "d"; "e" ];
-  check_int "full" 3 (T.Ring.length r);
-  Alcotest.(check (list string))
-    "last three, oldest first" [ "c"; "d"; "e" ] (T.Ring.to_list r);
-  check_bool "capacity 0 rejected" true
-    (match T.Ring.create ~capacity:0 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 (* ---------- Cost-model consistency (the central invariant) ---------- *)
 
 let exec_trace_matches_cost_ga () =
@@ -407,7 +390,6 @@ let suite =
         case "pure span constructor" pure_span_constructor;
         case "Json reader on embedded envelopes" json_value_of_embedded_envelope;
         case "Chrome trace-event export" chrome_export_shape;
-        case "ring evicts oldest" ring_evicts_oldest;
         case "exec arc events ≡ c(Θ,I) on G_A" exec_trace_matches_cost_ga;
         monitor_trace_matches_cost;
         case "Live trace consistent on Figure 1" live_trace_consistent_on_figure1;
