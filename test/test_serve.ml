@@ -629,6 +629,135 @@ let metrics_blocks_golden_off () =
   check_lines "STATS block lines, no providers" [] (block_lines bare);
   check_string "STATS JSON blocks, no providers" "" (json_blocks bare)
 
+(* Whole-output lock on everything outside the cache/store table: the
+   full STATS text (form lines included), the full STATS JSON and every
+   other Prometheus family, for a [Metrics.t] driven through the public
+   API to distinct non-zero readings. Two forms get their strategies
+   from real learners (the bound one climbs to grad-first); two loops
+   carry per-loop readings. The open-connection and wake counts and the
+   current pipeline depth read 0: outside a running server nothing owns
+   them. Only the uptime values are masked. STATS is rendered twice: the
+   second read finds the windowed high water reset to 0, and each later
+   read sees only the depths observed since. The expected output is
+   [metrics_golden.expected]. *)
+
+let mask_uptime_line l =
+  List.fold_left
+    (fun l p -> if has_prefix p l then p ^ "_" else l)
+    l
+    [ "uptime_seconds "; "strategem_uptime_seconds " ]
+
+let mask_uptime_json json =
+  let key = "\"uptime_seconds\":" in
+  let n = String.length key in
+  let rec find i =
+    if String.sub json i n = key then i + n else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < String.length json && json.[!stop] >= '0' && json.[!stop] <= '9'
+  do
+    incr stop
+  done;
+  String.sub json 0 start ^ "_"
+  ^ String.sub json !stop (String.length json - !stop)
+
+(* The exposition lines of every family outside the cache/store table. *)
+let prom_rest m =
+  String.split_on_char '\n' (Serve.Metrics.render_prometheus m)
+  |> List.filter (fun l ->
+         let l' =
+           if has_prefix "# HELP " l || has_prefix "# TYPE " l then
+             String.sub l 7 (String.length l - 7)
+           else l
+         in
+         l <> ""
+         && (has_prefix "strategem_cache_filter_latency_us" l'
+            || not
+                 (List.exists
+                    (fun p -> has_prefix p l')
+                    [ "strategem_cache_"; "strategem_memo_"; "strategem_store_" ])))
+  |> List.map mask_uptime_line
+
+let golden_metrics () =
+  let rulebase, db = kb () in
+  let m = Serve.Metrics.create () in
+  let reg = Serve.Registry.create ~rulebase m in
+  for _ = 1 to 200 do
+    ignore
+      (Serve.Registry.answer reg ~db (D.Parser.parse_atom "instructor(manolis)"))
+  done;
+  ignore (Serve.Registry.answer reg ~db (D.Parser.parse_atom "instructor(X)"));
+  let bound, free =
+    match Serve.Registry.entries reg with
+    | [ b; f ] -> (Serve.Registry.metrics b, Serve.Registry.metrics f)
+    | _ -> Alcotest.fail "expected two forms"
+  in
+  List.iteri
+    (fun i us ->
+      Serve.Metrics.query bound ~latency_ns:(us * 1000) ~answered:(i <> 3)
+        ~switched:(i = 2))
+    [ 3; 5; 9; 17; 33; 65; 129 ];
+  List.iteri
+    (fun i us ->
+      Serve.Metrics.query free ~latency_ns:(us * 1000) ~answered:(i < 2)
+        ~switched:(i <> 1))
+    [ 250; 700; 1500 ];
+  let times n f = for _ = 1 to n do f () done in
+  times 17 (fun () -> Serve.Metrics.connection m);
+  times 4 (fun () -> Serve.Metrics.busy m);
+  times 6 (fun () -> Serve.Metrics.error m);
+  List.iter (fun forms -> Serve.Metrics.snapshot_saved m ~forms) [ 5; 8; 10 ];
+  Serve.Metrics.forms_loaded m 11;
+  Serve.Metrics.observe_queue_depth m 12;
+  Serve.Metrics.observe_queue_depth m 9;
+  List.iter
+    (fun us -> Serve.Metrics.queue_waited m ~wait_ns:(us * 1000))
+    [ 10; 20; 40; 80; 160; 320; 640; 1280; 2560; 5120; 10; 20; 40 ];
+  List.iter (Serve.Metrics.set_pipeline_depth m) [ 1; 14; 7; 0 ];
+  Serve.Metrics.set_backend m "epoll";
+  Serve.Metrics.set_loops m 2;
+  let l0 = Serve.Metrics.loop_handles m ~loop:0 in
+  let l1 = Serve.Metrics.loop_handles m ~loop:1 in
+  Serve.Metrics.set_loop_pipeline_depth l0 19;
+  Serve.Metrics.set_loop_pipeline_depth l1 23;
+  List.iter (fun ns -> Serve.Metrics.loop_served l0 ~busy_ns:ns)
+    [ 40_000; 90_000 ];
+  Serve.Metrics.loop_served l1 ~busy_ns:700_000;
+  Serve.Metrics.observe_stage l0 Serve.Metrics.Total 300_000;
+  Serve.Metrics.observe_stage l0 Serve.Metrics.Queue 5_000;
+  Serve.Metrics.observe_stage l1 Serve.Metrics.Page_read 2_000_000;
+  Serve.Metrics.write_overflow m ~shed_bytes:4096;
+  Serve.Metrics.write_overflow m ~shed_bytes:100;
+  times 25 (fun () -> Serve.Metrics.idle_closed m);
+  times 27 (fun () -> Serve.Metrics.ip_limited m);
+  times 29 (fun () -> Serve.Metrics.lifecycle_finalized m);
+  times 31 (fun () -> Serve.Metrics.slow_query m);
+  Serve.Metrics.trace_retained m l0 ~reason:"slow" ~seq:3;
+  Serve.Metrics.trace_retained m l1 ~reason:"error" ~seq:8;
+  Serve.Metrics.trace_retained m l1 ~reason:"shed" ~seq:9;
+  Serve.Metrics.trace_retained m l1 ~reason:"shed" ~seq:10;
+  m
+
+let metrics_whole_golden () =
+  let m = golden_metrics () in
+  let text () = List.map mask_uptime_line (Serve.Metrics.render_text m) in
+  let first = text () in
+  let second = text () in
+  Serve.Metrics.observe_queue_depth m 2;
+  let json =
+    mask_uptime_json (Serve.Metrics.render_json ~recent_traces:[ "{}" ] m)
+  in
+  Serve.Metrics.observe_queue_depth m 3;
+  let prom = prom_rest m in
+  let expected =
+    In_channel.with_open_bin "metrics_golden.expected" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  check_lines "STATS twice, STATS JSON, /metrics" expected
+    (first @ [ "----" ] @ second @ [ "----"; json; "----" ] @ prom)
+
 (* ---------- Registry ---------- *)
 
 let registry_forms () =
@@ -2225,6 +2354,8 @@ let suite =
         case "metrics blocks golden: cache, memo, store" metrics_blocks_golden;
         case "metrics blocks golden: cache off, no store"
           metrics_blocks_golden_off;
+        case "metrics whole golden: STATS, STATS JSON, /metrics"
+          metrics_whole_golden;
         slow_case "learning identical on 1 loop and on 4 loops"
           server_learning_same_across_loops;
         slow_case "requests behind QUIT are dropped, conn closes"
