@@ -37,7 +37,8 @@ type t = {
   wake_w : Unix.file_descr;
   wake_is_eventfd : bool;
   wake_flag : bool Atomic.t;
-  mutable wakeups : int;  (* loop thread only: wake deliveries seen *)
+  (* wake deliveries seen: written by the loop thread, read by any *)
+  wakeups : int Atomic.t;
   mutable hook : unit -> unit;
   out_fds : int array;
   out_evs : int array;
@@ -69,7 +70,7 @@ let create () =
     wake_w;
     wake_is_eventfd;
     wake_flag = Atomic.make false;
-    wakeups = 0;
+    wakeups = Atomic.make 0;
     hook = (fun () -> ());
     out_fds = Array.make max_events 0;
     out_evs = Array.make max_events 0;
@@ -135,7 +136,7 @@ let wake t =
    — and therefore a hook run — still ahead in this iteration; both
    deliver the wakeup. *)
 let drain_wake t =
-  t.wakeups <- t.wakeups + 1;
+  Atomic.incr t.wakeups;
   (if t.wake_is_eventfd then
      (* one read returns and resets the whole counter *)
      match Unix.read t.wake_r t.drain_buf 0 8 with
@@ -151,7 +152,7 @@ let drain_wake t =
      go ());
   Atomic.set t.wake_flag false
 
-let wakeups t = t.wakeups
+let wakeups t = Atomic.get t.wakeups
 
 let dispatch t fd bits =
   if fd = fd_int t.wake_r then drain_wake t

@@ -50,8 +50,9 @@ val on_wake : t -> (unit -> unit) -> unit
 
 val wakeups : t -> int
 (** Wake deliveries this loop has drained so far (coalesced: a burst of
-    {!wake} calls between two polls counts once). Loop thread only —
-    feeds the per-loop [strategem_loop_wakeups_total] series. *)
+    {!wake} calls between two polls counts once). Safe from any thread
+    — the per-loop [strategem_loop_wakeups_total] series reads it when
+    it renders. *)
 
 val iterate : t -> timeout_ms:int -> unit
 (** One poll + dispatch + [on_wake] round. *)

@@ -1,11 +1,9 @@
-(* The STATS facade: every counter the daemon reports lives in an
-   Obs.Registry instrument, so the same underlying numbers feed both
-   the TCP STATS/STATS JSON renderers (byte-stable for existing
-   clients) and the Prometheus /metrics endpoint. This module is the
-   single registration site of the metric-name inventory (everything is
-   prefixed [strategem_]; see docs/OBSERVABILITY.md) plus the few
-   STATS-only bits a scraper has no use for: per-form strategy strings
-   and, passed in by the server, the sampled query traces. *)
+(* The STATS facade: every statistic the daemon reports is one row of a
+   table in this module, so the same reading feeds the TCP STATS / STATS
+   JSON renderers (byte-stable for existing clients) and the Prometheus
+   /metrics endpoint. This module is the single registration site of the
+   metric-name inventory (everything is prefixed [strategem_]; see
+   docs/OBSERVABILITY.md). *)
 
 module R = Obs.Registry
 
@@ -14,18 +12,22 @@ type cache_reading = {
   memo : Datalog.Sld.Memo.counters;
 }
 
-(* The cache, subgoal-memo and paged-store statistics, one row each. A
-   row names its STATS key, its Prometheus family, help text
-   and kind, its place in the STATS JSON block (["key"], ["sub.key"]
-   inside a sub-object, or [""] for none) and a reader over the layer's
-   own record. Registration, the collect-time mirror, the STATS lines
-   and the JSON blocks all walk the rows; their order is the frozen
-   STATS and JSON field order. A block whose reading is [None] (its
-   layer is off) reads 0 everywhere. *)
-type kind =
-  | Counter
-  | Gauge
-  | Flag  (* a 0/1 gauge, rendered [true]/[false] in JSON *)
+(* One row per statistic. A row names its STATS key, its Prometheus
+   family, help text and kind, its place in the STATS JSON object
+   (["key"], ["sub.key"] inside a sub-object) and a reader; an empty
+   key, name or place means the statistic is not shown there.
+   Registration, the collect-time mirror, the STATS lines and the JSON
+   objects all walk the rows; their order is the frozen STATS and JSON
+   field order (Prometheus sorts families by name). *)
+type kind = Counter | Gauge
+
+type value =
+  | Int of int
+  | Whole of float  (* a float series, whole units in STATS and JSON *)
+  | Mean of float  (* [%.0f] in STATS, [%.1f] in JSON *)
+  | Bool of bool  (* 0/1 in STATS and Prometheus, true/false in JSON *)
+  | Str of string  (* a JSON string *)
+  | Json of string  (* already-rendered JSON *)
 
 type 'r stat = {
   kind : kind;
@@ -33,18 +35,45 @@ type 'r stat = {
   name : string;
   json : string;
   help : string;
-  read : 'r -> float;
+  read : 'r -> value;
 }
 
 let stat kind key name json help read = { kind; key; name; json; help; read }
 
-let cache_stats : cache_reading stat list =
-  let answers f c = float_of_int (f c.answers) in
-  let memo f c = float_of_int (f c.memo) in
-  let zero _ = 0.0 in
+(* A statistic shown in STATS and JSON under one name. *)
+let same kind key name help read = stat kind key name key help read
+
+(* ... with no series. *)
+let field key read = same Gauge key "" "" read
+
+let text_value = function
+  | Int n -> string_of_int n
+  | Whole f -> string_of_int (int_of_float f)
+  | Mean f -> Printf.sprintf "%.0f" f
+  | Bool b -> if b then "1" else "0"
+  | Str s | Json s -> s
+
+let json_value = function
+  | Mean f -> Printf.sprintf "%.1f" f
+  | Bool b -> string_of_bool b
+  | Str s -> "\"" ^ Trace.json_escape s ^ "\""
+  | v -> text_value v
+
+let series_value = function
+  | Int n -> float_of_int n
+  | Whole f | Mean f -> f
+  | Bool b -> if b then 1.0 else 0.0
+  | Str _ | Json _ -> 0.0
+
+(* The cache, subgoal-memo and paged-store statistics. A reader gets
+   [None] when its layer is off, and then reads 0. *)
+let cache_stats : cache_reading option stat list =
+  let answers f = function Some c -> Int (f c.answers) | None -> Int 0 in
+  let memo f = function Some c -> Int (f c.memo) | None -> Int 0 in
+  let removed _ = Int 0 in
   [
-    stat Flag "cache_enabled" "strategem_cache_enabled" "enabled"
-      "1 when the answer cache is on" (fun _ -> 1.0);
+    stat Gauge "cache_enabled" "strategem_cache_enabled" "enabled"
+      "1 when the answer cache is on" (fun c -> Bool (Option.is_some c));
     stat Counter "cache_hits" "strategem_cache_hits_total" "hits"
       "Answer-cache hits" (answers (fun a -> a.hits));
     stat Counter "cache_misses" "strategem_cache_misses_total" "misses"
@@ -72,31 +101,32 @@ let cache_stats : cache_reading stat list =
       "Subgoal-memo resident entries" (memo (fun m -> m.entries));
     (* Subsumption-based answer reuse was removed; its schema-1 keys and
        series stay and always read 0. *)
-    stat Flag "cache_subsume_enabled" "strategem_cache_subsume_enabled"
+    stat Gauge "cache_subsume_enabled" "strategem_cache_subsume_enabled"
       "subsume.enabled" "Always 0: subsumption-based answer reuse was removed"
-      zero;
+      (fun _ -> Bool false);
     stat Counter "cache_derived_hits" "strategem_cache_derived_hits_total"
       "subsume.derived_hits"
-      "Always 0: subsumption-based answer reuse was removed" zero;
+      "Always 0: subsumption-based answer reuse was removed" removed;
     stat Counter "cache_derived_scan_entries"
       "strategem_cache_derived_scan_entries_total"
       "subsume.derived_scan_entries"
-      "Always 0: subsumption-based answer reuse was removed" zero;
+      "Always 0: subsumption-based answer reuse was removed" removed;
     stat Counter "cache_subsume_misses" "strategem_cache_subsume_misses_total"
       "subsume.subsume_misses"
-      "Always 0: subsumption-based answer reuse was removed" zero;
+      "Always 0: subsumption-based answer reuse was removed" removed;
     stat Gauge "cache_index_keys" "strategem_cache_index_keys"
       "subsume.index_keys"
-      "Always 0: subsumption-based answer reuse was removed" zero;
+      "Always 0: subsumption-based answer reuse was removed" removed;
   ]
 
 (* Additive, like the cache block: rendered only when serving from a
    paged store. *)
-let store_stats : Store.stats stat list =
-  let store f (s : Store.stats) = float_of_int (f s) in
+let store_stats : Store.stats option stat list =
+  let store f = function Some (s : Store.stats) -> Int (f s) | None -> Int 0 in
   [
-    stat Flag "store_enabled" "strategem_store_enabled" ""
-      "1 when the database is backed by the paged store" (fun _ -> 1.0);
+    stat Gauge "store_enabled" "strategem_store_enabled" ""
+      "1 when the database is backed by the paged store" (fun s ->
+        Bool (Option.is_some s));
     stat Gauge "store_page_size_bytes" "strategem_store_page_size_bytes"
       "page_size_bytes" "Paged-store page size" (store (fun s -> s.page_size));
     stat Gauge "store_pages" "strategem_store_pages" "pages"
@@ -128,8 +158,10 @@ let store_stats : Store.stats stat list =
     (* A float gauge in Prometheus, whole seconds in STATS and JSON. *)
     stat Gauge "store_checkpoint_age_seconds"
       "strategem_store_checkpoint_age_seconds" "checkpoint_age_seconds"
-      "Seconds since the last checkpoint (or open)" (fun (s : Store.stats) ->
-        Float.max 0.0 (Unix.gettimeofday () -. s.checkpoint_unix));
+      "Seconds since the last checkpoint (or open)" (function
+      | Some (s : Store.stats) ->
+        Whole (Float.max 0.0 (Unix.gettimeofday () -. s.checkpoint_unix))
+      | None -> Whole 0.0);
     stat Gauge "store_facts" "strategem_store_facts" "facts"
       "Facts in the paged store" (store (fun s -> s.facts));
     stat Gauge "store_symbols" "strategem_store_symbols" "symbols"
@@ -138,59 +170,71 @@ let store_stats : Store.stats stat list =
       "Persistent database generation" (store (fun s -> s.generation));
   ]
 
-let value s = function None -> 0.0 | Some r -> s.read r
-
-(* One instrument per row; returns the collect-time mirror. *)
-let register reg stats =
+(* One family per row that names one; returns the collect-time mirror,
+   which sets the series with label values [l] from a reading. *)
+let register reg ?labels stats =
   let setters =
-    List.map
+    List.filter_map
       (fun s ->
-        match s.kind with
-        | Counter ->
-          let c = R.Counter.solo (R.Counter.v reg ~help:s.help s.name) in
-          fun v -> R.Counter.set c (int_of_float v)
-        | Gauge | Flag ->
-          R.Gauge.set (R.Gauge.solo (R.Gauge.v reg ~help:s.help s.name)))
+        if s.name = "" then None
+        else
+          let set =
+            match s.kind with
+            | Counter ->
+              let fam = R.Counter.v reg ~help:s.help ?labels s.name in
+              fun l v -> R.Counter.set (R.Counter.labels fam l) (int_of_float v)
+            | Gauge ->
+              let fam = R.Gauge.v reg ~help:s.help ?labels s.name in
+              fun l v -> R.Gauge.set (R.Gauge.labels fam l) v
+          in
+          Some (fun l r -> set l (series_value (s.read r))))
       stats
   in
-  fun r -> List.iter2 (fun s set -> set (value s r)) stats setters
+  fun l r -> List.iter (fun set -> set l r) setters
 
 let stat_lines stats r =
-  List.map
-    (fun s -> Printf.sprintf "%s %d" s.key (int_of_float (value s r)))
+  List.filter_map
+    (fun s ->
+      if s.key = "" then None else Some (s.key ^ " " ^ text_value (s.read r)))
     stats
 
-(* Both blocks are additive under schema 1 and carry their own version,
-   so their fields can evolve without a top-level bump. *)
+(* Each row's field in row order, comma-separated. A place ["sub.key"]
+   opens the object ["sub"]; the first place outside it closes it. *)
+let json_fields buf stats r =
+  let cur = ref "" and first = ref true in
+  List.iter
+    (fun s ->
+      if s.json <> "" then begin
+        let sub, key =
+          match String.index_opt s.json '.' with
+          | None -> ("", s.json)
+          | Some i ->
+            ( String.sub s.json 0 i,
+              String.sub s.json (i + 1) (String.length s.json - i - 1) )
+        in
+        if sub <> !cur && !cur <> "" then Buffer.add_char buf '}';
+        if not !first then Buffer.add_char buf ',';
+        if sub <> !cur && sub <> "" then Printf.bprintf buf "\"%s\":{" sub;
+        cur := sub;
+        first := false;
+        Printf.bprintf buf "\"%s\":%s" key (json_value (s.read r))
+      end)
+    stats;
+  if !cur <> "" then Buffer.add_char buf '}'
+
+let json_object buf stats r =
+  Buffer.add_char buf '{';
+  json_fields buf stats r;
+  Buffer.add_char buf '}'
+
+(* The cache and store blocks are additive under schema 1 and carry
+   their own version, so their fields can evolve without a top-level
+   bump. *)
 let block_version = 1
 
 let json_block buf name stats r =
-  Printf.bprintf buf "\"%s\":{\"version\":%d" name block_version;
-  let last =
-    List.fold_left
-      (fun cur s ->
-        if s.json = "" then cur
-        else begin
-          let sub, key =
-            match String.index_opt s.json '.' with
-            | None -> ("", s.json)
-            | Some i ->
-              ( String.sub s.json 0 i,
-                String.sub s.json (i + 1) (String.length s.json - i - 1) )
-          in
-          if sub <> cur && cur <> "" then Buffer.add_char buf '}';
-          Buffer.add_char buf ',';
-          if sub <> cur && sub <> "" then Printf.bprintf buf "\"%s\":{" sub;
-          let v = value s r in
-          (match s.kind with
-          | Flag -> Printf.bprintf buf "\"%s\":%b" key (v <> 0.0)
-          | Counter | Gauge ->
-            Printf.bprintf buf "\"%s\":%d" key (int_of_float v));
-          sub
-        end)
-      "" stats
-  in
-  if last <> "" then Buffer.add_char buf '}';
+  Printf.bprintf buf "\"%s\":{\"version\":%d," name block_version;
+  json_fields buf stats r;
   Buffer.add_string buf "},"
 
 type stage = Frame | Queue | Worker | Flush | Total | Wal_fsync | Page_read
@@ -215,112 +259,294 @@ let stage_name = function
   | Wal_fsync -> "wal_fsync"
   | Page_read -> "page_read"
 
-(* Per-loop hot-path handles, obtained once by each event loop of the
-   reactor fleet at spawn — the loop updates only its own (uncontended)
-   series. Levels the loop sets per request are plain ints, mirrored
-   into their gauges at collect time so no update boxes a float. *)
+(* Per-loop handles, obtained once by each event loop of the reactor
+   fleet at spawn: the loop updates only its own (uncontended) counts.
+   Its open connections and wake deliveries are the server's and the
+   event loop's own counts, read through [conns] and [wakeups]. *)
 type loop_handles = {
   loop_id : int;
-  lg_conns : R.Gauge.t;
-  lc_wakeups : R.Counter.t;
-  lg_pipeline : R.Gauge.t;
-  lh_pipeline : int Atomic.t;
-  (* the loop's {domain} series: requests it executed, and for how long *)
-  lc_served : R.Counter.t;
-  lc_busy_us : R.Counter.t;
+  conns : unit -> int;
+  wakeups : unit -> int;
+  pipeline : int Atomic.t;
+  exemplar : int Atomic.t;  (* seq of the latest retained trace *)
+  (* requests the loop executed, and for how long *)
+  served : int Atomic.t;
+  busy_us : int Atomic.t;
   (* the {stage, loop} latency histogram children, indexed by
      [stage_index]; each is created on its stage's first observation
      (so a stage never seen exports no series), loop thread only *)
   lh_stage_fam : R.Histogram.fam;
   lh_stages : R.Histogram.t option array;
-  lg_exemplar : R.Gauge.t;
 }
 
+(* The [per_loop] entries of the [loops] JSON object, and the {loop}
+   series. *)
+let loop_stats : loop_handles stat list =
+  let count a lh = Int (Atomic.get (a lh)) in
+  [
+    stat Gauge "" "" "id" "" (fun lh -> Int lh.loop_id);
+    stat Gauge "" "strategem_loop_conns_open" "conns"
+      "Connections currently owned, per event loop" (fun lh ->
+        Int (lh.conns ()));
+    stat Counter "" "strategem_loop_wakeups_total" "wakeups"
+      "Coalesced wake deliveries drained, per event loop" (fun lh ->
+        Int (lh.wakeups ()));
+    stat Gauge "" "strategem_loop_pipeline_depth" "pipeline_depth"
+      "Requests in this loop's FIFO at its last execution pass"
+      (count (fun lh -> lh.pipeline));
+    stat Gauge "" "strategem_trace_retained_exemplar" ""
+      "Sequence number of the loop's most recently retained trace \
+       (exemplar: quote it to FLIGHT / /debug/flight)"
+      (count (fun lh -> lh.exemplar));
+  ]
+
+(* The {domain} series: each loop is one domain. *)
+let domain_stats : loop_handles stat list =
+  let count a lh = Int (Atomic.get (a lh)) in
+  [
+    stat Counter "" "strategem_domain_connections_total" ""
+      "Requests executed, per event-loop domain" (count (fun lh -> lh.served));
+    stat Counter "" "strategem_domain_busy_us_total" ""
+      "Microseconds spent executing requests, per event-loop domain"
+      (count (fun lh -> lh.busy_us));
+  ]
+
 type form = {
-  c_queries : R.Counter.t;
-  c_answered : R.Counter.t;
-  c_climbs : R.Counter.t;
+  queries : int Atomic.t;
+  answered : int Atomic.t;
+  climbs : int Atomic.t;
   h_latency : R.Histogram.t;
-  g_eps : R.Gauge.t;
-  g_delta : R.Gauge.t;
-  g_samples : R.Gauge.t;
-  g_samples_total : R.Gauge.t;
-  g_learner_climbs : R.Gauge.t;
-  g_finished : R.Gauge.t;
-  strategy : string Atomic.t;
+  strategy : unit -> string;
+  progress : unit -> Core.Learner.progress;
 }
+
+(* What a form's rows read: its handles, one latency snapshot and, only
+   when a series needs it, its learner's progress. *)
+type form_reading = {
+  fh : form;
+  h : R.Histogram.snapshot;
+  p : Core.Learner.progress Lazy.t;
+}
+
+let form_reading fh =
+  {
+    fh;
+    h = R.Histogram.snapshot fh.h_latency;
+    p = Lazy.from_fun fh.progress;
+  }
+
+(* The fields of a form's STATS line and of its JSON object, and its
+   {form} series. *)
+let form_stats : form_reading stat list =
+  let count c f = Int (Atomic.get (c f.fh)) in
+  let quantile q f = Int (R.Histogram.quantile f.h q) in
+  let learner name help v =
+    stat Gauge "" name "" help (fun f -> v (Lazy.force f.p))
+  in
+  [
+    same Counter "queries" "strategem_queries_total" "Queries answered"
+      (count (fun fh -> fh.queries));
+    same Counter "answered" "strategem_answers_total"
+      "Queries that found an answer" (count (fun fh -> fh.answered));
+    same Counter "climbs" "strategem_climbs_total" "Strategy climbs adopted"
+      (count (fun fh -> fh.climbs));
+    field "mean_us" (fun f -> Mean (R.Histogram.mean f.h));
+    field "p50_us" (quantile 0.50);
+    field "p95_us" (quantile 0.95);
+    field "p99_us" (quantile 0.99);
+    field "strategy" (fun f -> Str (f.fh.strategy ()));
+    learner "strategem_learner_epsilon"
+      "Learner accuracy bound epsilon (per-learner definition; converges \
+       toward 0 as evidence accumulates)" (fun p -> Whole p.epsilon);
+    learner "strategem_learner_delta" "Learner confidence budget delta"
+      (fun p -> Whole p.delta);
+    learner "strategem_learner_samples" "Learner current sample set size"
+      (fun p -> Int p.samples);
+    learner "strategem_learner_samples_total" "Observations fed to the learner"
+      (fun p -> Int p.samples_total);
+    learner "strategem_learner_climbs"
+      "Climbs by the current learner (resets on reseed)" (fun p ->
+        Int p.climbs);
+    learner "strategem_learner_finished" "1 once the learner finished/converged"
+      (fun p -> Bool p.finished);
+  ]
 
 type t = {
   reg : R.t;
   started : float;
-  lock : Mutex.t;  (* guards [forms] creation and the providers *)
-  forms : (string, form) Hashtbl.t;
+  lock : Mutex.t;  (* guards [by_key], [loop_list] and the providers *)
+  by_key : (string, form) Hashtbl.t;
+  mutable loop_list : loop_handles list;
   mutable cache_provider : (unit -> cache_reading option) option;
   mutable store_provider : (unit -> Store.stats option) option;
-  mirror_cache : cache_reading option -> unit;
-  mirror_store : Store.stats option -> unit;
-  (* Queue and pipeline levels, set per request as ints and mirrored
-     into their gauges at collect time. The window high water is
-     consumed (reset) by whichever of STATS or a /metrics scrape reads
-     it first — "max depth since the last read"; the all-time high
-     waters never reset. *)
+  pipeline_depth : unit -> int;
+  (* Event counts and queue levels. The window high water is consumed
+     (reset) by whichever of STATS or a /metrics scrape reads it first —
+     "max depth since the last read"; the all-time high waters never
+     reset. *)
+  connections : int Atomic.t;
+  busy : int Atomic.t;
+  errors : int Atomic.t;
+  snapshots : int Atomic.t;
+  snapshot_forms : int Atomic.t;
+  forms_loaded : int Atomic.t;
   queue_depth : int Atomic.t;
   queue_hwm : int Atomic.t;
   window_hwm : int Atomic.t;
-  pipeline_depth : int Atomic.t;
   pipeline_hwm : int Atomic.t;
-  g_domains : R.Gauge.t;
-  f_domain_conns : R.Counter.fam;
-  f_domain_busy_us : R.Counter.fam;
-  c_connections : R.Counter.t;
-  c_busy : R.Counter.t;
-  c_errors : R.Counter.t;
-  c_snapshots : R.Counter.t;
-  c_snapshot_forms : R.Counter.t;
-  c_forms_loaded : R.Counter.t;
-  g_uptime : R.Gauge.t;
-  g_forms_active : R.Gauge.t;
-  g_queue_depth : R.Gauge.t;
-  g_queue_hwm : R.Gauge.t;
-  g_queue_hwm_window : R.Gauge.t;
-  g_conns_open : R.Gauge.t;
-  g_pipeline_depth : R.Gauge.t;
-  g_pipeline_hwm : R.Gauge.t;
-  g_loops : R.Gauge.t;
-  f_loop_conns : R.Gauge.fam;
-  f_loop_wakeups : R.Counter.fam;
-  f_loop_pipeline : R.Gauge.fam;
-  f_stage_latency : R.Histogram.fam;
-  f_retained : R.Counter.fam;
+  write_overflow : int Atomic.t;
+  write_shed_bytes : int Atomic.t;
+  idle_closed : int Atomic.t;
+  ip_limited : int Atomic.t;
+  lifecycle : int Atomic.t;
+  slow : int Atomic.t;
+  mutable n_loops : int;  (* one domain per loop *)
+  mutable backend : string;  (* reactor backend: "epoll" / "select" *)
+  h_queue_wait : R.Histogram.t;
   (* the reason set is closed (slow / error / shed): pre-labeled handles
      so the per-retention hot path skips the family mutex + hash *)
   retained_by : (string * R.Counter.t) list;
-  f_retained_exemplar : R.Gauge.fam;
-  c_lifecycle : R.Counter.t;
-  retained_count : int Atomic.t;  (* sum over reasons, for STATS *)
-  mutable loop_list : loop_handles list;  (* guarded by [lock] *)
-  c_write_overflow : R.Counter.t;
-  c_write_shed_bytes : R.Counter.t;
-  c_idle_closed : R.Counter.t;
-  c_ip_limited : R.Counter.t;
-  c_slow : R.Counter.t;
-  mutable backend : string;  (* reactor backend: "epoll" / "select" *)
-  h_queue_wait : R.Histogram.t;
-  f_queries : R.Counter.fam;
-  f_answered : R.Counter.fam;
-  f_climbs : R.Counter.fam;
+  f_stage_latency : R.Histogram.fam;
   f_latency : R.Histogram.fam;
-  f_learner_eps : R.Gauge.fam;
-  f_learner_delta : R.Gauge.fam;
-  f_learner_samples : R.Gauge.fam;
-  f_learner_samples_total : R.Gauge.fam;
-  f_learner_climbs : R.Gauge.fam;
-  f_learner_finished : R.Gauge.fam;
 }
 
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+(* What the top-level rows read: the forms and loops (copied out under
+   the lock; sorted by key and id) and one queue-wait snapshot. *)
+type reading = {
+  m : t;
+  forms : (string * form) list;
+  loops : loop_handles list;
+  qw : R.Histogram.snapshot;
+}
+
+let reading m =
+  let forms, loops =
+    with_lock m (fun () ->
+        ( Hashtbl.fold (fun k fh acc -> (k, fh) :: acc) m.by_key [],
+          m.loop_list ))
+  in
+  {
+    m;
+    forms = List.sort (fun (a, _) (b, _) -> String.compare a b) forms;
+    loops = List.sort (fun a b -> compare a.loop_id b.loop_id) loops;
+    qw = R.Histogram.snapshot m.h_queue_wait;
+  }
+
+let schema_version = 1
+
+(* The top-level statistics, in STATS and JSON order. *)
+let stats : reading stat list =
+  let count a r = Int (Atomic.get (a r.m)) in
+  let sum c r =
+    Int (List.fold_left (fun n (_, fh) -> n + Atomic.get (c fh)) 0 r.forms)
+  in
+  let quantile q r = Int (R.Histogram.quantile r.qw q) in
+  [
+    stat Gauge "" "" "schema" "" (fun _ -> Int schema_version);
+    same Gauge "uptime_seconds" "strategem_uptime_seconds"
+      "Seconds since the daemon started" (fun r ->
+        Whole (Unix.gettimeofday () -. r.m.started));
+    same Counter "connections_total" "strategem_connections_total"
+      "Connections admitted" (count (fun m -> m.connections));
+    field "queries_total" (sum (fun fh -> fh.queries));
+    field "answered_total" (sum (fun fh -> fh.answered));
+    field "climbs_total" (sum (fun fh -> fh.climbs));
+    same Counter "busy_total" "strategem_busy_total"
+      "Connections shed with BUSY" (count (fun m -> m.busy));
+    same Counter "errors_total" "strategem_errors_total"
+      "Protocol-level errors" (count (fun m -> m.errors));
+    same Counter "snapshots_total" "strategem_snapshots_total"
+      "Strategy snapshots written" (count (fun m -> m.snapshots));
+    same Counter "forms_loaded" "strategem_forms_loaded_total"
+      "Forms whose strategies were reloaded at startup"
+      (count (fun m -> m.forms_loaded));
+    same Gauge "forms_active" "strategem_forms_active"
+      "Query forms with a live learner" (fun r -> Int (List.length r.forms));
+    same Gauge "queue_high_water" "strategem_queue_depth_high_water"
+      "All-time high water of any event loop's request FIFO"
+      (count (fun m -> m.queue_hwm));
+    same Gauge "queue_depth" "strategem_queue_depth"
+      "Depth of the request FIFO an event loop last touched"
+      (count (fun m -> m.queue_depth));
+    same Gauge "queue_high_water_window"
+      "strategem_queue_depth_high_water_window"
+      "Request-FIFO high water since the last STATS/scrape" (fun r ->
+        Int (Atomic.exchange r.m.window_hwm 0));
+    stat Gauge "queue_wait_count" "" "queue_wait.count" "" (fun r ->
+        Int r.qw.R.Histogram.count);
+    stat Gauge "queue_wait_mean_us" "" "queue_wait.mean_us" "" (fun r ->
+        Mean (R.Histogram.mean r.qw));
+    stat Gauge "" "" "queue_wait.p50_us" "" (quantile 0.50);
+    stat Gauge "queue_wait_p95_us" "" "queue_wait.p95_us" "" (quantile 0.95);
+    stat Gauge "" "" "queue_wait.p99_us" "" (quantile 0.99);
+    (* Additive (multicore serving): domains, one per event loop. *)
+    same Gauge "domains" "strategem_domains"
+      "Domains running event loops (one per loop)" (fun r -> Int r.m.n_loops);
+    (* Additive (event-loop front end): reactor connection and
+       pipelining state. *)
+    stat Gauge "" "" "protocol.backend" "" (fun r -> Str r.m.backend);
+    stat Gauge "" "" "protocol.frame_version" "" (fun _ -> Int Frame.version);
+    stat Gauge "conns_open" "strategem_conns_open" "protocol.conns_open"
+      "Connections currently open" (fun r ->
+        Int (List.fold_left (fun n lh -> n + lh.conns ()) 0 r.loops));
+    stat Gauge "pipeline_depth" "strategem_pipeline_depth"
+      "protocol.pipeline_depth"
+      "Requests in flight across all connections (dispatched, response not \
+       yet enqueued)" (fun r -> Int (r.m.pipeline_depth ()));
+    stat Gauge "pipeline_depth_high_water"
+      "strategem_pipeline_depth_high_water" "protocol.pipeline_depth_high_water"
+      "All-time high water of in-flight requests"
+      (count (fun m -> m.pipeline_hwm));
+    (* Additive (reactor fleet): loop count, the write-cap, idle and
+       per-IP shedding counters, and each loop's readings. *)
+    stat Gauge "loops" "strategem_loops" "loops.count"
+      "Event loops in the reactor fleet" (fun r -> Int r.m.n_loops);
+    stat Counter "write_overflow_total" "strategem_write_overflow_total"
+      "loops.write_overflow_total"
+      "Connections disconnected for breaching a write-buffer cap"
+      (count (fun m -> m.write_overflow));
+    stat Counter "write_shed_bytes_total" "strategem_write_shed_bytes_total"
+      "loops.write_shed_bytes_total"
+      "Buffered response bytes dropped by write-cap overflows"
+      (count (fun m -> m.write_shed_bytes));
+    stat Counter "idle_closed_total" "strategem_idle_closed_total"
+      "loops.idle_closed_total" "Connections closed by the idle timeout"
+      (count (fun m -> m.idle_closed));
+    stat Counter "ip_limited_total" "strategem_ip_limited_total"
+      "loops.ip_limited_total" "Connections refused by the per-IP cap"
+      (count (fun m -> m.ip_limited));
+    stat Gauge "" "" "loops.per_loop" "" (fun r ->
+        let buf = Buffer.create 64 in
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i lh ->
+            if i > 0 then Buffer.add_char buf ',';
+            json_object buf loop_stats lh)
+          r.loops;
+        Buffer.add_char buf ']';
+        Json (Buffer.contents buf));
+    (* Additive (request-lifecycle tracing): requests finalized by the
+       lifecycle tracker and traces kept by tail-based retention. *)
+    stat Counter "lifecycle_requests_total"
+      "strategem_lifecycle_requests_total" "lifecycle.requests_total"
+      "Requests finalized by the lifecycle tracker"
+      (count (fun m -> m.lifecycle));
+    stat Gauge "traces_retained_total" "" "lifecycle.traces_retained_total" ""
+      (fun r ->
+        Int
+          (List.fold_left
+             (fun n (_, c) -> n + R.Counter.value c)
+             0 r.m.retained_by));
+    stat Counter "" "strategem_snapshot_forms_total" ""
+      "Forms written across all snapshots" (count (fun m -> m.snapshot_forms));
+    stat Counter "" "strategem_slow_queries_total" ""
+      "Requests whose end-to-end time reached the slow-query threshold"
+      (count (fun m -> m.slow));
+  ]
 
 (* Each block's reading, [None] when no provider is installed. The
    providers have their own locks; they are called outside ours. *)
@@ -330,10 +556,8 @@ let readings t =
   in
   (Option.map (fun f -> f ()) cache, Option.map (fun f -> f ()) store)
 
-let create () =
+let create ?(pipeline_depth = fun () -> 0) () =
   let reg = R.create () in
-  let counter help name = R.Counter.solo (R.Counter.v reg ~help name) in
-  let gauge help name = R.Gauge.solo (R.Gauge.v reg ~help name) in
   let f_retained =
     R.Counter.v reg
       ~help:
@@ -347,227 +571,123 @@ let create () =
        (R.Histogram.v reg
           ~help:"Always empty: subsumption-based answer reuse was removed"
           "strategem_cache_filter_latency_us"));
+  let mirror = register reg stats in
+  let mirror_loop = register reg ~labels:[ "loop" ] loop_stats in
+  let mirror_domain = register reg ~labels:[ "domain" ] domain_stats in
+  let mirror_form = register reg ~labels:[ "form" ] form_stats in
+  let mirror_cache = register reg cache_stats in
+  let mirror_store = register reg store_stats in
   let t =
     {
       reg;
       started = Unix.gettimeofday ();
       lock = Mutex.create ();
-      forms = Hashtbl.create 8;
+      by_key = Hashtbl.create 8;
+      loop_list = [];
       cache_provider = None;
       store_provider = None;
-      mirror_cache = register reg cache_stats;
-      mirror_store = register reg store_stats;
+      pipeline_depth;
+      connections = Atomic.make 0;
+      busy = Atomic.make 0;
+      errors = Atomic.make 0;
+      snapshots = Atomic.make 0;
+      snapshot_forms = Atomic.make 0;
+      forms_loaded = Atomic.make 0;
       queue_depth = Atomic.make 0;
       queue_hwm = Atomic.make 0;
       window_hwm = Atomic.make 0;
-      pipeline_depth = Atomic.make 0;
       pipeline_hwm = Atomic.make 0;
-      g_domains =
-        gauge "Domains running event loops (one per loop)" "strategem_domains";
-      f_domain_conns =
-        R.Counter.v reg ~help:"Requests executed, per event-loop domain"
-          ~labels:[ "domain" ] "strategem_domain_connections_total";
-      f_domain_busy_us =
-        R.Counter.v reg
-          ~help:"Microseconds spent executing requests, per event-loop domain"
-          ~labels:[ "domain" ] "strategem_domain_busy_us_total";
-      c_connections =
-        counter "Connections admitted" "strategem_connections_total";
-      c_busy = counter "Connections shed with BUSY" "strategem_busy_total";
-      c_errors = counter "Protocol-level errors" "strategem_errors_total";
-      c_snapshots =
-        counter "Strategy snapshots written" "strategem_snapshots_total";
-      c_snapshot_forms =
-        counter "Forms written across all snapshots"
-          "strategem_snapshot_forms_total";
-      c_forms_loaded =
-        counter "Forms whose strategies were reloaded at startup"
-          "strategem_forms_loaded_total";
-      g_uptime = gauge "Seconds since the daemon started" "strategem_uptime_seconds";
-      g_forms_active =
-        gauge "Query forms with a live learner" "strategem_forms_active";
-      g_queue_depth =
-        gauge "Depth of the request FIFO an event loop last touched"
-          "strategem_queue_depth";
-      g_queue_hwm =
-        gauge "All-time high water of any event loop's request FIFO"
-          "strategem_queue_depth_high_water";
-      g_queue_hwm_window =
-        gauge "Request-FIFO high water since the last STATS/scrape"
-          "strategem_queue_depth_high_water_window";
-      g_conns_open = gauge "Connections currently open" "strategem_conns_open";
-      g_pipeline_depth =
-        gauge
-          "Requests in flight across all connections (dispatched, \
-           response not yet enqueued)"
-          "strategem_pipeline_depth";
-      g_pipeline_hwm =
-        gauge "All-time high water of in-flight requests"
-          "strategem_pipeline_depth_high_water";
-      g_loops =
-        gauge "Event loops in the reactor fleet" "strategem_loops";
-      f_loop_conns =
-        R.Gauge.v reg ~help:"Connections currently owned, per event loop"
-          ~labels:[ "loop" ] "strategem_loop_conns_open";
-      f_loop_wakeups =
-        R.Counter.v reg
-          ~help:"Coalesced wake deliveries drained, per event loop"
-          ~labels:[ "loop" ] "strategem_loop_wakeups_total";
-      f_loop_pipeline =
-        R.Gauge.v reg
-          ~help:"Requests in this loop's FIFO at its last execution pass"
-          ~labels:[ "loop" ] "strategem_loop_pipeline_depth";
-      f_stage_latency =
-        R.Histogram.v reg
-          ~help:
-            "Request-lifecycle latency decomposition (microseconds), per \
-             stage per owning event loop"
-          ~labels:[ "stage"; "loop" ] "strategem_stage_latency_us";
-      f_retained;
-      retained_by =
-        List.map
-          (fun reason -> (reason, R.Counter.labels f_retained [ reason ]))
-          [ "slow"; "error"; "shed" ];
-      f_retained_exemplar =
-        R.Gauge.v reg
-          ~help:
-            "Sequence number of the loop's most recently retained trace \
-             (exemplar: quote it to FLIGHT / /debug/flight)"
-          ~labels:[ "loop" ] "strategem_trace_retained_exemplar";
-      c_lifecycle =
-        counter "Requests finalized by the lifecycle tracker"
-          "strategem_lifecycle_requests_total";
-      retained_count = Atomic.make 0;
-      loop_list = [];
-      c_write_overflow =
-        counter
-          "Connections disconnected for breaching a write-buffer cap"
-          "strategem_write_overflow_total";
-      c_write_shed_bytes =
-        counter "Buffered response bytes dropped by write-cap overflows"
-          "strategem_write_shed_bytes_total";
-      c_idle_closed =
-        counter "Connections closed by the idle timeout"
-          "strategem_idle_closed_total";
-      c_ip_limited =
-        counter "Connections refused by the per-IP cap"
-          "strategem_ip_limited_total";
-      c_slow =
-        counter "Requests whose end-to-end time reached the slow-query threshold"
-          "strategem_slow_queries_total";
+      write_overflow = Atomic.make 0;
+      write_shed_bytes = Atomic.make 0;
+      idle_closed = Atomic.make 0;
+      ip_limited = Atomic.make 0;
+      lifecycle = Atomic.make 0;
+      slow = Atomic.make 0;
+      n_loops = 0;
       backend = "";
       h_queue_wait =
         R.Histogram.solo
           (R.Histogram.v reg
              ~help:"Wait in an event loop's request FIFO (microseconds)"
              "strategem_queue_wait_us");
-      f_queries =
-        R.Counter.v reg ~help:"Queries answered" ~labels:[ "form" ]
-          "strategem_queries_total";
-      f_answered =
-        R.Counter.v reg ~help:"Queries that found an answer"
-          ~labels:[ "form" ] "strategem_answers_total";
-      f_climbs =
-        R.Counter.v reg ~help:"Strategy climbs adopted" ~labels:[ "form" ]
-          "strategem_climbs_total";
+      retained_by =
+        List.map
+          (fun reason -> (reason, R.Counter.labels f_retained [ reason ]))
+          [ "slow"; "error"; "shed" ];
+      f_stage_latency =
+        R.Histogram.v reg
+          ~help:
+            "Request-lifecycle latency decomposition (microseconds), per \
+             stage per owning event loop"
+          ~labels:[ "stage"; "loop" ] "strategem_stage_latency_us";
       f_latency =
         R.Histogram.v reg ~help:"Query latency (microseconds)"
           ~labels:[ "form" ] "strategem_query_latency_us";
-      f_learner_eps =
-        R.Gauge.v reg
-          ~help:
-            "Learner accuracy bound epsilon (per-learner definition; \
-             converges toward 0 as evidence accumulates)"
-          ~labels:[ "form" ] "strategem_learner_epsilon";
-      f_learner_delta =
-        R.Gauge.v reg ~help:"Learner confidence budget delta"
-          ~labels:[ "form" ] "strategem_learner_delta";
-      f_learner_samples =
-        R.Gauge.v reg ~help:"Learner current sample set size"
-          ~labels:[ "form" ] "strategem_learner_samples";
-      f_learner_samples_total =
-        R.Gauge.v reg ~help:"Observations fed to the learner"
-          ~labels:[ "form" ] "strategem_learner_samples_total";
-      f_learner_climbs =
-        R.Gauge.v reg
-          ~help:"Climbs by the current learner (resets on reseed)"
-          ~labels:[ "form" ] "strategem_learner_climbs";
-      f_learner_finished =
-        R.Gauge.v reg ~help:"1 once the learner finished/converged"
-          ~labels:[ "form" ] "strategem_learner_finished";
     }
   in
-  let level g a = R.Gauge.set g (float_of_int (Atomic.get a)) in
   R.on_collect reg (fun () ->
-      R.Gauge.set t.g_uptime (Unix.gettimeofday () -. t.started);
-      let n_forms = with_lock t (fun () -> Hashtbl.length t.forms) in
-      R.Gauge.set t.g_forms_active (float_of_int n_forms);
-      level t.g_queue_depth t.queue_depth;
-      level t.g_queue_hwm t.queue_hwm;
-      R.Gauge.set t.g_queue_hwm_window
-        (float_of_int (Atomic.exchange t.window_hwm 0));
-      level t.g_pipeline_depth t.pipeline_depth;
-      level t.g_pipeline_hwm t.pipeline_hwm;
+      let r = reading t in
+      mirror [] r;
       List.iter
-        (fun lh -> level lh.lg_pipeline lh.lh_pipeline)
-        (with_lock t (fun () -> t.loop_list));
+        (fun lh ->
+          let l = [ string_of_int lh.loop_id ] in
+          mirror_loop l lh;
+          mirror_domain l lh)
+        r.loops;
+      List.iter
+        (fun (key, fh) -> mirror_form [ key ] (form_reading fh))
+        r.forms;
       let cache, store = readings t in
-      Option.iter t.mirror_cache cache;
-      Option.iter t.mirror_store store);
+      (* a layer with no provider reads 0, like one that is off *)
+      mirror_cache [] (Option.join cache);
+      mirror_store [] (Option.join store));
   t
 
 let render_prometheus t = Obs.Expo.render t.reg
-let on_collect t f = R.on_collect t.reg f
 
-let form t key =
+(* A form with no learner: no evidence yet, so epsilon is +inf. *)
+let no_progress () =
+  {
+    Core.Learner.samples = 0;
+    samples_total = 0;
+    climbs = 0;
+    epsilon = Float.infinity;
+    delta = 0.0;
+    finished = false;
+  }
+
+let form ?(strategy = fun () -> "") ?(progress = no_progress) t key =
   with_lock t (fun () ->
-      match Hashtbl.find_opt t.forms key with
+      match Hashtbl.find_opt t.by_key key with
       | Some fh -> fh
       | None ->
-        let l = [ key ] in
         let fh =
           {
-            c_queries = R.Counter.labels t.f_queries l;
-            c_answered = R.Counter.labels t.f_answered l;
-            c_climbs = R.Counter.labels t.f_climbs l;
-            h_latency = R.Histogram.labels t.f_latency l;
-            g_eps = R.Gauge.labels t.f_learner_eps l;
-            g_delta = R.Gauge.labels t.f_learner_delta l;
-            g_samples = R.Gauge.labels t.f_learner_samples l;
-            g_samples_total = R.Gauge.labels t.f_learner_samples_total l;
-            g_learner_climbs = R.Gauge.labels t.f_learner_climbs l;
-            g_finished = R.Gauge.labels t.f_learner_finished l;
-            strategy = Atomic.make "";
+            queries = Atomic.make 0;
+            answered = Atomic.make 0;
+            climbs = Atomic.make 0;
+            h_latency = R.Histogram.labels t.f_latency [ key ];
+            strategy;
+            progress;
           }
         in
-        (* A new form's epsilon starts at +inf: no evidence yet. *)
-        R.Gauge.set fh.g_eps Float.infinity;
-        Hashtbl.add t.forms key fh;
+        Hashtbl.add t.by_key key fh;
         fh)
 
-let domains t = int_of_float (R.Gauge.value t.g_domains)
+let set_loops t n = t.n_loops <- n
 
-(* Each loop is one domain, so the fleet size is also the domain count. *)
-let set_loops t n =
-  R.Gauge.set t.g_loops (float_of_int n);
-  R.Gauge.set t.g_domains (float_of_int n)
-
-let loops t = int_of_float (R.Gauge.value t.g_loops)
-
-let loop_handles t ~loop =
-  let l = [ string_of_int loop ] in
+let loop_handles ?(conns = fun () -> 0) ?(wakeups = fun () -> 0) t ~loop =
   let lh =
     {
       loop_id = loop;
-      lg_conns = R.Gauge.labels t.f_loop_conns l;
-      lc_wakeups = R.Counter.labels t.f_loop_wakeups l;
-      lg_pipeline = R.Gauge.labels t.f_loop_pipeline l;
-      lh_pipeline = Atomic.make 0;
-      lc_served = R.Counter.labels t.f_domain_conns l;
-      lc_busy_us = R.Counter.labels t.f_domain_busy_us l;
+      conns;
+      wakeups;
+      pipeline = Atomic.make 0;
+      exemplar = Atomic.make 0;
+      served = Atomic.make 0;
+      busy_us = Atomic.make 0;
       lh_stage_fam = t.f_stage_latency;
       lh_stages = Array.make n_stages None;
-      lg_exemplar = R.Gauge.labels t.f_retained_exemplar l;
     }
   in
   with_lock t (fun () -> t.loop_list <- lh :: t.loop_list);
@@ -587,61 +707,44 @@ let observe_stage lh stage ns =
     lh.lh_stages.(i) <- Some h;
     R.Histogram.observe_ns h ns
 
-let lifecycle_finalized t = R.Counter.inc t.c_lifecycle
+let lifecycle_finalized t = Atomic.incr t.lifecycle
 
 let trace_retained t lh ~reason ~seq =
-  (match List.assoc_opt reason t.retained_by with
-  | Some c -> R.Counter.inc c
-  | None -> R.Counter.inc (R.Counter.labels t.f_retained [ reason ]));
-  R.Gauge.set lh.lg_exemplar (float_of_int seq);
-  ignore (Atomic.fetch_and_add t.retained_count 1)
+  match List.assoc_opt reason t.retained_by with
+  | Some c ->
+    R.Counter.inc c;
+    Atomic.set lh.exemplar seq
+  | None -> invalid_arg ("Metrics.trace_retained: reason " ^ reason)
 
-let loop_conn_opened lh = R.Gauge.add lh.lg_conns 1.0
-let loop_conn_closed lh = R.Gauge.add lh.lg_conns (-1.0)
-
-(* The loop owns the monotonic count (Eventloop.wakeups); the series
-   mirrors it. *)
-let set_loop_wakeups lh n = R.Counter.set lh.lc_wakeups n
-let set_loop_pipeline_depth lh n = Atomic.set lh.lh_pipeline n
+let set_loop_pipeline_depth lh n = Atomic.set lh.pipeline n
 
 let loop_served lh ~busy_ns =
-  R.Counter.inc lh.lc_served;
-  R.Counter.add lh.lc_busy_us (busy_ns / 1000)
+  Atomic.incr lh.served;
+  ignore (Atomic.fetch_and_add lh.busy_us (busy_ns / 1000))
 
 let write_overflow t ~shed_bytes =
-  R.Counter.inc t.c_write_overflow;
-  R.Counter.add t.c_write_shed_bytes shed_bytes
+  Atomic.incr t.write_overflow;
+  ignore (Atomic.fetch_and_add t.write_shed_bytes shed_bytes)
 
-let idle_closed t = R.Counter.inc t.c_idle_closed
-let ip_limited t = R.Counter.inc t.c_ip_limited
-
-let sorted_loops t =
-  with_lock t (fun () -> t.loop_list)
-  |> List.sort (fun a b -> compare a.loop_id b.loop_id)
-
-let connection t = R.Counter.inc t.c_connections
-let busy t = R.Counter.inc t.c_busy
-let error t = R.Counter.inc t.c_errors
-let conn_opened t = R.Gauge.add t.g_conns_open 1.0
-let conn_closed t = R.Gauge.add t.g_conns_open (-1.0)
-let conns_open t = int_of_float (R.Gauge.value t.g_conns_open)
+let idle_closed t = Atomic.incr t.idle_closed
+let ip_limited t = Atomic.incr t.ip_limited
+let connection t = Atomic.incr t.connections
+let busy t = Atomic.incr t.busy
+let error t = Atomic.incr t.errors
 
 (* Closed and top-level, so the hot path allocates no closure. *)
 let rec atomic_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
-let set_pipeline_depth t d =
-  Atomic.set t.pipeline_depth d;
-  atomic_max t.pipeline_hwm d
-
+let set_pipeline_depth t d = atomic_max t.pipeline_hwm d
 let set_backend t s = t.backend <- s
 
 let snapshot_saved t ~forms =
-  R.Counter.inc t.c_snapshots;
-  R.Counter.add t.c_snapshot_forms forms
+  Atomic.incr t.snapshots;
+  ignore (Atomic.fetch_and_add t.snapshot_forms forms)
 
-let forms_loaded t n = R.Counter.add t.c_forms_loaded n
+let forms_loaded t n = ignore (Atomic.fetch_and_add t.forms_loaded n)
 
 let observe_queue_depth t d =
   Atomic.set t.queue_depth d;
@@ -649,234 +752,58 @@ let observe_queue_depth t d =
   atomic_max t.window_hwm d
 
 let queue_waited t ~wait_ns = R.Histogram.observe_ns t.h_queue_wait wait_ns
-let slow_query t = R.Counter.inc t.c_slow
+let slow_query t = Atomic.incr t.slow
 
 let query fh ~latency_ns ~answered ~switched =
-  R.Counter.inc fh.c_queries;
-  if answered then R.Counter.inc fh.c_answered;
-  if switched then R.Counter.inc fh.c_climbs;
+  Atomic.incr fh.queries;
+  if answered then Atomic.incr fh.answered;
+  if switched then Atomic.incr fh.climbs;
   R.Histogram.observe_ns fh.h_latency latency_ns
-
-let set_strategy fh s = Atomic.set fh.strategy s
-
-let learner_progress fh ~samples ~samples_total ~climbs ~epsilon ~delta
-    ~finished =
-  R.Gauge.set fh.g_eps epsilon;
-  R.Gauge.set fh.g_delta delta;
-  R.Gauge.set fh.g_samples (float_of_int samples);
-  R.Gauge.set fh.g_samples_total (float_of_int samples_total);
-  R.Gauge.set fh.g_learner_climbs (float_of_int climbs);
-  R.Gauge.set fh.g_finished (if finished then 1.0 else 0.0)
 
 let set_cache_provider t f = with_lock t (fun () -> t.cache_provider <- Some f)
 let set_store_provider t f = with_lock t (fun () -> t.store_provider <- Some f)
 
-let sorted_forms t =
+let sum_forms t c =
   with_lock t (fun () ->
-      Hashtbl.fold (fun k fh acc -> (k, fh) :: acc) t.forms [])
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      Hashtbl.fold (fun _ fh n -> n + Atomic.get (c fh)) t.by_key 0)
 
-let sum_forms forms f = List.fold_left (fun n (_, fh) -> n + f fh) 0 forms
-
-let queries_total t =
-  sum_forms (sorted_forms t) (fun fh -> R.Counter.value fh.c_queries)
-
-let climbs_total t =
-  sum_forms (sorted_forms t) (fun fh -> R.Counter.value fh.c_climbs)
-
-let busy_total t = R.Counter.value t.c_busy
+let queries_total t = sum_forms t (fun fh -> fh.queries)
+let climbs_total t = sum_forms t (fun fh -> fh.climbs)
+let busy_total t = Atomic.get t.busy
 let queue_high_water t = Atomic.get t.queue_hwm
 
-(* Every STATS field and its order is part of the frozen text contract;
-   values are read out of the registry instruments. New fields are only
-   ever appended next to their kin (queue_depth and
-   queue_high_water_window arrived after queue_high_water). *)
+(* Every STATS field and its order is part of the frozen text contract.
+   New fields are only ever appended next to their kin. The form lines
+   read each form's strategy off its learner, outside the metrics
+   lock. *)
 let render_text t =
+  let r = reading t in
   let cache, store = readings t in
-  let forms = sorted_forms t in
-  let qw = R.Histogram.snapshot t.h_queue_wait in
-  let counters =
-    [
-      Printf.sprintf "uptime_seconds %d"
-        (int_of_float (Unix.gettimeofday () -. t.started));
-      Printf.sprintf "connections_total %d" (R.Counter.value t.c_connections);
-      Printf.sprintf "queries_total %d"
-        (sum_forms forms (fun fh -> R.Counter.value fh.c_queries));
-      Printf.sprintf "answered_total %d"
-        (sum_forms forms (fun fh -> R.Counter.value fh.c_answered));
-      Printf.sprintf "climbs_total %d"
-        (sum_forms forms (fun fh -> R.Counter.value fh.c_climbs));
-      Printf.sprintf "busy_total %d" (R.Counter.value t.c_busy);
-      Printf.sprintf "errors_total %d" (R.Counter.value t.c_errors);
-      Printf.sprintf "snapshots_total %d" (R.Counter.value t.c_snapshots);
-      Printf.sprintf "forms_loaded %d" (R.Counter.value t.c_forms_loaded);
-      Printf.sprintf "forms_active %d" (List.length forms);
-      Printf.sprintf "queue_high_water %d" (Atomic.get t.queue_hwm);
-      Printf.sprintf "queue_depth %d" (Atomic.get t.queue_depth);
-      Printf.sprintf "queue_high_water_window %d"
-        (Atomic.exchange t.window_hwm 0);
-      Printf.sprintf "queue_wait_count %d" qw.R.Histogram.count;
-      Printf.sprintf "queue_wait_mean_us %.0f" (R.Histogram.mean qw);
-      Printf.sprintf "queue_wait_p95_us %d" (R.Histogram.quantile qw 0.95);
-      (* Additive (multicore serving): domains, one per event loop. *)
-      Printf.sprintf "domains %d" (domains t);
-      (* Additive (event-loop front end): reactor connection and
-         pipelining state. *)
-      Printf.sprintf "conns_open %d" (conns_open t);
-      Printf.sprintf "pipeline_depth %d" (Atomic.get t.pipeline_depth);
-      Printf.sprintf "pipeline_depth_high_water %d"
-        (Atomic.get t.pipeline_hwm);
-      (* Additive (reactor fleet): loop count plus the write-cap, idle
-         and per-IP shedding counters. *)
-      Printf.sprintf "loops %d" (loops t);
-      Printf.sprintf "write_overflow_total %d"
-        (R.Counter.value t.c_write_overflow);
-      Printf.sprintf "write_shed_bytes_total %d"
-        (R.Counter.value t.c_write_shed_bytes);
-      Printf.sprintf "idle_closed_total %d" (R.Counter.value t.c_idle_closed);
-      Printf.sprintf "ip_limited_total %d" (R.Counter.value t.c_ip_limited);
-      (* Additive (request-lifecycle tracing): requests finalized by the
-         lifecycle tracker and traces kept by tail-based retention. *)
-      Printf.sprintf "lifecycle_requests_total %d"
-        (R.Counter.value t.c_lifecycle);
-      Printf.sprintf "traces_retained_total %d"
-        (Atomic.get t.retained_count);
-    ]
-  in
   let block stats = Option.fold ~none:[] ~some:(stat_lines stats) in
-  let counters = counters @ block cache_stats cache @ block store_stats store in
-  let form_lines =
-    List.map
-      (fun (key, fh) ->
-        let h = R.Histogram.snapshot fh.h_latency in
-        Printf.sprintf
-          "form %s queries %d answered %d climbs %d mean_us %.0f \
-           p50_us %d p95_us %d p99_us %d strategy %s"
-          key
-          (R.Counter.value fh.c_queries)
-          (R.Counter.value fh.c_answered)
-          (R.Counter.value fh.c_climbs)
-          (R.Histogram.mean h)
-          (R.Histogram.quantile h 0.50)
-          (R.Histogram.quantile h 0.95)
-          (R.Histogram.quantile h 0.99)
-          (Atomic.get fh.strategy))
-      forms
+  let form_line (key, fh) =
+    String.concat " "
+      ("form" :: key :: stat_lines form_stats (form_reading fh))
   in
-  counters @ form_lines
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let schema_version = 1
+  stat_lines stats r @ block cache_stats cache @ block store_stats store
+  @ List.map form_line r.forms
 
 let render_json ?recent_traces t =
+  let r = reading t in
   let cache, store = readings t in
-  let forms = sorted_forms t in
-  let qw = R.Histogram.snapshot t.h_queue_wait in
   let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema\":%d,\"uptime_seconds\":%d,\"connections_total\":%d,\
-        \"queries_total\":%d,\"answered_total\":%d,\
-        \"climbs_total\":%d,\"busy_total\":%d,\"errors_total\":%d,\
-        \"snapshots_total\":%d,\"forms_loaded\":%d,\
-        \"forms_active\":%d,\"queue_high_water\":%d,\"queue_depth\":%d,\
-        \"queue_high_water_window\":%d,\
-        \"queue_wait\":{\"count\":%d,\"mean_us\":%.1f,\"p50_us\":%d,\
-        \"p95_us\":%d,\"p99_us\":%d},\"domains\":%d,"
-       schema_version
-       (int_of_float (Unix.gettimeofday () -. t.started))
-       (R.Counter.value t.c_connections)
-       (sum_forms forms (fun fh -> R.Counter.value fh.c_queries))
-       (sum_forms forms (fun fh -> R.Counter.value fh.c_answered))
-       (sum_forms forms (fun fh -> R.Counter.value fh.c_climbs))
-       (R.Counter.value t.c_busy)
-       (R.Counter.value t.c_errors)
-       (R.Counter.value t.c_snapshots)
-       (R.Counter.value t.c_forms_loaded)
-       (List.length forms)
-       (Atomic.get t.queue_hwm) (Atomic.get t.queue_depth)
-       (Atomic.exchange t.window_hwm 0)
-       qw.R.Histogram.count (R.Histogram.mean qw)
-       (R.Histogram.quantile qw 0.50)
-       (R.Histogram.quantile qw 0.95)
-       (R.Histogram.quantile qw 0.99)
-       (domains t));
-  (* Additive block (schema stays 1): the v4 reactor's transport-level
-     state, absent only from pre-v4 builds. *)
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\"protocol\":{\"backend\":\"%s\",\"frame_version\":%d,\
-        \"conns_open\":%d,\"pipeline_depth\":%d,\
-        \"pipeline_depth_high_water\":%d},"
-       (json_escape t.backend) Frame.version (conns_open t)
-       (Atomic.get t.pipeline_depth)
-       (Atomic.get t.pipeline_hwm));
-  (* Additive block (schema stays 1): the reactor fleet — per-loop
-     connection/wakeup/pipeline readings plus the shedding counters. *)
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\"loops\":{\"count\":%d,\"write_overflow_total\":%d,\
-        \"write_shed_bytes_total\":%d,\"idle_closed_total\":%d,\
-        \"ip_limited_total\":%d,\"per_loop\":["
-       (loops t)
-       (R.Counter.value t.c_write_overflow)
-       (R.Counter.value t.c_write_shed_bytes)
-       (R.Counter.value t.c_idle_closed)
-       (R.Counter.value t.c_ip_limited));
-  List.iteri
-    (fun i lh ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"id\":%d,\"conns\":%d,\"wakeups\":%d,\"pipeline_depth\":%d}"
-           lh.loop_id
-           (int_of_float (R.Gauge.value lh.lg_conns))
-           (R.Counter.value lh.lc_wakeups)
-           (Atomic.get lh.lh_pipeline)))
-    (sorted_loops t);
-  Buffer.add_string buf "]},";
-  (* Additive block (schema stays 1): request-lifecycle tracing. *)
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\"lifecycle\":{\"requests_total\":%d,\"traces_retained_total\":%d},"
-       (R.Counter.value t.c_lifecycle)
-       (Atomic.get t.retained_count));
+  Buffer.add_char buf '{';
+  json_fields buf stats r;
+  Buffer.add_char buf ',';
   Option.iter (json_block buf "cache" cache_stats) cache;
   Option.iter (json_block buf "store" store_stats) store;
   Buffer.add_string buf "\"forms\":{";
   List.iteri
     (fun i (key, fh) ->
       if i > 0 then Buffer.add_char buf ',';
-      let h = R.Histogram.snapshot fh.h_latency in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"%s\":{\"queries\":%d,\"answered\":%d,\"climbs\":%d,\
-            \"mean_us\":%.1f,\"p50_us\":%d,\"p95_us\":%d,\
-            \"p99_us\":%d,\"strategy\":\"%s\"}"
-           (json_escape key)
-           (R.Counter.value fh.c_queries)
-           (R.Counter.value fh.c_answered)
-           (R.Counter.value fh.c_climbs)
-           (R.Histogram.mean h)
-           (R.Histogram.quantile h 0.50)
-           (R.Histogram.quantile h 0.95)
-           (R.Histogram.quantile h 0.99)
-           (json_escape (Atomic.get fh.strategy))))
-    forms;
-  Buffer.add_string buf "}";
+      Printf.bprintf buf "\"%s\":" (Trace.json_escape key);
+      json_object buf form_stats (form_reading fh))
+    r.forms;
+  Buffer.add_char buf '}';
   Option.iter
     (fun traces ->
       Buffer.add_string buf ",\"recent_traces\":[";

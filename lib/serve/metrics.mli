@@ -1,39 +1,50 @@
 (** Server observability: a thin facade over an {!Obs.Registry}, and the
-    single place its metrics are registered. Every number the daemon
-    reports lives in a registry instrument, so the same underlying
-    counters feed the TCP [STATS]/[STATS JSON] renderers (byte-stable
+    single place its metrics are registered. The same reading of each
+    statistic feeds the TCP [STATS]/[STATS JSON] renderers (byte-stable
     for existing clients — new fields are only ever additive) and the
     Prometheus [/metrics] endpoint ({!render_prometheus}). Metric names
     and labels are inventoried in [docs/OBSERVABILITY.md].
 
-    The cache, subgoal-memo and paged-store statistics come
-    from one table inside this module: a row per statistic names its
-    [STATS] key, Prometheus family, help text, kind, place in the
-    [STATS JSON] block and a reader over the layer's own record
-    ({!Cache.Answers.counters}, {!Datalog.Sld.Memo.counters},
-    {!Store.stats}). Registration, the collect-time mirror, the
-    [cache_*]/[memo_*]/[store_*] [STATS] lines and the [cache]/[store]
-    JSON blocks all walk it.
+    Every scalar statistic is one row of a table inside this module: a
+    row names its [STATS] key, Prometheus family, help text, kind, place
+    in the [STATS JSON] object and a reader. Registration, the
+    collect-time mirror (run before every [/metrics] render), the
+    [STATS] lines and the JSON object all walk the rows; a form's
+    [STATS] line, its [forms] JSON object and its [{form}] series share
+    one field list, as do a loop's [per_loop] JSON entry and its
+    [{loop}] series. Each reader reads the statistic's one owner:
+    - event counts, queue levels and per-form query counts: this
+      module;
+    - cache, memo and store statistics: the layer's own record
+      ({!Cache.Answers.counters}, {!Datalog.Sld.Memo.counters},
+      {!Store.stats}), through the installed providers;
+    - open connections ([conns_open], [strategem_conns_open],
+      [strategem_loop_conns_open]): the server's per-loop count, which
+      counts a connection from accept (a queued handoff included) until
+      its close;
+    - the pipeline depth: the server's in-flight count;
+    - wake deliveries: {!Eventloop.wakeups};
+    - a form's strategy and learner gauges: its learner, read when
+      [STATS] or [/metrics] renders;
+    - [traces_retained_total]: the sum of
+      [strategem_traces_retained_total{reason}].
 
-    All operations are thread-safe; hot-path updates are lock-sharded
-    per time series (see {!Obs.Registry}). Per-form state is created on
-    first use. Latencies go into fixed log-scale buckets — bucket [i]
+    All operations are thread-safe; hot-path updates are single atomic
+    operations, or a per-series mutex for histograms (see
+    {!Obs.Registry}). Per-form state is created on first use. Latencies go into fixed log-scale buckets — bucket [i]
     holds observations in [[2^i, 2^(i+1)) µs) — so percentile reads are
     O(buckets) and never allocate per observation. *)
 
 type t
 
-val create : unit -> t
+(** [pipeline_depth] reads the requests in flight across the fleet
+    (default: always 0). *)
+val create : ?pipeline_depth:(unit -> int) -> unit -> t
 
 (** The whole registry in Prometheus text exposition format 0.0.4 —
-    the [GET /metrics] body. Runs the collect hooks (cache mirror,
-    uptime, queue and pipeline levels, windowed high-water, learner
-    gauges). *)
+    the [GET /metrics] body. Mirrors every row into its series first
+    (which also resets the windowed high water). *)
 val render_prometheus : t -> string
-
-(** Register a hook run before every [/metrics] render (see
-    {!Obs.Registry.on_collect}). *)
-val on_collect : t -> (unit -> unit) -> unit
 
 (** {1 Events} *)
 
@@ -68,16 +79,10 @@ val slow_query : t -> unit
 
 (** {1 Reactor (protocol v4)} *)
 
-(** The [strategem_conns_open] gauge: sockets the reactor currently
-    holds open (also the additive [conns_open] STATS field). *)
-val conn_opened : t -> unit
-
-val conn_closed : t -> unit
-
-(** The [strategem_pipeline_depth] gauge: requests parsed whose
-    responses have not yet been enqueued, across all connections; an
-    all-time high water is kept as
-    [strategem_pipeline_depth_high_water]. *)
+(** A request was dispatched and [d] requests are now in flight: keeps
+    the all-time high water, [strategem_pipeline_depth_high_water]. The
+    current depth ([strategem_pipeline_depth]) is read through
+    [create]'s [pipeline_depth]. *)
 val set_pipeline_depth : t -> int -> unit
 
 (** The reactor backend ("epoll" / "select"), surfaced in the STATS JSON
@@ -87,30 +92,33 @@ val set_backend : t -> string -> unit
 (** {1 Reactor fleet}
 
     One domain per event loop: each loop registers its handles at spawn
-    and updates only its own [{loop="i"}] / [{domain="i"}] series, so
-    the hot path never contends. Rendered as the additive [loops] STATS
+    and updates only its own counts, read as its [{loop="i"}] /
+    [{domain="i"}] series, so the hot path never contends. Rendered as the additive [loops] STATS
     field and the [loops] block ([count] plus a [per_loop] array) in
     [STATS JSON]. *)
 
-(** Record the fleet size: the [strategem_loops] and [strategem_domains]
-    gauges and the [loops]/[domains] STATS fields (each loop is one
-    domain). *)
+(** Record the fleet size, one value read by the [strategem_loops] and
+    [strategem_domains] gauges and the [loops]/[domains] STATS fields
+    (each loop is one domain). *)
 val set_loops : t -> int -> unit
 
-(** Per-loop hot-path handles: [strategem_loop_conns_open{loop}],
+(** Per-loop handles: [strategem_loop_conns_open{loop}],
     [strategem_loop_wakeups_total{loop}],
     [strategem_loop_pipeline_depth{loop}],
+    [strategem_trace_retained_exemplar{loop}],
     [strategem_domain_connections_total{domain}] and
     [strategem_domain_busy_us_total{domain}]. *)
 type loop_handles
 
-val loop_handles : t -> loop:int -> loop_handles
-val loop_conn_opened : loop_handles -> unit
-val loop_conn_closed : loop_handles -> unit
-
-(** Mirror the loop's monotonic coalesced-wake count
-    ({!Eventloop.wakeups}) into its counter series. *)
-val set_loop_wakeups : loop_handles -> int -> unit
+(** [conns] reads the connections the loop owns and [wakeups] its
+    monotonic coalesced-wake count ({!Eventloop.wakeups}); both are
+    read when a statistic renders (default: always 0). *)
+val loop_handles :
+  ?conns:(unit -> int) ->
+  ?wakeups:(unit -> int) ->
+  t ->
+  loop:int ->
+  loop_handles
 
 (** Requests in this loop's FIFO as an execution pass starts. *)
 val set_loop_pipeline_depth : loop_handles -> int -> unit
@@ -141,7 +149,8 @@ val lifecycle_finalized : t -> unit
 (** A finalized request's trace was kept by tail-based retention
     ([strategem_traces_retained_total{reason}]); [seq] becomes the
     loop's exemplar gauge ([strategem_trace_retained_exemplar{loop}]).
-    [reason] is one of [slow], [error], [shed]. *)
+    [reason] is one of [slow], [error], [shed]; any other raises
+    [Invalid_argument]. *)
 val trace_retained : t -> loop_handles -> reason:string -> seq:int -> unit
 
 (** A connection breached a write-buffer cap: its buffered output
@@ -160,36 +169,27 @@ val ip_limited : t -> unit
 (** {1 Per-form series} *)
 
 (** One query form's handles: its query/answer/climb counters, latency
-    histogram, learner gauges and strategy string. *)
+    histogram, and the readers of its learner. *)
 type form
 
 (** The handles of the form with this key, created on first use (cold
-    path: takes the metrics lock — callers keep the handle). A new
-    form's epsilon gauge starts at [+inf]. *)
-val form : t -> string -> form
+    path: takes the metrics lock — callers keep the handle). A later
+    call with the same key returns the first handle and keeps its
+    readers. Both readers are called without the metrics lock held:
+    [strategy] renders the form's current strategy for [STATS] (default:
+    [""]); [progress] feeds the [strategem_learner_*] gauges on every
+    [/metrics] render (default: no evidence, epsilon [+inf]). *)
+val form :
+  ?strategy:(unit -> string) ->
+  ?progress:(unit -> Core.Learner.progress) ->
+  t ->
+  string ->
+  form
 
 (** One answered query: latency, whether an answer was found, and whether
     it triggered a strategy climb. Lock- and allocation-free. *)
 val query :
   form -> latency_ns:int -> answered:bool -> switched:bool -> unit
-
-(** The form's current strategy, pre-rendered (shown by [STATS]). *)
-val set_strategy : form -> string -> unit
-
-(** Set the form's [strategem_learner_*] convergence gauges from a
-    {!Core.Learner.progress} reading (fields passed positionally so this
-    module stays core-agnostic). The registry calls it from an
-    {!on_collect} hook, so the gauges are read off the learner at scrape
-    time. *)
-val learner_progress :
-  form ->
-  samples:int ->
-  samples_total:int ->
-  climbs:int ->
-  epsilon:float ->
-  delta:float ->
-  finished:bool ->
-  unit
 
 (** {1 Cache and paged store}
 

@@ -60,6 +60,10 @@ val help_lines : string list
     [ERR <code> <msg>] (message flattened to one line), [BUSY], [BYE],
     [PONG]. *)
 
+(** [s] with each line break (LF or CR) replaced by a space: a text that
+    may hold one goes into a reply line through this. *)
+val one_line : string -> string
+
 (** [cached] adds a [cached] token (before [switched]): the answer was
     served from the answer cache and [reductions]/[retrievals] are 0. *)
 val answer_line :

@@ -48,22 +48,27 @@ let key_of_form (form : D.Atom.t) =
     (if adornment = "" then "" else "_")
     adornment
 
+(* Arc labels carry predicate names, and a quoted name may hold line
+   breaks: the rendering is flattened to one line, as it goes into reply
+   lines (STRATEGY, STATS). *)
 let render live =
-  Format.asprintf "%a" Strategy.Spec.pp_dfs (Core.Live.strategy live)
+  Protocol.one_line
+    (Format.asprintf "%a" Strategy.Spec.pp_dfs (Core.Live.strategy live))
 
 (* A plain lock/unlock pair around [f] — no [Fun.protect] closure — that
    still releases the lock if [f] raises. *)
-let with_live (entry : entry) f =
-  Mutex.lock entry.lock;
-  match f entry.live with
+let locked lock live f =
+  Mutex.lock lock;
+  match f live with
   | v ->
-    Mutex.unlock entry.lock;
+    Mutex.unlock lock;
     v
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    Mutex.unlock entry.lock;
+    Mutex.unlock lock;
     Printexc.raise_with_backtrace e bt
 
+let with_live (entry : entry) f = locked entry.lock entry.live f
 let strategy_string entry = with_live entry render
 
 (* Same arity, and a constant exactly where the form has its bound
@@ -90,35 +95,18 @@ let lookup t (q : D.Atom.t) =
 let all_entries t =
   By_pred.fold (fun _ es acc -> es @ acc) (Atomic.get t.forms) []
 
-(* The learner gauges are read off each learner when /metrics is
-   rendered: one source per statistic, and nothing paid per
-   observation. *)
-let publish_progress t =
-  List.iter
-    (fun (e : entry) ->
-      let p =
-        with_live e (fun live -> Core.Learner.progress (Core.Live.learner live))
-      in
-      Metrics.learner_progress e.metrics ~samples:p.Core.Learner.samples
-        ~samples_total:p.Core.Learner.samples_total
-        ~climbs:p.Core.Learner.climbs ~epsilon:p.Core.Learner.epsilon
-        ~delta:p.Core.Learner.delta ~finished:p.Core.Learner.finished)
-    (all_entries t)
-
 let create ?(learner = `Pib) ?(config = Core.Learner.default_config) ~rulebase
     metrics =
-  let t =
-    {
-      lock = Mutex.create ();
-      rulebase;
-      learner;
-      config;
-      metrics;
-      forms = Atomic.make By_pred.empty;
-    }
-  in
-  Metrics.on_collect metrics (fun () -> publish_progress t);
-  t
+  {
+    lock = Mutex.create ();
+    rulebase;
+    learner;
+    config;
+    metrics;
+    forms = Atomic.make By_pred.empty;
+  }
+
+let progress live = Core.Learner.progress (Core.Live.learner live)
 
 let add_entry t atom =
   Mutex.lock t.lock;
@@ -134,9 +122,16 @@ let add_entry t atom =
           Core.Live.create ~learner:t.learner ~config:t.config
             ~rulebase:t.rulebase ~query_form:form ()
         in
-        let metrics = Metrics.form t.metrics key in
-        Metrics.set_strategy metrics (render live);
-        let e = { key; form; live; lock = Mutex.create (); metrics } in
+        let lock = Mutex.create () in
+        (* the form's strategy and learner gauges are read off the
+           learner when STATS or /metrics renders: one source per
+           statistic, and nothing paid per observation *)
+        let metrics =
+          Metrics.form t.metrics key
+            ~strategy:(fun () -> locked lock live render)
+            ~progress:(fun () -> locked lock live progress)
+        in
+        let e = { key; form; live; lock; metrics } in
         let id = D.Symbol.id atom.D.Atom.pred in
         let forms = Atomic.get t.forms in
         let bucket = Option.value ~default:[] (By_pred.find_opt id forms) in
@@ -196,8 +191,6 @@ let answer_entry ?(tracer = Trace.null) ?parent ?cache ?memo (entry : entry)
   Mutex.lock entry.lock;
   match answer_locked ~tracer ?parent ?cache ?memo entry ~db q with
   | a ->
-    if a.Core.Live.switched then
-      Metrics.set_strategy entry.metrics (render entry.live);
     Mutex.unlock entry.lock;
     a
   | exception e ->
@@ -214,8 +207,3 @@ let entries t =
 let key e = e.key
 let form e = e.form
 let metrics (e : entry) = e.metrics
-
-let publish_strategies t =
-  List.iter
-    (fun (e : entry) -> Metrics.set_strategy e.metrics (strategy_string e))
-    (entries t)

@@ -47,8 +47,7 @@ val key_of_form : Datalog.Atom.t -> string
 val find_or_create : t -> Datalog.Atom.t -> entry
 
 (** Answer one concrete query with the form's learner, serialized against
-    other queries of the same form. Updates the entry's strategy
-    rendering in the metrics on a climb. [tracer]/[parent] are passed
+    other queries of the same form. [tracer]/[parent] are passed
     through to {!Core.Live.answer}.
 
     With [cache], the answer cache is consulted (under the entry lock)
@@ -90,16 +89,13 @@ val key : entry -> string
 val form : entry -> Datalog.Atom.t
 
 (** The form's per-form metric handles. Its [strategem_learner_*]
-    gauges are refreshed from the learner's progress by a collect hook
-    that {!create} installs, on every [/metrics] render. *)
+    gauges and its [STATS] strategy ({!strategy_string}) are read off
+    the learner when [/metrics] or [STATS] renders. *)
 val metrics : entry -> Metrics.form
 
 (** Run [f] on the entry's processor while holding its lock. *)
 val with_live : entry -> (Core.Live.t -> 'a) -> 'a
 
-(** The entry's current strategy, rendered ⟨like this⟩. *)
+(** The entry's current strategy, rendered ⟨like this⟩ on one line (a
+    line break in a predicate name becomes a space). *)
 val strategy_string : entry -> string
-
-(** Re-render every entry's current strategy into the metrics — called
-    after {!Snapshot.load} installs reloaded strategies. *)
-val publish_strategies : t -> unit

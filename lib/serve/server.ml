@@ -96,7 +96,8 @@ type loop_state = {
      poll's events are dispatched, executed by [loop_tick] *)
   fifo : job Queue.t;
   (* connections owned (including queued handoffs), read by the acceptor
-     for two-choice placement and the max-conns cap *)
+     for two-choice placement and the max-conns cap, and by the open
+     connection statistics *)
   n_conns : int Atomic.t;
   (* requests parsed by this loop whose response is not yet enqueued —
      the loop's drain condition, and the acceptor's busy signal *)
@@ -304,9 +305,8 @@ let respond st ls job reply ~now =
     job.mark <- mark;
     ls.pending_fin <- job :: ls.pending_fin
   end;
-  ignore (Atomic.fetch_and_add ls.inflight (-1));
-  let depth = Atomic.fetch_and_add st.inflight_total (-1) - 1 in
-  Metrics.set_pipeline_depth st.metrics depth
+  Atomic.decr ls.inflight;
+  Atomic.decr st.inflight_total
 
 (* --- request handlers (pure of socket I/O) --- *)
 
@@ -768,8 +768,6 @@ let reap st ls c =
       if Conn.overflowed c then
         Metrics.write_overflow st.metrics ~shed_bytes:(Conn.take_shed_bytes c);
       release_ip st (Conn.ip c);
-      Metrics.conn_closed st.metrics;
-      Metrics.loop_conn_closed ls.lh;
       if Obs.Log.enabled st.log Obs.Log.Debug then
         Obs.Log.debug st.log "connection closed"
           ~fields:
@@ -1020,7 +1018,6 @@ let adopt_incoming st ls =
       Obs.Flight.record ls.flight ~ts_ns:accept_ns
         ~code:Obs.Flight.code_accept ~loop:ls.lid ~conn:id ~rid:0 ~a:ls.lid
         ~b:0;
-      Metrics.loop_conn_opened ls.lh;
       if Obs.Log.enabled st.log Obs.Log.Debug then
         Obs.Log.debug st.log "connection accepted"
           ~fields:
@@ -1226,8 +1223,7 @@ let loop_tick st ls =
      finalizes in the same tick *)
   finalize_pass st ls;
   idle_sweep st ls;
-  http_sweep st ls;
-  Metrics.set_loop_wakeups ls.lh (Eventloop.wakeups ls.ev)
+  http_sweep st ls
 
 let incoming_empty ls =
   Mutex.lock ls.inc_lock;
@@ -1358,7 +1354,6 @@ let accept_burst st sock =
           ls.incoming;
         Mutex.unlock ls.inc_lock;
         Metrics.connection st.metrics;
-        Metrics.conn_opened st.metrics;
         Eventloop.wake ls.ev
       end;
       go ()
@@ -1431,7 +1426,10 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
      this server's log is closed *)
   let caller_reporter = Logs.reporter () in
   if cfg.log_level <> None then Obs.Log.install_logs_reporter log;
-  let metrics = Metrics.create () in
+  let inflight_total = Atomic.make 0 in
+  let metrics =
+    Metrics.create ~pipeline_depth:(fun () -> Atomic.get inflight_total) ()
+  in
   let registry =
     Registry.create ~learner:cfg.learner ~config:cfg.learner_config ~rulebase
       metrics
@@ -1441,7 +1439,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
     let n = Snapshot.load ~dir registry in
     if n > 0 then begin
       Metrics.forms_loaded metrics n;
-      Registry.publish_strategies registry;
       Obs.Log.info log "strategies restored from snapshots"
         ~fields:[ ("forms", Obs.Log.I n) ]
     end
@@ -1453,15 +1450,19 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
   let n_loops = loop_count cfg in
   let fleet =
     Array.init n_loops (fun lid ->
+        let ev = Eventloop.create () and n_conns = Atomic.make 0 in
         {
           lid;
-          ev = Eventloop.create ();
-          lh = Metrics.loop_handles metrics ~loop:lid;
+          ev;
+          lh =
+            Metrics.loop_handles metrics ~loop:lid
+              ~conns:(fun () -> Atomic.get n_conns)
+              ~wakeups:(fun () -> Eventloop.wakeups ev);
           conns = Hashtbl.create 64;
           inc_lock = Mutex.create ();
           incoming = Queue.create ();
           fifo = Queue.create ();
-          n_conns = Atomic.make 0;
+          n_conns;
           inflight = Atomic.make 0;
           draining = false;
           clock = 0;
@@ -1517,7 +1518,7 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
           ();
       ip_lock = Mutex.create ();
       ip_counts = Hashtbl.create 16;
-      inflight_total = Atomic.make 0;
+      inflight_total;
     }
   in
   (* Store-wait attribution: while a loop executes a request, the WAL

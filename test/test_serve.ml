@@ -1178,6 +1178,30 @@ let read_until_end ic =
   in
   go []
 
+(* A quoted predicate name may hold line breaks, and a form's strategy
+   names its arcs after the predicate. No reply line may carry one: a
+   line client's STATS must end at its own END, with its next reply in
+   step, and STRATEGY must stay one line. *)
+let server_predicate_name_breaks_no_line () =
+  let thread, port = start_server () in
+  let v4 = Serve.Client.connect ~proto:`V4 ~port () in
+  let atom = "'x\nEND\nzzz'(a)" in
+  ignore (Serve.Client.request v4 ("QUERY " ^ atom));
+  check_int "STRATEGY is one line" 1
+    (List.length (Serve.Client.command v4 ("STRATEGY " ^ atom)));
+  Serve.Client.close v4;
+  let _fd, ic, oc = connect port in
+  send oc "STATS";
+  let stats = read_until_end ic in
+  check_bool "the form line is whole" true
+    (List.exists (fun l -> has_prefix "form x-END-zzz_1_b " l) stats);
+  send oc "PING";
+  check_string "the next reply is in step" "PONG" (input_line ic);
+  send oc "SHUTDOWN";
+  check_string "bye" "BYE" (input_line ic);
+  close_in_noerr ic;
+  Thread.join thread
+
 let conn_write_cap_sheds () =
   (* per-conn cap: the send that would breach it sheds the whole
      buffered output, leaves one BUSY, and flags the conn for teardown *)
@@ -2325,6 +2349,8 @@ let suite =
         case "registry shares learners and climbs" registry_shares_and_learns;
         case "snapshot save/load resumes the strategy" snapshot_roundtrip;
         slow_case "server answers concurrent clients" server_concurrent_clients;
+        slow_case "a predicate name breaks no reply line"
+          server_predicate_name_breaks_no_line;
         slow_case "server sheds connections past max-conns"
           server_sheds_when_full;
         slow_case "v4 sheds requests with Busy, conn survives"
