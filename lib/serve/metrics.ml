@@ -43,7 +43,7 @@ let stat kind key name json help read = { kind; key; name; json; help; read }
 (* A statistic shown in STATS and JSON under one name. *)
 let same kind key name help read = stat kind key name key help read
 
-(* ... with no series. *)
+(* The same, with no series. *)
 let field key read = same Gauge key "" "" read
 
 let text_value = function
@@ -710,11 +710,8 @@ let observe_stage lh stage ns =
 let lifecycle_finalized t = Atomic.incr t.lifecycle
 
 let trace_retained t lh ~reason ~seq =
-  match List.assoc_opt reason t.retained_by with
-  | Some c ->
-    R.Counter.inc c;
-    Atomic.set lh.exemplar seq
-  | None -> invalid_arg ("Metrics.trace_retained: reason " ^ reason)
+  R.Counter.inc (List.assoc reason t.retained_by);
+  Atomic.set lh.exemplar seq
 
 let set_loop_pipeline_depth lh n = Atomic.set lh.pipeline n
 

@@ -150,7 +150,7 @@ val lifecycle_finalized : t -> unit
     ([strategem_traces_retained_total{reason}]); [seq] becomes the
     loop's exemplar gauge ([strategem_trace_retained_exemplar{loop}]).
     [reason] is one of [slow], [error], [shed]; any other raises
-    [Invalid_argument]. *)
+    [Not_found]. *)
 val trace_retained : t -> loop_handles -> reason:string -> seq:int -> unit
 
 (** A connection breached a write-buffer cap: its buffered output

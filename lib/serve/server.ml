@@ -305,7 +305,7 @@ let respond st ls job reply ~now =
     job.mark <- mark;
     ls.pending_fin <- job :: ls.pending_fin
   end;
-  Atomic.decr ls.inflight;
+  ignore (Atomic.fetch_and_add ls.inflight (-1));
   Atomic.decr st.inflight_total
 
 (* --- request handlers (pure of socket I/O) --- *)
