@@ -2349,8 +2349,6 @@ let suite =
         case "registry shares learners and climbs" registry_shares_and_learns;
         case "snapshot save/load resumes the strategy" snapshot_roundtrip;
         slow_case "server answers concurrent clients" server_concurrent_clients;
-        slow_case "a predicate name breaks no reply line"
-          server_predicate_name_breaks_no_line;
         slow_case "server sheds connections past max-conns"
           server_sheds_when_full;
         slow_case "v4 sheds requests with Busy, conn survives"
@@ -2380,8 +2378,6 @@ let suite =
         case "metrics blocks golden: cache, memo, store" metrics_blocks_golden;
         case "metrics blocks golden: cache off, no store"
           metrics_blocks_golden_off;
-        case "metrics whole golden: STATS, STATS JSON, /metrics"
-          metrics_whole_golden;
         slow_case "learning identical on 1 loop and on 4 loops"
           server_learning_same_across_loops;
         slow_case "requests behind QUIT are dropped, conn closes"
@@ -2399,5 +2395,9 @@ let suite =
           server_retained_record;
         slow_case "trace sampling through retention"
           server_sampling_through_retention;
+        case "metrics whole golden: STATS, STATS JSON, /metrics"
+          metrics_whole_golden;
+        slow_case "a predicate name breaks no reply line"
+          server_predicate_name_breaks_no_line;
       ] );
   ]
