@@ -1,6 +1,35 @@
-(* Prometheus text exposition format 0.0.4: rendering a Registry,
-   linting rendered output (used by CI and `strategem scrape --lint`),
-   and a small sample parser (used by `strategem watch`). *)
+(* Prometheus text exposition format 0.0.4: rendering a list of
+   families, linting rendered output (used by CI and `strategem scrape
+   --lint`), and a small sample parser (used by `strategem watch`). *)
+
+let name_re_ok s =
+  s <> ""
+  && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true | _ -> false)
+  && String.for_all
+       (function
+         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true
+         | _ -> false)
+       s
+
+let label_re_ok s =
+  s <> ""
+  && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
+  && String.for_all
+       (function
+         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
+       s
+
+type kind = Counter | Gauge | Histogram
+
+type value = Int of int | Float of float | Hist of Histogram.snapshot
+
+type family = {
+  name : string;
+  help : string;
+  kind : kind;
+  label_names : string list;
+  samples : (string list * value) list;
+}
 
 let escape_help s =
   let buf = Buffer.create (String.length s) in
@@ -33,70 +62,58 @@ let float_str v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.12g" v
 
-let label_str names values =
-  if names = [] then ""
+(* [le] appends the histograms' bucket label after the family's own
+   labels, matching Prometheus convention. *)
+let label_str ?le names values =
+  let pairs =
+    List.combine names values
+    @ match le with Some v -> [ ("le", v) ] | None -> []
+  in
+  if pairs = [] then ""
   else
     "{"
     ^ String.concat ","
-        (List.map2
-           (fun n v -> Printf.sprintf "%s=\"%s\"" n (escape_label_value v))
-           names values)
+        (List.map
+           (fun (n, v) -> Printf.sprintf "%s=\"%s\"" n (escape_label_value v))
+           pairs)
     ^ "}"
 
-(* [extra] appends one more label (histograms' [le]) after the family's
-   own labels, matching Prometheus convention. *)
-let label_str_extra names values (k, v) =
-  let pairs =
-    List.map2 (fun n v -> (n, v)) names values @ [ (k, v) ]
-  in
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (n, v) -> Printf.sprintf "%s=\"%s\"" n (escape_label_value v))
-         pairs)
-  ^ "}"
-
 let kind_str = function
-  | Registry.Counter_k -> "counter"
-  | Registry.Gauge_k -> "gauge"
-  | Registry.Histogram_k -> "histogram"
+  | Counter -> "counter"
+  | Gauge -> "gauge"
+  | Histogram -> "histogram"
 
-let render_family buf (f : Registry.family_view) =
-  Printf.bprintf buf "# HELP %s %s\n" f.Registry.name
-    (escape_help f.Registry.help);
-  Printf.bprintf buf "# TYPE %s %s\n" f.Registry.name (kind_str f.Registry.kind);
+let render_family buf f =
+  Printf.bprintf buf "# HELP %s %s\n" f.name (escape_help f.help);
+  Printf.bprintf buf "# TYPE %s %s\n" f.name (kind_str f.kind);
   List.iter
-    (fun (s : Registry.sample) ->
-      let labels = label_str f.Registry.label_names s.Registry.sample_labels in
-      match s.Registry.value with
-      | Registry.Sample_counter v ->
-        Printf.bprintf buf "%s%s %d\n" f.Registry.name labels v
-      | Registry.Sample_gauge v ->
-        Printf.bprintf buf "%s%s %s\n" f.Registry.name labels (float_str v)
-      | Registry.Sample_histogram h ->
+    (fun (values, v) ->
+      let labels = label_str f.label_names values in
+      match v with
+      | Int v -> Printf.bprintf buf "%s%s %d\n" f.name labels v
+      | Float v -> Printf.bprintf buf "%s%s %s\n" f.name labels (float_str v)
+      | Hist h ->
         let cum = ref 0 in
         Array.iteri
           (fun i n ->
             cum := !cum + n;
             let le =
-              if i = Registry.n_buckets then "+Inf"
-              else string_of_int (Registry.bucket_upper i)
+              if i = Histogram.n_buckets then "+Inf"
+              else string_of_int (Histogram.bucket_upper i)
             in
-            Printf.bprintf buf "%s_bucket%s %d\n" f.Registry.name
-              (label_str_extra f.Registry.label_names s.Registry.sample_labels
-                 ("le", le))
+            Printf.bprintf buf "%s_bucket%s %d\n" f.name
+              (label_str ~le f.label_names values)
               !cum)
-          h.Registry.Histogram.buckets;
-        Printf.bprintf buf "%s_sum%s %s\n" f.Registry.name labels
-          (float_str h.Registry.Histogram.sum);
-        Printf.bprintf buf "%s_count%s %d\n" f.Registry.name labels
-          h.Registry.Histogram.count)
-    f.Registry.samples
+          h.Histogram.buckets;
+        Printf.bprintf buf "%s_sum%s %s\n" f.name labels
+          (float_str h.Histogram.sum);
+        Printf.bprintf buf "%s_count%s %d\n" f.name labels h.Histogram.count)
+    (List.sort (fun (a, _) (b, _) -> compare a b) f.samples)
 
-let render reg =
-  Registry.collect reg;
+let render families =
   let buf = Buffer.create 4096 in
-  List.iter (render_family buf) (Registry.view reg);
+  List.iter (render_family buf)
+    (List.sort (fun a b -> String.compare a.name b.name) families);
   Buffer.contents buf
 
 (* ---------- parsing (for watch and the linter) ---------- *)
@@ -262,11 +279,11 @@ let lint text =
         match parse_sample_line line with
         | exception Bad_line msg -> err "line %d: %s" lineno msg
         | s ->
-          if not (Registry.name_re_ok s.metric) then
+          if not (name_re_ok s.metric) then
             err "line %d: invalid metric name %S" lineno s.metric;
           List.iter
             (fun (k, _) ->
-              if not (Registry.label_re_ok k) then
+              if not (label_re_ok k) then
                 err "line %d: invalid label name %S" lineno k)
             s.labels;
           let family =

@@ -5,11 +5,34 @@
     checker behind [strategem scrape --lint] and the CI cram test;
     {!parse_samples} feeds [strategem watch]. *)
 
-(** Run the registry's collect hooks, then render every family as
-    [# HELP] / [# TYPE] plus one sample line per child (histograms as
+(** Prometheus metric-name validity ([[a-zA-Z_:][a-zA-Z0-9_:]*]). *)
+val name_re_ok : string -> bool
+
+(** Label-name validity ([[a-zA-Z_][a-zA-Z0-9_]*]). *)
+val label_re_ok : string -> bool
+
+type kind = Counter | Gauge | Histogram
+
+(** A sample's value: counters print [Int], gauges [Float] (through
+    {!float_str}), histograms [Hist]. *)
+type value = Int of int | Float of float | Hist of Histogram.snapshot
+
+(** One family: its samples pair label values (positionally matching
+    [label_names]) with a value. A family with no samples renders only
+    its [# HELP] and [# TYPE] lines. *)
+type family = {
+  name : string;
+  help : string;
+  kind : kind;
+  label_names : string list;
+  samples : (string list * value) list;
+}
+
+(** Render every family, sorted by name, as [# HELP] / [# TYPE] plus
+    one sample line per series, sorted by label values (histograms as
     cumulative [_bucket{le="..."}] series ending in [le="+Inf"], then
     [_sum] and [_count]). *)
-val render : Registry.t -> string
+val render : family list -> string
 
 (** Float formatting as Prometheus expects: ["+Inf"], ["-Inf"], ["NaN"],
     integers without a decimal point, else shortest-ish decimal. *)

@@ -70,22 +70,6 @@ let enabled t l =
   | Null -> false
   | Channel _ -> level_rank l >= level_rank (Atomic.get t.min_level)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float v =
   if Float.is_nan v || Float.is_integer v |> not then
     if Float.is_nan v || Float.abs v = Float.infinity then
@@ -95,7 +79,7 @@ let json_float v =
   else Printf.sprintf "%.0f" v
 
 let field_json = function
-  | S s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | S s -> Printf.sprintf "\"%s\"" (Trace.json_escape s)
   | I i -> string_of_int i
   | F v -> json_float v
   | B b -> if b then "true" else "false"
@@ -117,10 +101,10 @@ let log t lvl ?(fields = []) msg =
       let mono_ns = Int64.of_float ((now -. t.t0) *. 1e9) in
       let buf = Buffer.create 160 in
       Printf.bprintf buf "{\"ts\":\"%s\",\"mono_ns\":%Ld,\"level\":\"%s\",\"msg\":\"%s\""
-        (iso8601 now) mono_ns (level_to_string lvl) (json_escape msg);
+        (iso8601 now) mono_ns (level_to_string lvl) (Trace.json_escape msg);
       List.iter
         (fun (k, v) ->
-          Printf.bprintf buf ",\"%s\":%s" (json_escape k) (field_json v))
+          Printf.bprintf buf ",\"%s\":%s" (Trace.json_escape k) (field_json v))
         fields;
       Buffer.add_string buf "}\n";
       Mutex.lock t.lock;

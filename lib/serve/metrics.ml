@@ -1,11 +1,11 @@
 (* The STATS facade: every statistic the daemon reports is one row of a
    table in this module, so the same reading feeds the TCP STATS / STATS
    JSON renderers (byte-stable for existing clients) and the Prometheus
-   /metrics endpoint. This module is the single registration site of the
-   metric-name inventory (everything is prefixed [strategem_]; see
+   /metrics endpoint. This module spells out the whole metric-name
+   inventory (everything is prefixed [strategem_]; see
    docs/OBSERVABILITY.md). *)
 
-module R = Obs.Registry
+module H = Obs.Histogram
 
 type cache_reading = {
   answers : Cache.Answers.counters;
@@ -15,10 +15,10 @@ type cache_reading = {
 (* One row per statistic. A row names its STATS key, its Prometheus
    family, help text and kind, its place in the STATS JSON object
    (["key"], ["sub.key"] inside a sub-object) and a reader; an empty
-   key, name or place means the statistic is not shown there.
-   Registration, the collect-time mirror, the STATS lines and the JSON
-   objects all walk the rows; their order is the frozen STATS and JSON
-   field order (Prometheus sorts families by name). *)
+   key, name or place means the statistic is not shown there. The
+   STATS lines, the JSON objects and the /metrics families all walk the
+   rows at render time; their order is the frozen STATS and JSON field
+   order (Prometheus sorts families by name). *)
 type kind = Counter | Gauge
 
 type value =
@@ -59,11 +59,19 @@ let json_value = function
   | Str s -> "\"" ^ Trace.json_escape s ^ "\""
   | v -> text_value v
 
-let series_value = function
-  | Int n -> float_of_int n
-  | Whole f | Mean f -> f
-  | Bool b -> if b then 1.0 else 0.0
-  | Str _ | Json _ -> 0.0
+(* A row's Prometheus sample: a counter prints whole, a gauge as a
+   float. *)
+let series_value kind v =
+  let f =
+    match v with
+    | Int n -> float_of_int n
+    | Whole f | Mean f -> f
+    | Bool b -> if b then 1.0 else 0.0
+    | Str _ | Json _ -> 0.0
+  in
+  match kind with
+  | Counter -> Obs.Expo.Int (int_of_float f)
+  | Gauge -> Obs.Expo.Float f
 
 (* The cache, subgoal-memo and paged-store statistics. A reader gets
    [None] when its layer is off, and then reads 0. *)
@@ -170,27 +178,25 @@ let store_stats : Store.stats option stat list =
       "Persistent database generation" (store (fun s -> s.generation));
   ]
 
-(* One family per row that names one; returns the collect-time mirror,
-   which sets the series with label values [l] from a reading. *)
-let register reg ?labels stats =
-  let setters =
-    List.filter_map
-      (fun s ->
-        if s.name = "" then None
-        else
-          let set =
-            match s.kind with
-            | Counter ->
-              let fam = R.Counter.v reg ~help:s.help ?labels s.name in
-              fun l v -> R.Counter.set (R.Counter.labels fam l) (int_of_float v)
-            | Gauge ->
-              let fam = R.Gauge.v reg ~help:s.help ?labels s.name in
-              fun l v -> R.Gauge.set (R.Gauge.labels fam l) v
-          in
-          Some (fun l r -> set l (series_value (s.read r))))
-      stats
-  in
-  fun l r -> List.iter (fun set -> set l r) setters
+(* One family per row that names one, with a series per (label values,
+   reading) pair. *)
+let families ?(labels = []) stats series =
+  List.filter_map
+    (fun s ->
+      if s.name = "" then None
+      else
+        Some
+          {
+            Obs.Expo.name = s.name;
+            help = s.help;
+            kind = (match s.kind with Counter -> Counter | Gauge -> Gauge);
+            label_names = labels;
+            samples =
+              List.map
+                (fun (l, r) -> (l, series_value s.kind (s.read r)))
+                series;
+          })
+    stats
 
 let stat_lines stats r =
   List.filter_map
@@ -250,14 +256,9 @@ let stage_index = function
   | Wal_fsync -> 5
   | Page_read -> 6
 
-let stage_name = function
-  | Frame -> "frame"
-  | Queue -> "queue"
-  | Worker -> "worker"
-  | Flush -> "flush"
-  | Total -> "total"
-  | Wal_fsync -> "wal_fsync"
-  | Page_read -> "page_read"
+(* The [stage] label values, by [stage_index]. *)
+let stage_names =
+  [| "frame"; "queue"; "worker"; "flush"; "total"; "wal_fsync"; "page_read" |]
 
 (* Per-loop handles, obtained once by each event loop of the reactor
    fleet at spawn: the loop updates only its own (uncontended) counts.
@@ -272,11 +273,9 @@ type loop_handles = {
   (* requests the loop executed, and for how long *)
   served : int Atomic.t;
   busy_us : int Atomic.t;
-  (* the {stage, loop} latency histogram children, indexed by
-     [stage_index]; each is created on its stage's first observation
-     (so a stage never seen exports no series), loop thread only *)
-  lh_stage_fam : R.Histogram.fam;
-  lh_stages : R.Histogram.t option array;
+  (* the {stage, loop} latency histograms, indexed by [stage_index]; a
+     stage never observed exports no series *)
+  stages : H.t array;
 }
 
 (* The [per_loop] entries of the [loops] JSON object, and the {loop}
@@ -315,7 +314,7 @@ type form = {
   queries : int Atomic.t;
   answered : int Atomic.t;
   climbs : int Atomic.t;
-  h_latency : R.Histogram.t;
+  h_latency : H.t;
   strategy : unit -> string;
   progress : unit -> Core.Learner.progress;
 }
@@ -324,14 +323,14 @@ type form = {
    when a series needs it, its learner's progress. *)
 type form_reading = {
   fh : form;
-  h : R.Histogram.snapshot;
+  h : H.snapshot;
   p : Core.Learner.progress Lazy.t;
 }
 
 let form_reading fh =
   {
     fh;
-    h = R.Histogram.snapshot fh.h_latency;
+    h = H.snapshot fh.h_latency;
     p = Lazy.from_fun fh.progress;
   }
 
@@ -339,7 +338,7 @@ let form_reading fh =
    {form} series. *)
 let form_stats : form_reading stat list =
   let count c f = Int (Atomic.get (c f.fh)) in
-  let quantile q f = Int (R.Histogram.quantile f.h q) in
+  let quantile q f = Int (H.quantile f.h q) in
   let learner name help v =
     stat Gauge "" name "" help (fun f -> v (Lazy.force f.p))
   in
@@ -350,7 +349,7 @@ let form_stats : form_reading stat list =
       "Queries that found an answer" (count (fun fh -> fh.answered));
     same Counter "climbs" "strategem_climbs_total" "Strategy climbs adopted"
       (count (fun fh -> fh.climbs));
-    field "mean_us" (fun f -> Mean (R.Histogram.mean f.h));
+    field "mean_us" (fun f -> Mean (H.mean f.h));
     field "p50_us" (quantile 0.50);
     field "p95_us" (quantile 0.95);
     field "p99_us" (quantile 0.99);
@@ -372,7 +371,6 @@ let form_stats : form_reading stat list =
   ]
 
 type t = {
-  reg : R.t;
   started : float;
   lock : Mutex.t;  (* guards [by_key], [loop_list] and the providers *)
   by_key : (string, form) Hashtbl.t;
@@ -402,12 +400,9 @@ type t = {
   slow : int Atomic.t;
   mutable n_loops : int;  (* one domain per loop *)
   mutable backend : string;  (* reactor backend: "epoll" / "select" *)
-  h_queue_wait : R.Histogram.t;
-  (* the reason set is closed (slow / error / shed): pre-labeled handles
-     so the per-retention hot path skips the family mutex + hash *)
-  retained_by : (string * R.Counter.t) list;
-  f_stage_latency : R.Histogram.fam;
-  f_latency : R.Histogram.fam;
+  h_queue_wait : H.t;
+  (* retained traces by reason; the reason set is closed *)
+  retained_by : (string * int Atomic.t) list;
 }
 
 let with_lock t f =
@@ -420,7 +415,7 @@ type reading = {
   m : t;
   forms : (string * form) list;
   loops : loop_handles list;
-  qw : R.Histogram.snapshot;
+  qw : H.snapshot;
 }
 
 let reading m =
@@ -433,7 +428,7 @@ let reading m =
     m;
     forms = List.sort (fun (a, _) (b, _) -> String.compare a b) forms;
     loops = List.sort (fun a b -> compare a.loop_id b.loop_id) loops;
-    qw = R.Histogram.snapshot m.h_queue_wait;
+    qw = H.snapshot m.h_queue_wait;
   }
 
 let schema_version = 1
@@ -444,7 +439,7 @@ let stats : reading stat list =
   let sum c r =
     Int (List.fold_left (fun n (_, fh) -> n + Atomic.get (c fh)) 0 r.forms)
   in
-  let quantile q r = Int (R.Histogram.quantile r.qw q) in
+  let quantile q r = Int (H.quantile r.qw q) in
   [
     stat Gauge "" "" "schema" "" (fun _ -> Int schema_version);
     same Gauge "uptime_seconds" "strategem_uptime_seconds"
@@ -477,9 +472,9 @@ let stats : reading stat list =
       "Request-FIFO high water since the last STATS/scrape" (fun r ->
         Int (Atomic.exchange r.m.window_hwm 0));
     stat Gauge "queue_wait_count" "" "queue_wait.count" "" (fun r ->
-        Int r.qw.R.Histogram.count);
+        Int r.qw.H.count);
     stat Gauge "queue_wait_mean_us" "" "queue_wait.mean_us" "" (fun r ->
-        Mean (R.Histogram.mean r.qw));
+        Mean (H.mean r.qw));
     stat Gauge "" "" "queue_wait.p50_us" "" (quantile 0.50);
     stat Gauge "queue_wait_p95_us" "" "queue_wait.p95_us" "" (quantile 0.95);
     stat Gauge "" "" "queue_wait.p99_us" "" (quantile 0.99);
@@ -539,7 +534,7 @@ let stats : reading stat list =
       (fun r ->
         Int
           (List.fold_left
-             (fun n (_, c) -> n + R.Counter.value c)
+             (fun n (_, c) -> n + Atomic.get c)
              0 r.m.retained_by));
     stat Counter "" "strategem_snapshot_forms_total" ""
       "Forms written across all snapshots" (count (fun m -> m.snapshot_forms));
@@ -557,93 +552,96 @@ let readings t =
   (Option.map (fun f -> f ()) cache, Option.map (fun f -> f ()) store)
 
 let create ?(pipeline_depth = fun () -> 0) () =
-  let reg = R.create () in
-  let f_retained =
-    R.Counter.v reg
-      ~help:
-        "Request traces retained by tail-based sampling, by reason \
-         (slow / error / shed)"
-      ~labels:[ "reason" ] "strategem_traces_retained_total"
-  in
-  (* Kept, never observed: subsumption probes were removed. *)
-  ignore
-    (R.Histogram.solo
-       (R.Histogram.v reg
-          ~help:"Always empty: subsumption-based answer reuse was removed"
-          "strategem_cache_filter_latency_us"));
-  let mirror = register reg stats in
-  let mirror_loop = register reg ~labels:[ "loop" ] loop_stats in
-  let mirror_domain = register reg ~labels:[ "domain" ] domain_stats in
-  let mirror_form = register reg ~labels:[ "form" ] form_stats in
-  let mirror_cache = register reg cache_stats in
-  let mirror_store = register reg store_stats in
-  let t =
-    {
-      reg;
-      started = Unix.gettimeofday ();
-      lock = Mutex.create ();
-      by_key = Hashtbl.create 8;
-      loop_list = [];
-      cache_provider = None;
-      store_provider = None;
-      pipeline_depth;
-      connections = Atomic.make 0;
-      busy = Atomic.make 0;
-      errors = Atomic.make 0;
-      snapshots = Atomic.make 0;
-      snapshot_forms = Atomic.make 0;
-      forms_loaded = Atomic.make 0;
-      queue_depth = Atomic.make 0;
-      queue_hwm = Atomic.make 0;
-      window_hwm = Atomic.make 0;
-      pipeline_hwm = Atomic.make 0;
-      write_overflow = Atomic.make 0;
-      write_shed_bytes = Atomic.make 0;
-      idle_closed = Atomic.make 0;
-      ip_limited = Atomic.make 0;
-      lifecycle = Atomic.make 0;
-      slow = Atomic.make 0;
-      n_loops = 0;
-      backend = "";
-      h_queue_wait =
-        R.Histogram.solo
-          (R.Histogram.v reg
-             ~help:"Wait in an event loop's request FIFO (microseconds)"
-             "strategem_queue_wait_us");
-      retained_by =
-        List.map
-          (fun reason -> (reason, R.Counter.labels f_retained [ reason ]))
-          [ "slow"; "error"; "shed" ];
-      f_stage_latency =
-        R.Histogram.v reg
-          ~help:
-            "Request-lifecycle latency decomposition (microseconds), per \
-             stage per owning event loop"
-          ~labels:[ "stage"; "loop" ] "strategem_stage_latency_us";
-      f_latency =
-        R.Histogram.v reg ~help:"Query latency (microseconds)"
-          ~labels:[ "form" ] "strategem_query_latency_us";
-    }
-  in
-  R.on_collect reg (fun () ->
-      let r = reading t in
-      mirror [] r;
-      List.iter
-        (fun lh ->
-          let l = [ string_of_int lh.loop_id ] in
-          mirror_loop l lh;
-          mirror_domain l lh)
-        r.loops;
-      List.iter
-        (fun (key, fh) -> mirror_form [ key ] (form_reading fh))
-        r.forms;
-      let cache, store = readings t in
-      (* a layer with no provider reads 0, like one that is off *)
-      mirror_cache [] (Option.join cache);
-      mirror_store [] (Option.join store));
-  t
+  {
+    started = Unix.gettimeofday ();
+    lock = Mutex.create ();
+    by_key = Hashtbl.create 8;
+    loop_list = [];
+    cache_provider = None;
+    store_provider = None;
+    pipeline_depth;
+    connections = Atomic.make 0;
+    busy = Atomic.make 0;
+    errors = Atomic.make 0;
+    snapshots = Atomic.make 0;
+    snapshot_forms = Atomic.make 0;
+    forms_loaded = Atomic.make 0;
+    queue_depth = Atomic.make 0;
+    queue_hwm = Atomic.make 0;
+    window_hwm = Atomic.make 0;
+    pipeline_hwm = Atomic.make 0;
+    write_overflow = Atomic.make 0;
+    write_shed_bytes = Atomic.make 0;
+    idle_closed = Atomic.make 0;
+    ip_limited = Atomic.make 0;
+    lifecycle = Atomic.make 0;
+    slow = Atomic.make 0;
+    n_loops = 0;
+    backend = "";
+    h_queue_wait = H.create ();
+    retained_by =
+      List.map
+        (fun reason -> (reason, Atomic.make 0))
+        [ "slow"; "error"; "shed" ];
+  }
 
-let render_prometheus t = Obs.Expo.render t.reg
+(* Every family, built from the rows and the histograms at render time:
+   each statistic is read from its one owner, once per render. *)
+let render_prometheus t =
+  let r = reading t in
+  let cache, store = readings t in
+  let loops = List.map (fun lh -> ([ string_of_int lh.loop_id ], lh)) r.loops in
+  let forms = List.map (fun (key, fh) -> ([ key ], form_reading fh)) r.forms in
+  let family kind name help label_names samples =
+    { Obs.Expo.name; help; kind; label_names; samples }
+  in
+  let histogram name help label_names samples =
+    family Histogram name help label_names
+      (List.map (fun (l, h) -> (l, Obs.Expo.Hist h)) samples)
+  in
+  let stage_series lh =
+    List.filter_map
+      (fun i ->
+        let h = H.snapshot lh.stages.(i) in
+        if h.H.count = 0 then None
+        else Some ([ stage_names.(i); string_of_int lh.loop_id ], h))
+      (List.init n_stages Fun.id)
+  in
+  Obs.Expo.render
+    (List.concat
+       [
+         families stats [ ([], r) ];
+         families ~labels:[ "loop" ] loop_stats loops;
+         families ~labels:[ "domain" ] domain_stats loops;
+         families ~labels:[ "form" ] form_stats forms;
+         (* a layer with no provider reads 0, like one that is off *)
+         families cache_stats [ ([], Option.join cache) ];
+         families store_stats [ ([], Option.join store) ];
+         [
+           family Counter "strategem_traces_retained_total"
+             "Request traces retained by tail-based sampling, by reason \
+              (slow / error / shed)"
+             [ "reason" ]
+             (List.map
+                (fun (reason, c) -> ([ reason ], Obs.Expo.Int (Atomic.get c)))
+                t.retained_by);
+           histogram "strategem_queue_wait_us"
+             "Wait in an event loop's request FIFO (microseconds)" []
+             [ ([], r.qw) ];
+           (* Kept, never observed: subsumption probes were removed. *)
+           histogram "strategem_cache_filter_latency_us"
+             "Always empty: subsumption-based answer reuse was removed" []
+             [ ([], H.snapshot (H.create ())) ];
+           histogram "strategem_stage_latency_us"
+             "Request-lifecycle latency decomposition (microseconds), per \
+              stage per owning event loop"
+             [ "stage"; "loop" ]
+             (List.concat_map stage_series r.loops);
+           histogram "strategem_query_latency_us" "Query latency (microseconds)"
+             [ "form" ]
+             (List.map (fun (l, f) -> (l, f.h)) forms);
+         ];
+       ])
 
 (* A form with no learner: no evidence yet, so epsilon is +inf. *)
 let no_progress () =
@@ -666,7 +664,7 @@ let form ?(strategy = fun () -> "") ?(progress = no_progress) t key =
             queries = Atomic.make 0;
             answered = Atomic.make 0;
             climbs = Atomic.make 0;
-            h_latency = R.Histogram.labels t.f_latency [ key ];
+            h_latency = H.create ();
             strategy;
             progress;
           }
@@ -686,38 +684,27 @@ let loop_handles ?(conns = fun () -> 0) ?(wakeups = fun () -> 0) t ~loop =
       exemplar = Atomic.make 0;
       served = Atomic.make 0;
       busy_us = Atomic.make 0;
-      lh_stage_fam = t.f_stage_latency;
-      lh_stages = Array.make n_stages None;
+      stages = Array.init n_stages (fun _ -> H.create ());
     }
   in
   with_lock t (fun () -> t.loop_list <- lh :: t.loop_list);
   lh
 
-(* Loop thread only (like every [lh] update): the per-stage child array
-   needs no lock. *)
-let observe_stage lh stage ns =
-  let i = stage_index stage in
-  match lh.lh_stages.(i) with
-  | Some h -> R.Histogram.observe_ns h ns
-  | None ->
-    let h =
-      R.Histogram.labels lh.lh_stage_fam
-        [ stage_name stage; string_of_int lh.loop_id ]
-    in
-    lh.lh_stages.(i) <- Some h;
-    R.Histogram.observe_ns h ns
+let observe_stage lh stage ns = H.observe_ns lh.stages.(stage_index stage) ns
 
 let lifecycle_finalized t = Atomic.incr t.lifecycle
 
 let trace_retained t lh ~reason ~seq =
-  R.Counter.inc (List.assoc reason t.retained_by);
+  Atomic.incr (List.assoc reason t.retained_by);
   Atomic.set lh.exemplar seq
 
 let set_loop_pipeline_depth lh n = Atomic.set lh.pipeline n
 
+(* The duration is a wall-clock difference: a negative one (the clock
+   stepped back) counts 0, so the busy-µs counter never decreases. *)
 let loop_served lh ~busy_ns =
   Atomic.incr lh.served;
-  ignore (Atomic.fetch_and_add lh.busy_us (busy_ns / 1000))
+  ignore (Atomic.fetch_and_add lh.busy_us (Int.max 0 busy_ns / 1000))
 
 let write_overflow t ~shed_bytes =
   Atomic.incr t.write_overflow;
@@ -748,14 +735,14 @@ let observe_queue_depth t d =
   atomic_max t.queue_hwm d;
   atomic_max t.window_hwm d
 
-let queue_waited t ~wait_ns = R.Histogram.observe_ns t.h_queue_wait wait_ns
+let queue_waited t ~wait_ns = H.observe_ns t.h_queue_wait wait_ns
 let slow_query t = Atomic.incr t.slow
 
 let query fh ~latency_ns ~answered ~switched =
   Atomic.incr fh.queries;
   if answered then Atomic.incr fh.answered;
   if switched then Atomic.incr fh.climbs;
-  R.Histogram.observe_ns fh.h_latency latency_ns
+  H.observe_ns fh.h_latency latency_ns
 
 let set_cache_provider t f = with_lock t (fun () -> t.cache_provider <- Some f)
 let set_store_provider t f = with_lock t (fun () -> t.store_provider <- Some f)

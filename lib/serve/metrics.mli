@@ -1,15 +1,16 @@
-(** Server observability: a thin facade over an {!Obs.Registry}, and the
-    single place its metrics are registered. The same reading of each
-    statistic feeds the TCP [STATS]/[STATS JSON] renderers (byte-stable
-    for existing clients — new fields are only ever additive) and the
-    Prometheus [/metrics] endpoint ({!render_prometheus}). Metric names
-    and labels are inventoried in [docs/OBSERVABILITY.md].
+(** Server observability, and the single place its metrics are named.
+    The same reading of each statistic feeds the TCP [STATS]/[STATS
+    JSON] renderers (byte-stable for existing clients — new fields are
+    only ever additive) and the Prometheus [/metrics] endpoint
+    ({!render_prometheus}). Metric names and labels are inventoried in
+    [docs/OBSERVABILITY.md].
 
     Every scalar statistic is one row of a table inside this module: a
     row names its [STATS] key, Prometheus family, help text, kind, place
-    in the [STATS JSON] object and a reader. Registration, the
-    collect-time mirror (run before every [/metrics] render), the
-    [STATS] lines and the JSON object all walk the rows; a form's
+    in the [STATS JSON] object and a reader. The [STATS] lines, the
+    JSON object and the [/metrics] families are all built by walking the
+    rows at render time, so each statistic is stored once, by its owner;
+    a form's
     [STATS] line, its [forms] JSON object and its [{form}] series share
     one field list, as do a loop's [per_loop] JSON entry and its
     [{loop}] series. Each reader reads the statistic's one owner:
@@ -30,9 +31,10 @@
       [strategem_traces_retained_total{reason}].
 
     All operations are thread-safe; hot-path updates are single atomic
-    operations, or a per-series mutex for histograms (see
-    {!Obs.Registry}). Per-form state is created on first use. Latencies go into fixed log-scale buckets — bucket [i]
-    holds observations in [[2^i, 2^(i+1)) µs) — so percentile reads are
+    operations, or the histogram's own mutex ({!Obs.Histogram}).
+    Per-form state, its latency histogram included, is created on first
+    use. Latencies go into fixed log-scale buckets — bucket [i] holds
+    observations in [[2^i, 2^(i+1)) µs) — so percentile reads are
     O(buckets) and never allocate per observation. *)
 
 type t
@@ -41,9 +43,9 @@ type t
     (default: always 0). *)
 val create : ?pipeline_depth:(unit -> int) -> unit -> t
 
-(** The whole registry in Prometheus text exposition format 0.0.4 —
-    the [GET /metrics] body. Mirrors every row into its series first
-    (which also resets the windowed high water). *)
+(** Every family in Prometheus text exposition format 0.0.4 — the
+    [GET /metrics] body — built from the rows and histograms at render
+    time (which also resets the windowed high water). *)
 val render_prometheus : t -> string
 
 (** {1 Events} *)
@@ -124,7 +126,7 @@ val loop_handles :
 val set_loop_pipeline_depth : loop_handles -> int -> unit
 
 (** One request executed by this loop, which spent [busy_ns] on it (FIFO
-    wait excluded; counted in whole µs). The
+    wait excluded; counted in whole µs, a negative duration as 0). The
     family name [strategem_domain_connections_total] predates
     per-request accounting; the name is frozen, the unit is a
     request. *)
@@ -137,9 +139,8 @@ type stage = Frame | Queue | Worker | Flush | Total | Wal_fsync | Page_read
 (** One stage of a finalized request's lifecycle, given in nanoseconds
     and recorded in microseconds:
     [strategem_stage_latency_us{stage, loop}]. [Wal_fsync] and
-    [Page_read] are observed only when the store waited. Loop thread
-    only (the per-stage handles are unlocked); allocation-free once the
-    stage's series exists. *)
+    [Page_read] are observed only when the store waited; a stage never
+    observed on a loop exports no series. Allocation-free. *)
 val observe_stage : loop_handles -> stage -> int -> unit
 
 (** A request's lifecycle record was finalized

@@ -31,19 +31,27 @@ let form_of_query (q : D.Atom.t) =
   in
   D.Atom.make_sym q.D.Atom.pred args
 
+(* Injective: [[A-Za-z0-9_]] bytes are kept and every other byte is
+   written as [-] and two lowercase hex digits, so ['a b'] and ['a-b']
+   get distinct keys ([a-20b_1_b], [a-2db_1_b]). *)
+let escape_name name =
+  let buf = Buffer.create (String.length name) in
+  String.iter
+    (function
+      | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') as c ->
+        Buffer.add_char buf c
+      | c -> Printf.bprintf buf "-%02x" (Char.code c))
+    name;
+  Buffer.contents buf
+
 let key_of_form (form : D.Atom.t) =
-  let sanitize c =
-    match c with
-    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
-    | _ -> '-'
-  in
   let adornment =
     D.Atom.adornment form
     |> List.map (function `B -> "b" | `F -> "f")
     |> String.concat ""
   in
   Printf.sprintf "%s_%d%s%s"
-    (String.map sanitize (D.Symbol.to_string form.D.Atom.pred))
+    (escape_name (D.Symbol.to_string form.D.Atom.pred))
     (D.Atom.arity form)
     (if adornment = "" then "" else "_")
     adornment

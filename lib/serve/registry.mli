@@ -37,7 +37,10 @@ val learner_kind : t -> Core.Learner.kind
     the bound-position marker [q], every variable a positional [X<i>]. *)
 val form_of_query : Datalog.Atom.t -> Datalog.Atom.t
 
-(** Filesystem/metrics-safe key of a form, e.g. ["instructor_1_b"]. *)
+(** Filesystem/metrics-safe key of a form, e.g. ["instructor_1_b"];
+    distinct forms get distinct keys. Predicate-name bytes outside
+    [[A-Za-z0-9_]] are written as [-] and two lowercase hex digits
+    (['a b'(q)] is ["a-20b_1_b"]). *)
 val key_of_form : Datalog.Atom.t -> string
 
 (** Look up or lazily build the entry for the query's form (a new

@@ -15,6 +15,24 @@ let read_file path =
 let write_file = Store.Fsync.write_file
 let ensure_dir = Store.Fsync.ensure_dir
 
+(* The form as the parser reads it back: a predicate name that does not
+   lex as a plain identifier is quoted. *)
+let form_text (form : D.Atom.t) =
+  let name = D.Symbol.to_string form.D.Atom.pred in
+  let text = D.Atom.to_string form in
+  let plain =
+    name <> "" && name <> "not"
+    && (match name.[0] with 'a' .. 'z' -> true | _ -> false)
+    && String.for_all
+         (function
+           | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
+         name
+  in
+  if plain then text
+  else
+    let n = String.length name in
+    "'" ^ name ^ "'" ^ String.sub text n (String.length text - n)
+
 let save ~dir registry =
   ensure_dir dir;
   let entries = Registry.entries registry in
@@ -27,8 +45,7 @@ let save ~dir registry =
             ( Serial.graph_to_string (Core.Live.graph live),
               Persist.dfs_to_string (Core.Live.strategy live) ))
       in
-      write_file (base ^ ".form")
-        (D.Atom.to_string (Registry.form e) ^ "\n");
+      write_file (base ^ ".form") (form_text (Registry.form e) ^ "\n");
       write_file (base ^ ".graph") graph_text;
       write_file (base ^ ".strategy") strategy_text)
     entries;

@@ -1,77 +1,19 @@
-(* The observability layer: the labeled registry's instruments and
-   collect hooks, histogram quantiles against adversarial distributions
-   (the log-bucket "within one bucket boundary" guarantee), Prometheus
-   rendering + the exposition linter, JSONL structured logging with its
-   rate limiter, and the embedded HTTP responder. *)
+(* The observability layer: histogram quantiles against adversarial
+   distributions (the log-bucket "within one bucket boundary"
+   guarantee), Prometheus rendering + the exposition linter, the flight
+   recorder, and JSONL structured logging with its rate limiter. *)
 
 open Helpers
-module R = Obs.Registry
+module H = Obs.Histogram
+module E = Obs.Expo
 
-(* ---------- Registry instruments ---------- *)
-
-let counter_basics () =
-  let reg = R.create () in
-  let fam = R.Counter.v reg ~help:"h" "c_total" in
-  let c = R.Counter.solo fam in
-  R.Counter.inc c;
-  R.Counter.add c 4;
-  check_int "inc + add" 5 (R.Counter.value c);
-  (match R.Counter.add c (-1) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "negative add must raise");
-  R.Counter.set c 3;
-  check_int "set never moves backwards" 5 (R.Counter.value c);
-  R.Counter.set c 9;
-  check_int "set moves forward" 9 (R.Counter.value c)
-
-let labeled_children () =
-  let reg = R.create () in
-  let fam = R.Counter.v reg ~help:"h" ~labels:[ "form" ] "q_total" in
-  let a = R.Counter.labels fam [ "a" ] in
-  let b = R.Counter.labels fam [ "b" ] in
-  R.Counter.inc a;
-  R.Counter.inc a;
-  R.Counter.inc b;
-  check_int "children are distinct series" 2 (R.Counter.value a);
-  check_int "other child unaffected" 1 (R.Counter.value b);
-  let a' = R.Counter.labels fam [ "a" ] in
-  R.Counter.inc a';
-  check_int "same labels, same child" 3 (R.Counter.value a)
+(* ---------- Names ---------- *)
 
 let family_name_validation () =
-  let reg = R.create () in
-  (match R.Counter.v reg ~help:"h" "0bad" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "invalid metric name must raise");
-  let _ = R.Counter.v reg ~help:"h" "dup_total" in
-  (match R.Counter.v reg ~help:"h" "dup_total" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "duplicate family must raise");
-  check_bool "name regex accepts colons" true (R.name_re_ok "a:b_c9");
-  check_bool "name regex rejects dash" false (R.name_re_ok "a-b");
-  check_bool "label regex rejects colon" false (R.label_re_ok "a:b")
-
-let gauge_ops () =
-  let reg = R.create () in
-  let g = R.Gauge.solo (R.Gauge.v reg ~help:"h" "g") in
-  R.Gauge.set g 2.5;
-  R.Gauge.add g 1.0;
-  check_float "set + add" 3.5 (R.Gauge.value g);
-  R.Gauge.set_max g 1.0;
-  check_float "set_max ignores smaller" 3.5 (R.Gauge.value g);
-  R.Gauge.set_max g 7.0;
-  check_float "set_max takes larger" 7.0 (R.Gauge.value g);
-  check_float "read_reset returns the value" 7.0 (R.Gauge.read_reset g);
-  check_float "and zeroes the window" 0.0 (R.Gauge.value g)
-
-let collect_hooks_in_order () =
-  let reg = R.create () in
-  let order = ref [] in
-  R.on_collect reg (fun () -> order := "first" :: !order);
-  R.on_collect reg (fun () -> order := "second" :: !order);
-  R.collect reg;
-  check_bool "hooks run oldest first" true
-    (List.rev !order = [ "first"; "second" ])
+  check_bool "name regex rejects a leading digit" false (E.name_re_ok "0bad");
+  check_bool "name regex accepts colons" true (E.name_re_ok "a:b_c9");
+  check_bool "name regex rejects dash" false (E.name_re_ok "a-b");
+  check_bool "label regex rejects colon" false (E.label_re_ok "a:b")
 
 (* ---------- Histogram quantiles ---------- *)
 
@@ -86,30 +28,41 @@ let exact_percentile values q =
   let rank = Int.max 1 (int_of_float (ceil (q *. float_of_int n))) in
   List.nth sorted (rank - 1)
 
+(* Observations are given in µs and recorded through [observe_ns]. *)
+let ns_of_us us = int_of_float (us *. 1e3)
+
+let histogram_of values =
+  let h = H.create () in
+  List.iter (fun us -> H.observe_ns h (ns_of_us us)) values;
+  H.snapshot h
+
+(* The upper bound of the bucket that holds [us]: the least
+   [bucket_upper i] above its whole µs, else the overflow bucket's. *)
+let bucket_upper_of us =
+  let whole = ns_of_us us / 1000 in
+  let rec go i =
+    if i >= H.n_buckets || whole < H.bucket_upper i then H.bucket_upper i
+    else go (i + 1)
+  in
+  go 0
+
 let check_quantiles name values =
-  let reg = R.create () in
-  let h = R.Histogram.solo (R.Histogram.v reg ~help:"h" "lat_us") in
-  List.iter (fun v -> R.Histogram.observe h v) values;
-  let s = R.Histogram.snapshot h in
+  let s = histogram_of values in
   List.iter
     (fun q ->
       let exact = exact_percentile values q in
       check_int
         (Printf.sprintf "%s: p%.0f covers the exact percentile's bucket"
            name (q *. 100.))
-        (R.bucket_upper (R.bucket_of_value exact))
-        (R.Histogram.quantile s q))
+        (bucket_upper_of exact)
+        (H.quantile s q))
     [ 0.5; 0.9; 0.99 ]
 
 let hist_all_in_one_bucket () =
   (* every observation in [64, 128): all percentiles are that bucket *)
   check_quantiles "one bucket" (List.init 100 (fun i -> 64.0 +. float_of_int (i mod 60)));
-  let s =
-    let reg = R.create () in
-    let h = R.Histogram.solo (R.Histogram.v reg ~help:"h" "x") in
-    R.Histogram.snapshot h
-  in
-  check_int "empty histogram quantile is 0" 0 (R.Histogram.quantile s 0.99)
+  let s = H.snapshot (H.create ()) in
+  check_int "empty histogram quantile is 0" 0 (H.quantile s 0.99)
 
 let hist_bimodal () =
   (* 90 fast (~8 µs) and 10 slow (~100 ms): p50 in the fast mode, p99 in
@@ -118,26 +71,20 @@ let hist_bimodal () =
     List.init 90 (fun _ -> 8.0) @ List.init 10 (fun _ -> 100_000.0)
   in
   check_quantiles "bimodal" values;
-  let reg = R.create () in
-  let h = R.Histogram.solo (R.Histogram.v reg ~help:"h" "x") in
-  List.iter (R.Histogram.observe h) values;
-  let s = R.Histogram.snapshot h in
-  check_bool "p50 stays in the fast mode" true (R.Histogram.quantile s 0.5 <= 16);
+  let s = histogram_of values in
+  check_bool "p50 stays in the fast mode" true (H.quantile s 0.5 <= 16);
   check_bool "p99 lands in the slow mode" true
-    (R.Histogram.quantile s 0.99 >= 65536)
+    (H.quantile s 0.99 >= 65536)
 
 let hist_monotone_ramp () =
   check_quantiles "ramp" (List.init 1000 (fun i -> float_of_int (i + 1)))
 
 let hist_overflow () =
-  let reg = R.create () in
-  let h = R.Histogram.solo (R.Histogram.v reg ~help:"h" "x") in
-  R.Histogram.observe h 1e12;
-  let s = R.Histogram.snapshot h in
+  let s = histogram_of [ 1e12 ] in
   check_int "overflow observation lands in the overflow bucket"
-    (R.bucket_upper R.n_buckets)
-    (R.Histogram.quantile s 0.5);
-  check_int "count still tracks" 1 s.R.Histogram.count
+    (H.bucket_upper H.n_buckets)
+    (H.quantile s 0.5);
+  check_int "count still tracks" 1 s.H.count
 
 let hist_quantile_qcheck =
   qcheck ~count:300 "random histograms: quantile within one bucket of exact"
@@ -146,28 +93,39 @@ let hist_quantile_qcheck =
         (list_size (int_range 1 200) (float_range 0.0 2e6))
         (float_range 0.01 0.99))
     (fun (values, q) ->
-      let reg = R.create () in
-      let h = R.Histogram.solo (R.Histogram.v reg ~help:"h" "x") in
-      List.iter (R.Histogram.observe h) values;
-      let s = R.Histogram.snapshot h in
-      R.Histogram.quantile s q
-      = R.bucket_upper (R.bucket_of_value (exact_percentile values q)))
+      H.quantile (histogram_of values) q
+      = bucket_upper_of (exact_percentile values q))
 
 (* ---------- Exposition rendering + lint ---------- *)
 
-let sample_registry () =
-  let reg = R.create () in
-  let c = R.Counter.v reg ~help:"Queries \"answered\"\nso far" ~labels:[ "form" ] "t_queries_total" in
-  R.Counter.add (R.Counter.labels c [ "instructor_1_b" ]) 83;
-  R.Counter.inc (R.Counter.labels c [ "weird\"form\\n" ]);
-  let g = R.Gauge.solo (R.Gauge.v reg ~help:"eps" "t_epsilon") in
-  R.Gauge.set g Float.infinity;
-  let h = R.Histogram.solo (R.Histogram.v reg ~help:"lat" "t_latency_us") in
-  List.iter (R.Histogram.observe h) [ 3.0; 5.0; 900.0 ];
-  reg
+let sample_families () =
+  [
+    {
+      E.name = "t_queries_total";
+      help = "Queries \"answered\"\nso far";
+      kind = E.Counter;
+      label_names = [ "form" ];
+      samples =
+        [ ([ "instructor_1_b" ], E.Int 83); ([ "weird\"form\\n" ], E.Int 1) ];
+    };
+    {
+      E.name = "t_epsilon";
+      help = "eps";
+      kind = E.Gauge;
+      label_names = [];
+      samples = [ ([], E.Float Float.infinity) ];
+    };
+    {
+      E.name = "t_latency_us";
+      help = "lat";
+      kind = E.Histogram;
+      label_names = [];
+      samples = [ ([], E.Hist (histogram_of [ 3.0; 5.0; 900.0 ])) ];
+    };
+  ]
 
 let render_lints_clean () =
-  let doc = Obs.Expo.render (sample_registry ()) in
+  let doc = E.render (sample_families ()) in
   (match Obs.Expo.lint doc with
   | Ok () -> ()
   | Error problems ->
@@ -182,7 +140,7 @@ let render_lints_clean () =
      mem 0)
 
 let render_parse_roundtrip () =
-  let doc = Obs.Expo.render (sample_registry ()) in
+  let doc = E.render (sample_families ()) in
   let samples = Obs.Expo.parse_samples doc in
   let find metric labels =
     List.find_opt
@@ -252,12 +210,21 @@ let contains_s hay needle =
   go 0
 
 let label_value_escaping () =
-  let reg = R.create () in
-  let fam = R.Counter.v reg ~help:"h" ~labels:[ "k" ] "esc_total" in
-  List.iter
-    (fun v -> R.Counter.inc (R.Counter.labels fam [ v ]))
-    [ "back\\slash"; "new\nline"; "quo\"te"; "all\\three\"\n" ];
-  let doc = Obs.Expo.render reg in
+  let doc =
+    E.render
+      [
+        {
+          E.name = "esc_total";
+          help = "h";
+          kind = E.Counter;
+          label_names = [ "k" ];
+          samples =
+            List.map
+              (fun v -> ([ v ], E.Int 1))
+              [ "back\\slash"; "new\nline"; "quo\"te"; "all\\three\"\n" ];
+        };
+      ]
+  in
   (* The exposition format escapes exactly backslash, newline, and double
      quote inside label values. *)
   check_bool "backslash escaped" true
@@ -435,11 +402,7 @@ let suite =
   [
     ( "obs",
       [
-        case "counter inc/add/set semantics" counter_basics;
-        case "labeled children are distinct series" labeled_children;
         case "family and name validation" family_name_validation;
-        case "gauge set/add/set_max/read_reset" gauge_ops;
-        case "collect hooks run oldest first" collect_hooks_in_order;
         case "histogram: one-bucket distribution" hist_all_in_one_bucket;
         case "histogram: bimodal distribution" hist_bimodal;
         case "histogram: monotone ramp" hist_monotone_ramp;

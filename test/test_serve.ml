@@ -193,8 +193,8 @@ let metrics_counters_and_histogram () =
 (* The per-request bookkeeping a served query pays outside the engine:
    the FIFO-wait, queue-depth, pipeline-depth and per-form query
    updates, the loop's busy time, and the lifecycle finalize (flight
-   events plus every stage histogram, WAL and page waits included). Once
-   each stage's series exists, 1,000 requests of it allocate nothing. *)
+   events plus every stage histogram, WAL and page waits included). After
+   one warm-up request, 1,000 requests allocate nothing. *)
 let bookkeeping_allocates_nothing () =
   let m = Serve.Metrics.create () in
   let lh = Serve.Metrics.loop_handles m ~loop:0 in
@@ -230,7 +230,6 @@ let bookkeeping_allocates_nothing () =
     Serve.Lifecycle.finalize lc ~flight lh;
     Serve.Metrics.lifecycle_finalized m
   in
-  (* the first request creates each stage's histogram series *)
   serve records.(0);
   let before = Gc.minor_words () in
   for i = 1 to n do
@@ -1194,13 +1193,115 @@ let server_predicate_name_breaks_no_line () =
   send oc "STATS";
   let stats = read_until_end ic in
   check_bool "the form line is whole" true
-    (List.exists (fun l -> has_prefix "form x-END-zzz_1_b " l) stats);
+    (List.exists (fun l -> has_prefix "form x-0aEND-0azzz_1_b " l) stats);
   send oc "PING";
   check_string "the next reply is in step" "PONG" (input_line ic);
   send oc "SHUTDOWN";
   check_string "bye" "BYE" (input_line ic);
   close_in_noerr ic;
   Thread.join thread
+
+(* Two predicates whose names differ only in bytes outside
+   [[A-Za-z0-9_]] are two forms with two keys: two STATS form lines, one
+   set of snapshot files each, and both learned strategies restored. *)
+let registry_keys_injective () =
+  let rules, facts, _ =
+    D.Parser.parse_kb
+      "'a b'(X) :- prof(X).\n\
+       'a b'(X) :- grad(X).\n\
+       'a-b'(X) :- prof(X).\n\
+       'a-b'(X) :- grad(X).\n\
+       prof(russ).\n\
+       grad(manolis).\n"
+  in
+  let rulebase = D.Rulebase.of_list rules and db = D.Database.of_list facts in
+  let m = Serve.Metrics.create () in
+  let reg = Serve.Registry.create ~rulebase m in
+  List.iter
+    (fun pred ->
+      let q = D.Parser.parse_atom (pred ^ "(manolis)") in
+      for _ = 1 to 200 do
+        ignore (Serve.Registry.answer reg ~db q)
+      done)
+    [ "'a b'"; "'a-b'" ];
+  let strategies reg =
+    Serve.Registry.entries reg
+    |> List.map (fun e ->
+           (Serve.Registry.key e, Serve.Registry.strategy_string e))
+    |> List.sort compare
+  in
+  let learned = strategies reg in
+  let stats = Serve.Metrics.render_text m in
+  check_int "two form lines" 2
+    (List.length (List.filter (has_prefix "form ") stats));
+  check_bool "forms_active 2" true (List.mem "forms_active 2" stats);
+  let dir = temp_dir () in
+  let saved = Serve.Snapshot.save ~dir reg in
+  let form_files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".form")
+  in
+  check_int "one .form file per saved form" saved (List.length form_files);
+  let reg' = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
+  check_int "both forms loaded" 2 (Serve.Snapshot.load ~dir reg');
+  check_lines "both learned strategies restored"
+    (List.map snd learned)
+    (List.map snd (strategies reg'));
+  check_lines "keys" [ "a-20b_1_b"; "a-2db_1_b" ] (List.map fst learned)
+
+(* Two domains record queries and lifecycle stages while a third renders
+   /metrics in a loop: every render lints clean, and the final render
+   counts every call. *)
+let metrics_render_while_recording () =
+  let m = Serve.Metrics.create () in
+  let form = Serve.Metrics.form m "f_1_b" in
+  let n = 20_000 in
+  let finished = Atomic.make 0 in
+  let record loop =
+    let lh = Serve.Metrics.loop_handles m ~loop in
+    Domain.spawn (fun () ->
+        for i = 1 to n do
+          Serve.Metrics.query form ~latency_ns:(i * 100) ~answered:true
+            ~switched:false;
+          Serve.Metrics.observe_stage lh Serve.Metrics.Total (i * 100)
+        done;
+        Atomic.incr finished)
+  in
+  let recorders = [ record 0; record 1 ] in
+  let renders = ref 0 in
+  let rec render_until_done () =
+    let body = Serve.Metrics.render_prometheus m in
+    incr renders;
+    (match Obs.Expo.lint body with
+    | Ok () -> ()
+    | Error problems ->
+      Alcotest.failf "render %d does not lint: %s" !renders
+        (String.concat "; " problems));
+    if Atomic.get finished < 2 then render_until_done ()
+  in
+  render_until_done ();
+  List.iter Domain.join recorders;
+  let samples = Obs.Expo.parse_samples (Serve.Metrics.render_prometheus m) in
+  let value metric labels =
+    match
+      List.find_opt
+        (fun s -> s.Obs.Expo.metric = metric && s.Obs.Expo.labels = labels)
+        samples
+    with
+    | Some s -> int_of_float s.Obs.Expo.value
+    | None -> Alcotest.failf "no %s sample" metric
+  in
+  let form_label = [ ("form", "f_1_b") ] in
+  check_int "queries counted" (2 * n)
+    (value "strategem_queries_total" form_label);
+  check_int "latencies counted" (2 * n)
+    (value "strategem_query_latency_us_count" form_label);
+  List.iter
+    (fun loop ->
+      check_int "stages counted per loop" n
+        (value "strategem_stage_latency_us_count"
+           [ ("stage", "total"); ("loop", loop) ]))
+    [ "0"; "1" ]
 
 let conn_write_cap_sheds () =
   (* per-conn cap: the send that would breach it sheds the whole
@@ -2399,5 +2500,9 @@ let suite =
           metrics_whole_golden;
         slow_case "a predicate name breaks no reply line"
           server_predicate_name_breaks_no_line;
+        case "distinct predicate names get distinct form keys"
+          registry_keys_injective;
+        case "metrics render lints clean while domains record"
+          metrics_render_while_recording;
       ] );
   ]
