@@ -31,6 +31,11 @@ let is_upper c = (c >= 'A' && c <= 'Z')
 let is_digit c = c >= '0' && c <= '9'
 let is_ident_char c = is_lower c || is_upper c || is_digit c || c = '_'
 
+let plain_ident s =
+  s <> ""
+  && ((is_lower s.[0] && String.for_all is_ident_char s && s <> "not")
+     || String.for_all is_digit s)
+
 (* The lexer holds one token of lookahead. A column is a byte offset
    from the start of its line, so only newlines need bookkeeping and a
    position is allocated only when someone asks for one (errors). *)

@@ -18,6 +18,11 @@ exception Lex_error of string * position
 
 val pp_token : Format.formatter -> token -> unit
 
+(** [plain_ident s] holds when [s] lexes as an [Ident] without quotes (a
+    lowercase identifier other than [not], or an integer); any other
+    name must be written quoted. *)
+val plain_ident : string -> bool
+
 (** {1 The pull lexer}
 
     A lexer over one input string that produces tokens on demand: the

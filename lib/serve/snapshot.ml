@@ -20,15 +20,7 @@ let ensure_dir = Store.Fsync.ensure_dir
 let form_text (form : D.Atom.t) =
   let name = D.Symbol.to_string form.D.Atom.pred in
   let text = D.Atom.to_string form in
-  let plain =
-    name <> "" && name <> "not"
-    && (match name.[0] with 'a' .. 'z' -> true | _ -> false)
-    && String.for_all
-         (function
-           | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
-         name
-  in
-  if plain then text
+  if D.Lexer.plain_ident name then text
   else
     let n = String.length name in
     "'" ^ name ^ "'" ^ String.sub text n (String.length text - n)

@@ -318,6 +318,28 @@ let program_round_trip =
              D.Clause.equal (D.Clause.make q a) (D.Clause.make q b))
            queries want_queries)
 
+(* [Lexer.plain_ident] agrees with the parser: a plain name reads back
+   unquoted, any other name only quoted. *)
+let plain_idents () =
+  let reads_back name text =
+    match D.Parser.parse_atom (text ^ "(q)") with
+    | a -> D.Symbol.to_string a.D.Atom.pred = name
+    | exception (D.Parser.Parse_error _ | D.Lexer.Lex_error _) -> false
+  in
+  List.iter
+    (fun (name, plain) ->
+      check_bool (Printf.sprintf "plain_ident %S" name) plain
+        (D.Lexer.plain_ident name);
+      check_bool (Printf.sprintf "%S unquoted" name) plain
+        (reads_back name name);
+      check_bool (Printf.sprintf "%S quoted" name) true
+        (reads_back name ("'" ^ name ^ "'")))
+    [
+      ("instructor", true); ("p_1X", true); ("42", true); ("a b", false);
+      ("a-b", false); ("not", false); ("Upper", false); ("_x", false);
+      ("x\nEND", false);
+    ]
+
 let suite =
   [
     ( "datalog.parser_lock",
@@ -328,5 +350,7 @@ let suite =
         case "malformed inputs: exact error and position" malformed_exact;
         only_parser_errors;
         program_round_trip;
+        case "plain identifiers read back unquoted, others quoted"
+          plain_idents;
       ] );
   ]
