@@ -255,92 +255,33 @@ let p_iter_candidates p pattern k =
 
 (* ---------- the database: a backend seam ---------- *)
 
-(* [Overlay] is the copy-on-write view a [copy] of a paged database
-   returns: the base store is shared untouched (clean pages stay
-   shared); mutations land in private in-memory deltas. Reads see
-   (base \ removed) ∪ added. The overlay assumes its base is not
-   mutated behind it — the repo's [copy] call sites (seminaive, magic)
-   mutate only the copy. *)
-type t =
-  | Mem of mem
-  | Paged of paged
-  | Overlay of overlay
-
-and overlay = {
-  base : t;
-  added : mem;
-  removed : mem;
-  o_token : int;
-  o_generation : int Atomic.t;
-}
+type t = Mem of mem | Paged of paged
 
 let create () = Mem (m_create ())
 
-let rec size = function
+let size = function
   | Mem m -> Atomic.get m.size
   | Paged p -> Store.fact_count p.store
-  | Overlay o ->
-    size o.base - Atomic.get o.removed.size + Atomic.get o.added.size
 
-let token = function
-  | Mem m -> m.token
-  | Paged p -> Store.token p.store
-  | Overlay o -> o.o_token
+let token = function Mem m -> m.token | Paged p -> Store.token p.store
 
-(* An overlay's generation includes its base's, so a (token, generation)
-   cache key stays invalidation-correct even if the base mutates. *)
-let rec generation = function
+let generation = function
   | Mem m -> Atomic.get m.generation
   | Paged p -> Store.generation p.store
-  | Overlay o -> generation o.base + Atomic.get o.o_generation
 
-let rec mem db fact =
-  match db with
-  | Mem m -> m_mem m fact
-  | Paged p -> p_mem p fact
-  | Overlay o ->
-    m_mem o.added fact || (mem o.base fact && not (m_mem o.removed fact))
+let mem db fact =
+  match db with Mem m -> m_mem m fact | Paged p -> p_mem p fact
 
 let add db fact =
-  match db with
-  | Mem m -> m_add m fact
-  | Paged p -> p_add p fact
-  | Overlay o ->
-    if not (Atom.is_ground fact) then
-      invalid_arg "Database.add: non-ground fact";
-    if mem db fact then false
-    else begin
-      (if m_mem o.removed fact then ignore (m_remove o.removed fact)
-       else ignore (m_add o.added fact));
-      Atomic.incr o.o_generation;
-      true
-    end
+  match db with Mem m -> m_add m fact | Paged p -> p_add p fact
 
 let remove db fact =
-  match db with
-  | Mem m -> m_remove m fact
-  | Paged p -> p_remove p fact
-  | Overlay o ->
-    if m_mem o.added fact then begin
-      ignore (m_remove o.added fact);
-      Atomic.incr o.o_generation;
-      true
-    end
-    else if mem o.base fact && not (m_mem o.removed fact) then begin
-      ignore (m_add o.removed fact);
-      Atomic.incr o.o_generation;
-      true
-    end
-    else false
+  match db with Mem m -> m_remove m fact | Paged p -> p_remove p fact
 
-let rec iter_candidates db pattern k =
+let iter_candidates db pattern k =
   match db with
   | Mem m -> Atom_set.iter k (m_candidates m pattern)
   | Paged p -> p_iter_candidates p pattern k
-  | Overlay o ->
-    iter_candidates o.base pattern (fun fact ->
-        if not (m_mem o.removed fact) then k fact);
-    Atom_set.iter k (m_candidates o.added pattern)
 
 let matching db pattern =
   let acc = ref [] in
@@ -361,28 +302,21 @@ let first_match db pattern =
     None
   with Found (fact, s) -> Some (fact, s)
 
-let rec count_pred_id db pred_id =
+let count_pred_id db pred_id =
   match db with
   | Mem m -> m_count_pred_id m pred_id
   | Paged p ->
     if pred_id < Array.length p.sym_to_sid && p.sym_to_sid.(pred_id) >= 0 then
       Store.count_pred p.store ~pred:p.sym_to_sid.(pred_id)
     else 0
-  | Overlay o ->
-    count_pred_id o.base pred_id
-    - m_count_pred_id o.removed pred_id
-    + m_count_pred_id o.added pred_id
 
 let count_pred db name = count_pred_id db (Symbol.id (Symbol.intern name))
 
-let rec iter f db =
+let iter f db =
   match db with
   | Mem m -> Hashtbl.iter (fun _ pf -> Atom_set.iter f pf.facts) m.by_pred
   | Paged p ->
     Store.iter_all p.store (fun ~pred args -> f (atom_of p pred args))
-  | Overlay o ->
-    iter (fun fact -> if not (m_mem o.removed fact) then f fact) o.base;
-    Hashtbl.iter (fun _ pf -> Atom_set.iter f pf.facts) o.added.by_pred
 
 let fold f db init =
   let acc = ref init in
@@ -396,18 +330,7 @@ let of_list facts =
   List.iter (fun fact -> ignore (add db fact)) facts;
   db
 
-let copy db =
-  match db with
-  | Mem _ | Overlay _ -> of_list (to_list db)
-  | Paged _ ->
-    Overlay
-      {
-        base = db;
-        added = m_create ();
-        removed = m_create ();
-        o_token = Atomic.fetch_and_add next_token 1;
-        o_generation = Atomic.make 0;
-      }
+let copy db = of_list (to_list db)
 
 let predicates db =
   match db with
@@ -422,17 +345,6 @@ let predicates db =
   | Paged p ->
     Store.pred_counts p.store
     |> List.map (fun (sid, n) -> (sym_of_sid p sid, n))
-    |> List.sort (fun (a, _) (b, _) -> Symbol.compare a b)
-  | Overlay _ ->
-    let tbl = Hashtbl.create 32 in
-    iter
-      (fun fact ->
-        let id = Symbol.id fact.Atom.pred in
-        match Hashtbl.find_opt tbl id with
-        | Some (_, n) -> Hashtbl.replace tbl id (fact.Atom.pred, n + 1)
-        | None -> Hashtbl.add tbl id (fact.Atom.pred, 1))
-      db;
-    Hashtbl.fold (fun _ pair acc -> pair :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> Symbol.compare a b)
 
 let pp ppf db =
@@ -459,7 +371,7 @@ let open_paged ~dir ?page_size ?buffer_pages ?wal_sync () =
 
 let bulk_load db ~src =
   match db with
-  | Mem _ | Overlay _ -> invalid_arg "Database.bulk_load: not a paged database"
+  | Mem _ -> invalid_arg "Database.bulk_load: not a paged database"
   | Paged p ->
     if Store.fact_count p.store > 0 then
       invalid_arg "Database.bulk_load: the store holds facts";
@@ -489,27 +401,11 @@ let bulk_load db ~src =
          (fun pred r acc -> (pred, fun f -> List.iter f (List.rev !r)) :: acc)
          rows [])
 
-let rec store_stats = function
+let store_stats = function
   | Mem _ -> None
   | Paged p -> Some (Store.stats p.store)
-  | Overlay o -> store_stats o.base
 
-let rec close = function
-  | Mem _ -> ()
-  | Paged p -> Store.close p.store
-  | Overlay o -> close o.base
-
-let rec checkpoint = function
-  | Mem _ -> ()
-  | Paged p -> Store.checkpoint p.store
-  | Overlay o -> checkpoint o.base
-
-let rec sync = function
-  | Mem _ -> ()
-  | Paged p -> Store.sync p.store
-  | Overlay o -> sync o.base
-
-let backend_name = function
-  | Mem _ -> "mem"
-  | Paged _ -> "paged"
-  | Overlay _ -> "overlay"
+let close = function Mem _ -> () | Paged p -> Store.close p.store
+let checkpoint = function Mem _ -> () | Paged p -> Store.checkpoint p.store
+let sync = function Mem _ -> () | Paged p -> Store.sync p.store
+let backend_name = function Mem _ -> "mem" | Paged _ -> "paged"

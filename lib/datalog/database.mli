@@ -10,12 +10,9 @@ type t
 (** A fresh in-memory database. *)
 val create : unit -> t
 
-(** Copy the database. For an in-memory database this rebuilds the
-    indexes (facts are shared). For a paged database it returns a
-    copy-on-write overlay: the on-disk store stays shared and untouched;
-    mutations of the copy land in private in-memory deltas, so they
-    never perturb the original's contents, generation, or query results.
-    The overlay assumes the {e original} is not mutated afterwards. *)
+(** Copy the database into a fresh in-memory database with the same
+    facts (facts are shared, the indexes rebuilt), whatever the
+    original's backend. Mutating the copy never perturbs the original. *)
 val copy : t -> t
 
 (** [add db fact] inserts a ground atom. Returns [true] if it was new.
@@ -110,9 +107,8 @@ val checkpoint : t -> unit
 (** Force a WAL group-commit fsync (no-op for in-memory). *)
 val sync : t -> unit
 
-(** Store counters when the database (or, for a copy, its base) is
-    paged; [None] for in-memory. *)
+(** Store counters when the database is paged; [None] for in-memory. *)
 val store_stats : t -> Store.stats option
 
-(** ["mem"], ["paged"], or ["overlay"]. *)
+(** ["mem"] or ["paged"]. *)
 val backend_name : t -> string

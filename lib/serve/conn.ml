@@ -55,7 +55,8 @@ type t = {
   mutable overflowed : bool;
   mutable shed_bytes : int;  (* bytes dropped by the overflow *)
   (* bytes of [opos, oend) counted in [limits.global_bytes]; equal to
-     the buffered span except for the tiny unaccounted BUSY notice *)
+     the buffered span except for the tiny unaccounted BUSY notice, and
+     0 when the global cap is off *)
   mutable accounted : int;
   mutable inflight : int;
   mutable hwm : int;
@@ -346,9 +347,12 @@ let send_mark t s =
        ensure_write_space t len;
        Bytes.blit_string s 0 t.obuf t.oend len;
        t.oend <- t.oend + len;
-       t.accounted <- t.accounted + len;
        t.enq_bytes <- t.enq_bytes + len;
-       ignore (Atomic.fetch_and_add global_bytes len)
+       (* with the global cap off, nothing reads the shared cell *)
+       if global_max > 0 then begin
+         t.accounted <- t.accounted + len;
+         ignore (Atomic.fetch_and_add global_bytes len)
+       end
      end);
   t.enq_bytes
 

@@ -35,7 +35,8 @@ type limits
 (** [limits ?max_buf ?global_max ()] — [max_buf] caps one connection's
     buffered output (default 64 MiB), [global_max] the sum across all
     connections sharing this value (default [0] = unlimited); [0]
-    disables either cap. *)
+    disables either cap. With the global cap off, sends skip the shared
+    byte count altogether. *)
 val limits : ?max_buf:int -> ?global_max:int -> unit -> limits
 
 (** What the read buffer yielded. *)

@@ -197,7 +197,7 @@ type state = {
   cache : Cache.Answers.t option;
   memo : D.Sld.Memo.t option;
   stopping : bool Atomic.t;
-  stop_w : Unix.file_descr;  (* self-pipe: wakes acceptor + snapshotter *)
+  stop_w : Unix.file_descr;  (* self-pipe: wakes the acceptor *)
   (* the reactor fleet, one entry per event loop *)
   loops : loop_state array;
   (* write-buffer budget shared by every connection (per-conn + global
@@ -214,8 +214,7 @@ type state = {
 
 (* Callable from any loop and from signal handlers, so it must not
    take locks beyond the wake channels: flip the flag and wake the
-   acceptor, the snapshotter, and every event loop; they do their own
-   teardown. *)
+   acceptor and every event loop; they do their own teardown. *)
 let initiate_shutdown st =
   if not (Atomic.exchange st.stopping true) then begin
     (try ignore (Unix.write_substring st.stop_w "x" 0 1)
@@ -1362,39 +1361,27 @@ let accept_burst st sock =
 
 (* The dedicated acceptor: a two-fd select needs no reactor of its own.
    [stop_r] becomes readable the moment {!initiate_shutdown} writes its
-   never-drained byte, so shutdown never waits out a poll interval. *)
+   never-drained byte, so shutdown never waits out a poll interval. With
+   periodic snapshots on, the select times out when the next save is
+   due and the acceptor writes it; it accepts nothing while it saves. *)
 let acceptor st sock stop_r =
-  let rec go () =
+  let interval =
+    if st.cfg.state_dir = None then 0.0 else st.cfg.snapshot_interval
+  in
+  let rec go due =
     if not (Atomic.get st.stopping) then begin
-      (match Unix.select [ sock; stop_r ] [] [] (-1.0) with
+      let timeout =
+        if interval > 0.0 then Float.max 0.0 (due -. Unix.gettimeofday ())
+        else -1.0
+      in
+      (match Unix.select [ sock; stop_r ] [] [] timeout with
       | ready, _, _ -> if List.memq sock ready then accept_burst st sock
       | exception Unix.Unix_error (EINTR, _, _) -> ());
-      go ()
-    end
-  in
-  go ()
-
-(* Sleep the full interval in one timed wait on the shutdown self-pipe
-   (the stdlib has no timed [Condition] wait; a [select] with a timeout
-   on [stop_r] has the same semantics — it returns early the moment
-   [initiate_shutdown] writes its wake-up byte, which is never drained).
-   An idle daemon therefore wakes once per interval instead of 5×/s,
-   and drain never waits out a residual sleep. *)
-let snapshot_loop st stop_r =
-  let interval = st.cfg.snapshot_interval in
-  let rec go deadline =
-    if not (Atomic.get st.stopping) then begin
-      let remaining = deadline -. Unix.gettimeofday () in
-      if remaining > 0.0 then begin
-        (match Unix.select [ stop_r ] [] [] remaining with
-        | _ -> ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        go deadline
-      end
-      else begin
+      if interval > 0.0 && Unix.gettimeofday () >= due then begin
         save_snapshot_or_warn st;
         go (Unix.gettimeofday () +. interval)
       end
+      else go due
     end
   in
   go (Unix.gettimeofday () +. interval)
@@ -1436,7 +1423,7 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
   in
   (match cfg.state_dir with
   | Some dir ->
-    let n = Snapshot.load ~dir registry in
+    let n = Snapshot.load ~log ~dir registry in
     if n > 0 then begin
       Metrics.forms_loaded metrics n;
       Obs.Log.info log "strategies restored from snapshots"
@@ -1534,7 +1521,7 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
           match ev with
           | Store.Hooks.Wal_fsync -> Lifecycle.add_wal_wait lc ns
           | Store.Hooks.Page_read -> Lifecycle.add_page_wait lc ns));
-  (* A paged (or copy-of-paged) database exposes its store counters;
+  (* A paged database exposes its store counters;
      an in-memory one reports no store block at all. *)
   if Option.is_some (D.Database.store_stats st.db) then
     Metrics.set_store_provider metrics (fun () ->
@@ -1623,11 +1610,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
           st.msock
       in
       Option.iter on_metrics_listen metrics_port;
-      let snapshotter =
-        if cfg.snapshot_interval > 0.0 && cfg.state_dir <> None then
-          Some (Thread.create (fun () -> snapshot_loop st stop_r) ())
-        else None
-      in
       (* Spawn the fleet: one domain per event loop. *)
       let loop_domains =
         Array.map (fun ls -> Domain.spawn (fun () -> loop_main st ls)) fleet
@@ -1664,7 +1646,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
       close_sock ();
       Array.iter (fun ls -> Eventloop.wake ls.ev) fleet;
       Array.iter Domain.join loop_domains;
-      Option.iter Thread.join snapshotter;
       save_snapshot_or_warn st;
       Obs.Log.info log "server stopped"
         ~fields:

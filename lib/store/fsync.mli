@@ -18,8 +18,13 @@ val fsync_fd : Unix.file_descr -> unit
 val fsync_dir : string -> unit
 
 (** [write_file path content] — atomic durable replacement of [path]:
-    temp file + fsync + rename + directory fsync. Concurrent writers
-    race safely (last rename wins; readers never see a torn file). *)
+    temp file + fsync + rename + directory fsync. A reader sees either
+    the old content or the new, whole. The temp file is always
+    [<path>.tmp], so it assumes one writer per path at a time: two
+    overlapping writes can fail their rename or publish a file mixing
+    both. The store writes at open, before it is shared, and at
+    checkpoints under its engine lock; [Serve.Snapshot] writes under its
+    save lock. *)
 val write_file : string -> string -> unit
 
 (** [mkdir] if missing (single level). *)

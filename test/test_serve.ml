@@ -800,6 +800,18 @@ let temp_dir () =
   Sys.remove d;
   d
 
+let snapshot_file dir =
+  In_channel.with_open_bin (Filename.concat dir "strategies")
+    In_channel.input_all
+
+let snapshot_lines dir = String.split_on_char '\n' (snapshot_file dir)
+
+(* (key, strategy) per form, in key order *)
+let learned_strategies reg =
+  Serve.Registry.entries reg
+  |> List.map (fun e ->
+         (Serve.Registry.key e, Serve.Registry.strategy_string e))
+
 let snapshot_roundtrip () =
   let rulebase, db = kb () in
   let dir = temp_dir () in
@@ -1203,7 +1215,7 @@ let server_predicate_name_breaks_no_line () =
 
 (* Two predicates whose names differ only in bytes outside
    [[A-Za-z0-9_]] are two forms with two keys: two STATS form lines, one
-   set of snapshot files each, and both learned strategies restored. *)
+   snapshot section each, and both learned strategies restored. *)
 let registry_keys_injective () =
   let rules, facts, _ =
     D.Parser.parse_kb
@@ -1224,29 +1236,20 @@ let registry_keys_injective () =
         ignore (Serve.Registry.answer reg ~db q)
       done)
     [ "'a b'"; "'a-b'" ];
-  let strategies reg =
-    Serve.Registry.entries reg
-    |> List.map (fun e ->
-           (Serve.Registry.key e, Serve.Registry.strategy_string e))
-    |> List.sort compare
-  in
-  let learned = strategies reg in
+  let learned = learned_strategies reg in
   let stats = Serve.Metrics.render_text m in
   check_int "two form lines" 2
     (List.length (List.filter (has_prefix "form ") stats));
   check_bool "forms_active 2" true (List.mem "forms_active 2" stats);
   let dir = temp_dir () in
   let saved = Serve.Snapshot.save ~dir reg in
-  let form_files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".form")
-  in
-  check_int "one .form file per saved form" saved (List.length form_files);
+  check_int "one section per saved form" saved
+    (List.length (List.filter (has_prefix "form ") (snapshot_lines dir)));
   let reg' = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
   check_int "both forms loaded" 2 (Serve.Snapshot.load ~dir reg');
   check_lines "both learned strategies restored"
     (List.map snd learned)
-    (List.map snd (strategies reg'));
+    (List.map snd (learned_strategies reg'));
   check_lines "keys" [ "a-20b_1_b"; "a-2db_1_b" ] (List.map fst learned)
 
 (* Two domains record queries and lifecycle stages while a third renders
@@ -2117,7 +2120,7 @@ let server_learning_same_across_loops () =
   (* the same 300-query, two-form stream through one loop over one
      connection and through four loops over four connections must
      teach the same thing: same strategies, same climbs, same snapshot
-     bytes *)
+     file, byte for byte *)
   let queries =
     List.init 300 (fun i ->
         if i mod 3 = 2 then "QUERY instructor(X)"
@@ -2179,15 +2182,7 @@ let server_learning_same_across_loops () =
     Thread.join thread;
     let strategies = List.filter (has "OK ") replies in
     let climbs = List.find (has "climbs_total ") replies in
-    let files =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".strategy")
-      |> List.sort compare
-      |> List.map (fun f ->
-             (f, In_channel.with_open_bin (Filename.concat dir f)
-                   In_channel.input_all))
-    in
-    (strategies, climbs, files)
+    (strategies, climbs, snapshot_file dir)
   in
   let s1, c1, f1 = run ~loops:1 in
   let s4, c4, f4 = run ~loops:4 in
@@ -2195,8 +2190,10 @@ let server_learning_same_across_loops () =
   check_int "two forms' strategies" 2 (List.length s1);
   check_bool "same STRATEGY replies" true (s1 = s4);
   check_string "same climbs_total" c1 c4;
-  check_int "two strategy files" 2 (List.length f1);
-  check_bool "byte-identical snapshot strategies" true (f1 = f4)
+  check_int "two snapshot sections" 2
+    (List.length
+       (List.filter (has "form ") (String.split_on_char '\n' f1)));
+  check_bool "byte-identical snapshot files" true (f1 = f4)
 
 (* ---------- The metrics port on the loops ---------- *)
 
@@ -2430,6 +2427,125 @@ let server_sampling_through_retention () =
   check_recent traces;
   check_int "FLIGHT lists no sampled query" 0 (List.length entries)
 
+(* ---------- One snapshot file per save ---------- *)
+
+(* Two domains save one registry 200 times each while a third loads the
+   state dir into fresh registries: no save raises, and every load
+   restores both forms with their learned strategies. *)
+let snapshot_concurrent_saves () =
+  let rulebase, db = kb () in
+  let reg = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
+  List.iter
+    (fun q ->
+      for _ = 1 to 200 do
+        ignore (Serve.Registry.answer reg ~db (D.Parser.parse_atom q))
+      done)
+    [ "instructor(manolis)"; "instructor(X)" ];
+  let learned = learned_strategies reg in
+  check_int "two learned forms" 2 (List.length learned);
+  let dir = temp_dir () in
+  ignore (Serve.Snapshot.save ~dir reg);
+  let saving = Atomic.make 2 in
+  let saver () =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.decr saving)
+          (fun () ->
+            for _ = 1 to 200 do
+              ignore (Serve.Snapshot.save ~dir reg)
+            done))
+  in
+  let savers = [ saver (); saver () ] in
+  let loader =
+    Domain.spawn (fun () ->
+        let rec go loads bad =
+          if Atomic.get saving = 0 then (loads, bad)
+          else
+            let reg' =
+              Serve.Registry.create ~rulebase (Serve.Metrics.create ())
+            in
+            let n = Serve.Snapshot.load ~dir reg' in
+            go (loads + 1)
+              (if n = 2 && learned_strategies reg' = learned then bad
+               else bad + 1)
+        in
+        go 0 0)
+  in
+  let errors =
+    List.filter_map
+      (fun d ->
+        match Domain.join d with
+        | () -> None
+        | exception e -> Some (Printexc.to_string e))
+      savers
+  in
+  let loads, bad = Domain.join loader in
+  check_lines "no save raised" [] errors;
+  check_bool "loads ran during the saves" true (loads > 0);
+  check_int "loads that missed a form or its strategy" 0 bad
+
+(* Periodic snapshots are written by the acceptor: after a climbing
+   stream the state file appears with no SNAPSHOT verb, and a fresh
+   registry loads the climbed strategy from it. *)
+let server_periodic_snapshot () =
+  let dir = temp_dir () in
+  let thread, port, _ =
+    start_cfg_server
+      {
+        (server_config ~state_dir:dir ()) with
+        Serve.Server.snapshot_interval = 0.05;
+      }
+  in
+  let replies =
+    talk port
+      (List.init 200 (fun _ -> "QUERY instructor(manolis)")
+      @ [ "STRATEGY instructor(q)" ])
+  in
+  let climbed = List.nth replies 200 in
+  check_string "climbed to grad-first"
+    "OK instructor_1_b ⟨R_instructor_grad D_grad R_instructor_prof D_prof⟩"
+    climbed;
+  let rulebase, _ = kb () in
+  let loaded () =
+    let reg = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
+    ignore (Serve.Snapshot.load ~dir reg);
+    List.map (fun (k, s) -> "OK " ^ k ^ " " ^ s) (learned_strategies reg)
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while
+    (not (List.mem climbed (loaded ()))) && Unix.gettimeofday () < deadline
+  do
+    Thread.delay 0.02
+  done;
+  check_bool "a fresh registry loads the climbed strategy" true
+    (List.mem climbed (loaded ()));
+  check_bool "shut down" true (List.mem "BYE" (talk port [ "SHUTDOWN" ]));
+  Thread.join thread
+
+(* A state dir holding only per-form files of the earlier layout loads
+   nothing and says so in one warn record. *)
+let snapshot_old_layout_warns () =
+  let dir = temp_dir () in
+  Store.Fsync.ensure_dir dir;
+  List.iter
+    (fun ext ->
+      Out_channel.with_open_bin
+        (Filename.concat dir ("instructor_1_b" ^ ext))
+        (fun oc -> output_string oc "x"))
+    [ ".form"; ".graph"; ".strategy" ];
+  let log_path = Filename.concat dir "load.log" in
+  let log = Obs.Log.open_file ~level:Obs.Log.Info log_path in
+  let rulebase, _ = kb () in
+  let reg = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
+  let n = Serve.Snapshot.load ~log ~dir reg in
+  Obs.Log.close log;
+  check_int "nothing loaded" 0 n;
+  let records = In_channel.with_open_bin log_path In_channel.input_lines in
+  check_int "one record" 1 (List.length records);
+  check_bool "a warn counting the three old files" true
+    (contains "\"level\":\"warn\"" (List.hd records)
+    && contains "\"files\":3" (List.hd records))
+
 let suite =
   [
     ( "serve",
@@ -2504,5 +2620,11 @@ let suite =
           registry_keys_injective;
         case "metrics render lints clean while domains record"
           metrics_render_while_recording;
+        slow_case "concurrent saves never tear the snapshot"
+          snapshot_concurrent_saves;
+        slow_case "periodic snapshots run on the acceptor"
+          server_periodic_snapshot;
+        case "an old per-form state dir loads nothing and warns"
+          snapshot_old_layout_warns;
       ] );
   ]

@@ -416,8 +416,8 @@ let db_paged_sld () =
         (List.length answers);
       D.Database.close db)
 
-(* Satellite: a copy of a paged database is COW — mutating the copy must
-   never perturb the original's generation or query results. *)
+(* A copy of a paged database is an in-memory copy — mutating the copy
+   must never perturb the original's generation or query results. *)
 let db_paged_copy_cow () =
   with_dir (fun dir ->
       let db = D.Database.open_paged ~dir ~wal_sync:Store.Never () in
@@ -429,7 +429,7 @@ let db_paged_copy_cow () =
         |> List.map fst |> List.sort D.Atom.compare
       in
       let copy = D.Database.copy db in
-      check_string "copy backend" "overlay" (D.Database.backend_name copy);
+      check_string "copy backend" "mem" (D.Database.backend_name copy);
       check_bool "copy has its own token" true
         (D.Database.token copy <> D.Database.token db);
       (* Mutate the copy heavily. *)
@@ -455,17 +455,17 @@ let db_paged_copy_cow () =
       check_int "copy size tracks deltas" size0 (D.Database.size copy);
       check_bool "copy generation advanced" true
         (D.Database.generation copy > gen0);
-      check_bool "copy matching merges overlay and base" true
+      check_bool "copy matching sees its own view" true
         (D.Database.matching copy (atom "prof(X)")
          |> List.map fst |> List.sort D.Atom.compare
         = List.sort D.Atom.compare [ atom "prof(kim)"; atom "prof(newcomer)" ]);
-      check_int "copy count_pred merges deltas" 2
+      check_int "copy count_pred sees its own view" 2
         (D.Database.count_pred copy "prof");
       D.Database.close db)
 
-(* [count_pred_id] is kept incrementally by the Mem backend, and so by an
-   overlay's added/removed deltas; after any interleaving of adds and
-   removes it must equal counting the facts. *)
+(* [count_pred_id] is kept incrementally by the Mem backend and read from
+   the store's per-predicate counts by the Paged one; after any
+   interleaving of adds and removes it must equal counting the facts. *)
 let db_count_matches_fold () =
   with_dir (fun dir ->
       let paged = D.Database.open_paged ~dir ~wal_sync:Store.Never () in
@@ -481,7 +481,6 @@ let db_count_matches_fold () =
         ignore (D.Database.add paged (random_fact ()))
       done;
       let mem = D.Database.of_list (D.Database.to_list paged) in
-      let overlay = D.Database.copy paged in
       let fold_count db name =
         D.Database.fold
           (fun f n ->
@@ -503,7 +502,7 @@ let db_count_matches_fold () =
                   (fold_count db p)
                   (D.Database.count_pred db p))
               preds)
-          [ mem; overlay ]
+          [ mem; paged ]
       done;
       D.Database.close paged)
 
@@ -672,7 +671,7 @@ let suite =
         case "database: SLD over the paged backend" db_paged_sld;
         case "database: COW copy never perturbs the base" db_paged_copy_cow;
         case "database: token/generation survive restart" db_paged_persistence;
-        case "database: per-predicate counts match a fold (mem, overlay)"
+        case "database: per-predicate counts match a fold (mem, paged)"
           db_count_matches_fold;
         case "database: bulk image byte-identical to per-fact + checkpoint"
           db_bulk_image_matches_per_fact;
