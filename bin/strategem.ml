@@ -22,8 +22,30 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Parse the program at [path] into (rules, facts, queries). A lexical
+   or parse error, or a fact that is not ground, is the user's: it is
+   reported as [strategem: FILE:LINE:COL: MSG] (or [FILE: non-ground
+   fact ...]) and the process exits 1. *)
+let read_program path =
+  let fail fmt =
+    Fmt.kstr
+      (fun msg ->
+        Fmt.epr "strategem: %s@." msg;
+        exit 1)
+      fmt
+  in
+  match D.Parser.parse_kb (read_file path) with
+  | exception
+      ( D.Parser.Parse_error (msg, { line; col })
+      | D.Lexer.Lex_error (msg, { line; col }) ) ->
+    fail "%s:%d:%d: %s" path line col msg
+  | (_, facts, _) as program -> (
+    match List.find_opt (fun f -> not (D.Atom.is_ground f)) facts with
+    | Some fact -> fail "%s: non-ground fact %a" path D.Atom.pp fact
+    | None -> program)
+
 let load_kb path =
-  let rules, facts, queries = D.Parser.parse_kb (read_file path) in
+  let rules, facts, queries = read_program path in
   (D.Rulebase.of_list rules, D.Database.of_list facts, queries)
 
 (* ---------- common arguments ---------- *)
@@ -486,17 +508,21 @@ let run_serve file host port loops queue_depth max_conns state_dir
     metrics_port log_level log_file slow_query_ms data_dir buffer_pages
     idle_timeout_s max_conns_per_ip max_write_buf_mb max_write_total_mb
     no_lifecycle flight_capacity retain =
-  let rulebase, db, _ = load_kb file in
+  (* The program is checked before the store is opened, so a bad one
+     creates no data dir. *)
+  let rules, facts, _ = read_program file in
+  let rulebase = D.Rulebase.of_list rules in
   let db =
     match data_dir with
-    | None -> db
+    | None -> D.Database.of_list facts
     | Some dir ->
       let paged = D.Database.open_paged ~dir ?buffer_pages () in
       if D.Database.size paged = 0 then begin
         (* Cold start: write the program's facts as one checkpoint
            image, so a crash mid-load leaves an empty store that the next
-           start loads again, never a partial one. *)
-        D.Database.bulk_load paged ~src:db;
+           start loads again, never a partial one. A warm start never
+           looks at the facts. *)
+        D.Database.bulk_load paged facts;
         Fmt.pr "strategem serve: store: loaded %d fact(s)@."
           (D.Database.size paged)
       end

@@ -34,9 +34,23 @@ type mem = {
    store's persistent token is negative, so the two can never collide. *)
 let next_token = Atomic.make 0
 
+(* A table keyed by predicate symbol id. The in-memory backend's
+   [by_pred] and [bulk_load]'s grouping are both made here and filled by
+   [pred_slot] in first-appearance order, so [Hashtbl.iter] visits their
+   predicates in the same order. *)
+let pred_table () = Hashtbl.create 64
+
+let pred_slot tbl pred_id make =
+  match Hashtbl.find_opt tbl pred_id with
+  | Some r -> r
+  | None ->
+    let r = make () in
+    Hashtbl.add tbl pred_id r;
+    r
+
 let m_create () =
   {
-    by_pred = Hashtbl.create 64;
+    by_pred = pred_table ();
     by_first = First_tbl.create 256;
     size = Atomic.make 0;
     token = Atomic.fetch_and_add next_token 1;
@@ -49,12 +63,7 @@ let first_key fact =
   | _ -> None
 
 let find_pred m pred_id =
-  match Hashtbl.find_opt m.by_pred pred_id with
-  | Some r -> r
-  | None ->
-    let r = { facts = Atom_set.empty; count = 0 } in
-    Hashtbl.add m.by_pred pred_id r;
-    r
+  pred_slot m.by_pred pred_id (fun () -> { facts = Atom_set.empty; count = 0 })
 
 let find_first m key =
   match First_tbl.find_opt m.by_first key with
@@ -369,12 +378,23 @@ let open_paged ~dir ?page_size ?buffer_pages ?wal_sync () =
   done;
   Paged p
 
-let bulk_load db ~src =
+let bulk_load db facts =
   match db with
   | Mem _ -> invalid_arg "Database.bulk_load: not a paged database"
   | Paged p ->
     if Store.fact_count p.store > 0 then
       invalid_arg "Database.bulk_load: the store holds facts";
+    (* Group the facts as [of_list] fills [by_pred], each group in
+       [Atom_set] order: [iter (of_list facts)]'s facts in its order. *)
+    let groups = pred_table () in
+    List.iter
+      (fun fact ->
+        if not (Atom.is_ground fact) then
+          invalid_arg "Database.bulk_load: non-ground fact";
+        let g = pred_slot groups (Symbol.id fact.Atom.pred) (fun () -> ref []) in
+        g := fact :: !g)
+      facts;
+    Hashtbl.iter (fun _ g -> g := List.sort_uniq Atom.compare !g) groups;
     (* Assign sids as [add] would, in order of first appearance, and
        record each mapping as it is made. *)
     let next_sid = ref (Store.n_syms p.store) and names = ref [] in
@@ -388,18 +408,17 @@ let bulk_load db ~src =
         sid
       | sid -> sid
     in
-    let rows = Hashtbl.create 64 in
-    iter
-      (fun fact ->
-        let pred, args = fact_sids sid_of fact in
-        match Hashtbl.find_opt rows pred with
-        | Some r -> r := args :: !r
-        | None -> Hashtbl.add rows pred (ref [ args ]))
-      src;
+    Hashtbl.iter
+      (fun _ g -> List.iter (fun fact -> ignore (fact_sids sid_of fact)) !g)
+      groups;
     Store.bulk_load p.store ~names:(List.rev !names)
       (Hashtbl.fold
-         (fun pred r acc -> (pred, fun f -> List.iter f (List.rev !r)) :: acc)
-         rows [])
+         (fun pred_id g acc ->
+           let rows f =
+             List.iter (fun fact -> f (snd (fact_sids (sid_ro p) fact))) !g
+           in
+           (p.sym_to_sid.(pred_id), rows) :: acc)
+         groups [])
 
 let store_stats = function
   | Mem _ -> None

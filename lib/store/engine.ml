@@ -4,14 +4,15 @@ type sync_mode = Wal.sync_mode = Always | Interval of float | Never
 
 (* A growable locator array; a locator packs (page_no, offset) as
    page_no * page_size + offset. Deletion swap-removes, so buckets hold
-   live records only and [n] is the live count. *)
+   live records only and [n] is the live count. A bucket starts at one
+   slot: most (pred, first) keys name one record. *)
 type bucket = { mutable locs : int array; mutable n : int }
 
 let bucket_create () = { locs = [||]; n = 0 }
 
 let bucket_add b loc =
   if b.n = Array.length b.locs then begin
-    let cap = Int.max 4 (2 * Array.length b.locs) in
+    let cap = Int.max 1 (2 * Array.length b.locs) in
     let a = Array.make cap 0 in
     Array.blit b.locs 0 a 0 b.n;
     b.locs <- a

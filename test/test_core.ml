@@ -1071,7 +1071,7 @@ let with_backend c db f =
         Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
         Sys.rmdir dir)
       (fun () ->
-        Datalog.Database.bulk_load paged ~src:db;
+        Datalog.Database.bulk_load paged (Datalog.Database.to_list db);
         f paged)
   end
 

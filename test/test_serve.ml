@@ -795,10 +795,20 @@ let registry_shares_and_learns () =
 
 (* ---------- Snapshot ---------- *)
 
-let temp_dir () =
+(* Run [f] on a fresh path under the temp dir, and remove whatever [f]
+   made there, recursively, when it returns or raises. *)
+let with_temp_dir f =
   let d = Filename.temp_file "strategem" ".state" in
   Sys.remove d;
-  d
+  let rec rm_rf path =
+    match Sys.is_directory path with
+    | exception Sys_error _ -> ()
+    | true ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    | false -> Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
 
 let snapshot_file dir =
   In_channel.with_open_bin (Filename.concat dir "strategies")
@@ -814,28 +824,28 @@ let learned_strategies reg =
 
 let snapshot_roundtrip () =
   let rulebase, db = kb () in
-  let dir = temp_dir () in
-  let m = Serve.Metrics.create () in
-  let reg = Serve.Registry.create ~rulebase m in
-  for _ = 1 to 200 do
-    ignore
-      (Serve.Registry.answer reg ~db (D.Parser.parse_atom "instructor(manolis)"))
-  done;
-  let learned =
-    Serve.Registry.strategy_string (List.hd (Serve.Registry.entries reg))
-  in
-  check_int "saved one form" 1 (Serve.Snapshot.save ~dir reg);
-  (* a fresh registry (a restarted server) resumes the learned strategy *)
-  let reg' = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
-  check_int "loaded one form" 1 (Serve.Snapshot.load ~dir reg');
-  let resumed =
-    Serve.Registry.strategy_string (List.hd (Serve.Registry.entries reg'))
-  in
-  check_string "strategy resumed" learned resumed;
-  (* load into yet another registry from a missing dir is a no-op *)
-  check_int "missing dir" 0
-    (Serve.Snapshot.load ~dir:(dir ^ ".nope")
-       (Serve.Registry.create ~rulebase (Serve.Metrics.create ())))
+  with_temp_dir (fun dir ->
+    let m = Serve.Metrics.create () in
+    let reg = Serve.Registry.create ~rulebase m in
+    for _ = 1 to 200 do
+      ignore
+        (Serve.Registry.answer reg ~db (D.Parser.parse_atom "instructor(manolis)"))
+    done;
+    let learned =
+      Serve.Registry.strategy_string (List.hd (Serve.Registry.entries reg))
+    in
+    check_int "saved one form" 1 (Serve.Snapshot.save ~dir reg);
+    (* a fresh registry (a restarted server) resumes the learned strategy *)
+    let reg' = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
+    check_int "loaded one form" 1 (Serve.Snapshot.load ~dir reg');
+    let resumed =
+      Serve.Registry.strategy_string (List.hd (Serve.Registry.entries reg'))
+    in
+    check_string "strategy resumed" learned resumed;
+    (* load into yet another registry from a missing dir is a no-op *)
+    check_int "missing dir" 0
+      (Serve.Snapshot.load ~dir:(dir ^ ".nope")
+         (Serve.Registry.create ~rulebase (Serve.Metrics.create ()))))
 
 (* ---------- Server end to end (in-process TCP) ---------- *)
 
@@ -1145,34 +1155,34 @@ let client_falls_back_to_lines () =
   Unix.close srv
 
 let server_snapshot_restart () =
-  let dir = temp_dir () in
-  let thread, port = start_server ~state_dir:dir () in
-  let replies =
-    talk port
-      (List.init 200 (fun _ -> "QUERY instructor(manolis)") @ [ "SHUTDOWN" ])
-  in
-  (* With the (default-on) answer cache, every query after the first is a
-     hit, so the climb lands on a cached reply. *)
-  check_bool "climbed under live traffic" true
-    (List.exists
-       (fun r -> r = "ANSWER yes reductions=0 retrievals=0 cached switched")
-       replies);
-  Thread.join thread;
-  (* restart against the same state dir: the learned strategy is back
-     without a single climb *)
-  let thread, port = start_server ~state_dir:dir () in
-  let replies =
-    talk port [ "STRATEGY instructor(q)"; "QUERY instructor(manolis)"; "SHUTDOWN" ]
-  in
-  check_bool "resumed grad-first" true
-    (List.exists
-       (fun r ->
-         r = "OK instructor_1_b ⟨R_instructor_grad D_grad R_instructor_prof \
-              D_prof⟩")
-       replies);
-  check_bool "fast from the first query" true
-    (List.mem "ANSWER yes reductions=1 retrievals=1" replies);
-  Thread.join thread
+  with_temp_dir (fun dir ->
+    let thread, port = start_server ~state_dir:dir () in
+    let replies =
+      talk port
+        (List.init 200 (fun _ -> "QUERY instructor(manolis)") @ [ "SHUTDOWN" ])
+    in
+    (* With the (default-on) answer cache, every query after the first is a
+       hit, so the climb lands on a cached reply. *)
+    check_bool "climbed under live traffic" true
+      (List.exists
+         (fun r -> r = "ANSWER yes reductions=0 retrievals=0 cached switched")
+         replies);
+    Thread.join thread;
+    (* restart against the same state dir: the learned strategy is back
+       without a single climb *)
+    let thread, port = start_server ~state_dir:dir () in
+    let replies =
+      talk port [ "STRATEGY instructor(q)"; "QUERY instructor(manolis)"; "SHUTDOWN" ]
+    in
+    check_bool "resumed grad-first" true
+      (List.exists
+         (fun r ->
+           r = "OK instructor_1_b ⟨R_instructor_grad D_grad R_instructor_prof \
+                D_prof⟩")
+         replies);
+    check_bool "fast from the first query" true
+      (List.mem "ANSWER yes reductions=1 retrievals=1" replies);
+    Thread.join thread)
 
 (* ---------- Reactor fleet ---------- *)
 
@@ -1241,16 +1251,16 @@ let registry_keys_injective () =
   check_int "two form lines" 2
     (List.length (List.filter (has_prefix "form ") stats));
   check_bool "forms_active 2" true (List.mem "forms_active 2" stats);
-  let dir = temp_dir () in
-  let saved = Serve.Snapshot.save ~dir reg in
-  check_int "one section per saved form" saved
-    (List.length (List.filter (has_prefix "form ") (snapshot_lines dir)));
-  let reg' = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
-  check_int "both forms loaded" 2 (Serve.Snapshot.load ~dir reg');
-  check_lines "both learned strategies restored"
-    (List.map snd learned)
-    (List.map snd (learned_strategies reg'));
-  check_lines "keys" [ "a-20b_1_b"; "a-2db_1_b" ] (List.map fst learned)
+  with_temp_dir (fun dir ->
+    let saved = Serve.Snapshot.save ~dir reg in
+    check_int "one section per saved form" saved
+      (List.length (List.filter (has_prefix "form ") (snapshot_lines dir)));
+    let reg' = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
+    check_int "both forms loaded" 2 (Serve.Snapshot.load ~dir reg');
+    check_lines "both learned strategies restored"
+      (List.map snd learned)
+      (List.map snd (learned_strategies reg'));
+    check_lines "keys" [ "a-20b_1_b"; "a-2db_1_b" ] (List.map fst learned))
 
 (* Two domains record queries and lifecycle stages while a third renders
    /metrics in a loop: every render lints clean, and the final render
@@ -2019,83 +2029,83 @@ let server_shed_per_loop () =
 let server_snapshot_failure_logged () =
   (* a state dir nested under a regular file cannot be created, even as
      root: the shutdown snapshot fails and says so in the log *)
-  let root = temp_dir () in
-  Store.Fsync.ensure_dir root;
-  let file = Filename.concat root "plain" in
-  Out_channel.with_open_bin file (fun oc -> output_string oc "x");
-  let log_path = Filename.concat root "serve.log" in
-  let rulebase, db = kb () in
-  let port = Atomic.make 0 in
-  let cfg =
-    {
-      (server_config ~state_dir:(Filename.concat file "state") ()) with
-      Serve.Server.log_level = Some Obs.Log.Info;
-      log_file = Some log_path;
-    }
-  in
-  let thread =
-    Thread.create
-      (fun () ->
-        Serve.Server.run ~on_listen:(fun p -> Atomic.set port p) cfg ~rulebase
-          ~db)
-      ()
-  in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  if Atomic.get port = 0 then Alcotest.fail "server did not start";
-  let replies =
-    talk (Atomic.get port) [ "QUERY instructor(manolis)"; "SHUTDOWN" ]
-  in
-  check_bool "served" true (List.mem "BYE" replies);
-  Thread.join thread;
-  let log = In_channel.with_open_bin log_path In_channel.input_all in
-  check_bool "snapshot failure logged at warn" true
-    (List.exists
-       (fun l ->
-         contains "\"msg\":\"snapshot failed\"" l
-         && contains "\"level\":\"warn\"" l)
-       (String.split_on_char '\n' log))
+  with_temp_dir (fun root ->
+    Store.Fsync.ensure_dir root;
+    let file = Filename.concat root "plain" in
+    Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+    let log_path = Filename.concat root "serve.log" in
+    let rulebase, db = kb () in
+    let port = Atomic.make 0 in
+    let cfg =
+      {
+        (server_config ~state_dir:(Filename.concat file "state") ()) with
+        Serve.Server.log_level = Some Obs.Log.Info;
+        log_file = Some log_path;
+      }
+    in
+    let thread =
+      Thread.create
+        (fun () ->
+          Serve.Server.run ~on_listen:(fun p -> Atomic.set port p) cfg ~rulebase
+            ~db)
+        ()
+    in
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
+      Thread.delay 0.01
+    done;
+    if Atomic.get port = 0 then Alcotest.fail "server did not start";
+    let replies =
+      talk (Atomic.get port) [ "QUERY instructor(manolis)"; "SHUTDOWN" ]
+    in
+    check_bool "served" true (List.mem "BYE" replies);
+    Thread.join thread;
+    let log = In_channel.with_open_bin log_path In_channel.input_all in
+    check_bool "snapshot failure logged at warn" true
+      (List.exists
+         (fun l ->
+           contains "\"msg\":\"snapshot failed\"" l
+           && contains "\"level\":\"warn\"" l)
+         (String.split_on_char '\n' log)))
 
 let server_snapshot_verb_unix_error () =
   (* SNAPSHOT into a state dir that cannot be created: an ordinary
      error reply naming the failed call, counted like any other error,
      and no "request handler crashed" record *)
-  let root = temp_dir () in
-  Store.Fsync.ensure_dir root;
-  let file = Filename.concat root "plain" in
-  Out_channel.with_open_bin file (fun oc -> output_string oc "x");
-  let log_path = Filename.concat root "serve.log" in
-  let rulebase, db = kb () in
-  let port = Atomic.make 0 in
-  let cfg =
-    {
-      (server_config ~state_dir:(Filename.concat file "state") ()) with
-      Serve.Server.log_level = Some Obs.Log.Info;
-      log_file = Some log_path;
-    }
-  in
-  let thread =
-    Thread.create
-      (fun () ->
-        Serve.Server.run ~on_listen:(fun p -> Atomic.set port p) cfg ~rulebase
-          ~db)
-      ()
-  in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  if Atomic.get port = 0 then Alcotest.fail "server did not start";
-  let replies = talk (Atomic.get port) [ "SNAPSHOT"; "STATS"; "SHUTDOWN" ] in
-  Thread.join thread;
-  check_string "error reply"
-    ("ERR internal mkdir: Not a directory " ^ Filename.concat file "state")
-    (List.hd replies);
-  check_bool "counted in errors_total" true (List.mem "errors_total 1" replies);
-  let log = In_channel.with_open_bin log_path In_channel.input_all in
-  check_bool "no crash record" false (contains "request handler crashed" log)
+  with_temp_dir (fun root ->
+    Store.Fsync.ensure_dir root;
+    let file = Filename.concat root "plain" in
+    Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+    let log_path = Filename.concat root "serve.log" in
+    let rulebase, db = kb () in
+    let port = Atomic.make 0 in
+    let cfg =
+      {
+        (server_config ~state_dir:(Filename.concat file "state") ()) with
+        Serve.Server.log_level = Some Obs.Log.Info;
+        log_file = Some log_path;
+      }
+    in
+    let thread =
+      Thread.create
+        (fun () ->
+          Serve.Server.run ~on_listen:(fun p -> Atomic.set port p) cfg ~rulebase
+            ~db)
+        ()
+    in
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
+      Thread.delay 0.01
+    done;
+    if Atomic.get port = 0 then Alcotest.fail "server did not start";
+    let replies = talk (Atomic.get port) [ "SNAPSHOT"; "STATS"; "SHUTDOWN" ] in
+    Thread.join thread;
+    check_string "error reply"
+      ("ERR internal mkdir: Not a directory " ^ Filename.concat file "state")
+      (List.hd replies);
+    check_bool "counted in errors_total" true (List.mem "errors_total 1" replies);
+    let log = In_channel.with_open_bin log_path In_channel.input_all in
+    check_bool "no crash record" false (contains "request handler crashed" log))
 
 let server_quit_drops_pending () =
   (* QUIT with more line requests behind it in the same write: the
@@ -2132,57 +2142,57 @@ let server_learning_same_across_loops () =
     && String.sub r 0 (String.length prefix) = prefix
   in
   let run ~loops =
-    let dir = temp_dir () in
-    let thread, port = start_server ~loops ~state_dir:dir () in
-    (* open every connection before any sends, so placement puts one
-       on each loop; a round trip on each makes sure its loop adopted it *)
-    let conns = List.init loops (fun _ -> connect port) in
-    List.iter
-      (fun (_, ic, oc) ->
-        send oc "PING";
-        check_string "conn served" "PONG" (input_line ic))
-      conns;
-    let _, ic0, oc0 = List.hd conns in
-    send oc0 "STATS JSON";
-    let json = input_line ic0 in
-    for k = 0 to loops - 1 do
-      check_bool
-        (Printf.sprintf "%d loop(s): one conn on loop %d" loops k)
-        true
-        (contains (Printf.sprintf "\"id\":%d,\"conns\":1" k) json)
-    done;
-    let answered = Array.make loops 0 in
-    let senders =
-      List.mapi
-        (fun k (fd, ic, oc) ->
-          Thread.create
-            (fun () ->
-              List.iteri
-                (fun i q -> if i mod loops = k then send oc q)
-                queries;
-              Unix.shutdown fd Unix.SHUTDOWN_SEND;
-              answered.(k) <-
-                List.length (List.filter is_answer (In_channel.input_lines ic));
-              close_in_noerr ic)
-            ())
-        conns
-    in
-    List.iter Thread.join senders;
-    check_int
-      (Printf.sprintf "%d loop(s): every query answered" loops)
-      300
-      (Array.fold_left ( + ) 0 answered);
-    let replies =
-      talk port
-        [
-          "STRATEGY instructor(q)"; "STRATEGY instructor(X)"; "STATS";
-          "SHUTDOWN";
-        ]
-    in
-    Thread.join thread;
-    let strategies = List.filter (has "OK ") replies in
-    let climbs = List.find (has "climbs_total ") replies in
-    (strategies, climbs, snapshot_file dir)
+    with_temp_dir (fun dir ->
+      let thread, port = start_server ~loops ~state_dir:dir () in
+      (* open every connection before any sends, so placement puts one
+         on each loop; a round trip on each makes sure its loop adopted it *)
+      let conns = List.init loops (fun _ -> connect port) in
+      List.iter
+        (fun (_, ic, oc) ->
+          send oc "PING";
+          check_string "conn served" "PONG" (input_line ic))
+        conns;
+      let _, ic0, oc0 = List.hd conns in
+      send oc0 "STATS JSON";
+      let json = input_line ic0 in
+      for k = 0 to loops - 1 do
+        check_bool
+          (Printf.sprintf "%d loop(s): one conn on loop %d" loops k)
+          true
+          (contains (Printf.sprintf "\"id\":%d,\"conns\":1" k) json)
+      done;
+      let answered = Array.make loops 0 in
+      let senders =
+        List.mapi
+          (fun k (fd, ic, oc) ->
+            Thread.create
+              (fun () ->
+                List.iteri
+                  (fun i q -> if i mod loops = k then send oc q)
+                  queries;
+                Unix.shutdown fd Unix.SHUTDOWN_SEND;
+                answered.(k) <-
+                  List.length (List.filter is_answer (In_channel.input_lines ic));
+                close_in_noerr ic)
+              ())
+          conns
+      in
+      List.iter Thread.join senders;
+      check_int
+        (Printf.sprintf "%d loop(s): every query answered" loops)
+        300
+        (Array.fold_left ( + ) 0 answered);
+      let replies =
+        talk port
+          [
+            "STRATEGY instructor(q)"; "STRATEGY instructor(X)"; "STATS";
+            "SHUTDOWN";
+          ]
+      in
+      Thread.join thread;
+      let strategies = List.filter (has "OK ") replies in
+      let climbs = List.find (has "climbs_total ") replies in
+      (strategies, climbs, snapshot_file dir))
   in
   let s1, c1, f1 = run ~loops:1 in
   let s4, c4, f4 = run ~loops:4 in
@@ -2285,77 +2295,77 @@ let server_retained_record () =
      request's span tree and its loop's flight tail. A slow request
      with no tree arms the loop, so the next query runs traced and the
      next record carries its exec subtree. *)
-  let root = temp_dir () in
-  Store.Fsync.ensure_dir root;
-  let log_path = Filename.concat root "serve.log" in
-  let thread, port, _ =
-    start_cfg_server
-      {
-        (server_config ~loops:1 ()) with
-        Serve.Server.log_level = Some Obs.Log.Warn;
-        log_file = Some log_path;
-        slow_query_us = 0.001;
-      }
-  in
-  let _fd, ic, oc = connect port in
-  let ask line =
-    send oc line;
-    ignore (input_line ic)
-  in
-  let rec await n =
-    let records = retained_records log_path in
-    if List.length records >= n then records
-    else begin
-      Thread.delay 0.01;
-      await n
-    end
-  in
-  ask "QUERY instructor(manolis)";
-  let first = List.hd (await 1) in
-  let str name =
-    match json_field name first with Some (Trace.Json.Str v) -> v | _ -> ""
-  in
-  check_string "at warn" "warn" (str "level");
-  check_string "reason" "slow" (str "reason");
-  check_bool "total_us" true
-    (match json_field "total_us" first with
-    | Some (Trace.Json.Num _) -> true
-    | _ -> false);
-  check_bool "nothing suppressed yet" true
-    (json_field "suppressed" first = Some (Trace.Json.Num "0"));
-  let span_of record =
-    match json_field "span" record with
-    | Some v -> Trace.of_json_value v
-    | None -> Alcotest.fail "record without a span"
-  in
-  let span = span_of first in
-  check_string "the request span" "request" (Trace.kind span);
-  check_bool "an untraced query has no exec subtree" true
-    (Trace.find_kind span "serve" = []);
-  check_bool "the flight tail" true
-    (match json_field "events" first with
-    | Some (Trace.Json.Arr (_ :: _)) -> true
-    | _ -> false);
-  (* a burst inside the same second: all suppressed; the PING (slow,
-     with no tree) leaves the loop armed *)
-  for i = 1 to 10 do
-    ask (Printf.sprintf "QUERY instructor(p%d)" i)
-  done;
-  ask "PING";
-  Thread.delay 0.2;
-  check_int "one record for the burst" 1
-    (List.length (retained_records log_path));
-  Thread.delay 1.0;
-  ask "QUERY instructor(russ)";
-  let second = List.nth (await 2) 1 in
-  check_bool "the next record counts the burst" true
-    (json_field "suppressed" second = Some (Trace.Json.Num "11"));
-  check_bool "the armed query carries its exec subtree" true
-    (Trace.find_kind (span_of second) "serve" <> []
-    && Trace.find_kind (span_of second) "exec" <> []);
-  ask "SHUTDOWN";
-  close_in_noerr ic;
-  Thread.join thread
+  with_temp_dir (fun root ->
+    Store.Fsync.ensure_dir root;
+    let log_path = Filename.concat root "serve.log" in
+    let thread, port, _ =
+      start_cfg_server
+        {
+          (server_config ~loops:1 ()) with
+          Serve.Server.log_level = Some Obs.Log.Warn;
+          log_file = Some log_path;
+          slow_query_us = 0.001;
+        }
+    in
+    let _fd, ic, oc = connect port in
+    let ask line =
+      send oc line;
+      ignore (input_line ic)
+    in
+    let rec await n =
+      let records = retained_records log_path in
+      if List.length records >= n then records
+      else begin
+        Thread.delay 0.01;
+        await n
+      end
+    in
+    ask "QUERY instructor(manolis)";
+    let first = List.hd (await 1) in
+    let str name =
+      match json_field name first with Some (Trace.Json.Str v) -> v | _ -> ""
+    in
+    check_string "at warn" "warn" (str "level");
+    check_string "reason" "slow" (str "reason");
+    check_bool "total_us" true
+      (match json_field "total_us" first with
+      | Some (Trace.Json.Num _) -> true
+      | _ -> false);
+    check_bool "nothing suppressed yet" true
+      (json_field "suppressed" first = Some (Trace.Json.Num "0"));
+    let span_of record =
+      match json_field "span" record with
+      | Some v -> Trace.of_json_value v
+      | None -> Alcotest.fail "record without a span"
+    in
+    let span = span_of first in
+    check_string "the request span" "request" (Trace.kind span);
+    check_bool "an untraced query has no exec subtree" true
+      (Trace.find_kind span "serve" = []);
+    check_bool "the flight tail" true
+      (match json_field "events" first with
+      | Some (Trace.Json.Arr (_ :: _)) -> true
+      | _ -> false);
+    (* a burst inside the same second: all suppressed; the PING (slow,
+       with no tree) leaves the loop armed *)
+    for i = 1 to 10 do
+      ask (Printf.sprintf "QUERY instructor(p%d)" i)
+    done;
+    ask "PING";
+    Thread.delay 0.2;
+    check_int "one record for the burst" 1
+      (List.length (retained_records log_path));
+    Thread.delay 1.0;
+    ask "QUERY instructor(russ)";
+    let second = List.nth (await 2) 1 in
+    check_bool "the next record counts the burst" true
+      (json_field "suppressed" second = Some (Trace.Json.Num "11"));
+    check_bool "the armed query carries its exec subtree" true
+      (Trace.find_kind (span_of second) "serve" <> []
+      && Trace.find_kind (span_of second) "exec" <> []);
+    ask "SHUTDOWN";
+    close_in_noerr ic;
+    Thread.join thread)
 
 let server_sampling_through_retention () =
   (* --trace-sample N: STATS JSON lists the newest N traced query trees
@@ -2443,108 +2453,108 @@ let snapshot_concurrent_saves () =
     [ "instructor(manolis)"; "instructor(X)" ];
   let learned = learned_strategies reg in
   check_int "two learned forms" 2 (List.length learned);
-  let dir = temp_dir () in
-  ignore (Serve.Snapshot.save ~dir reg);
-  let saving = Atomic.make 2 in
-  let saver () =
-    Domain.spawn (fun () ->
-        Fun.protect
-          ~finally:(fun () -> Atomic.decr saving)
-          (fun () ->
-            for _ = 1 to 200 do
-              ignore (Serve.Snapshot.save ~dir reg)
-            done))
-  in
-  let savers = [ saver (); saver () ] in
-  let loader =
-    Domain.spawn (fun () ->
-        let rec go loads bad =
-          if Atomic.get saving = 0 then (loads, bad)
-          else
-            let reg' =
-              Serve.Registry.create ~rulebase (Serve.Metrics.create ())
-            in
-            let n = Serve.Snapshot.load ~dir reg' in
-            go (loads + 1)
-              (if n = 2 && learned_strategies reg' = learned then bad
-               else bad + 1)
-        in
-        go 0 0)
-  in
-  let errors =
-    List.filter_map
-      (fun d ->
-        match Domain.join d with
-        | () -> None
-        | exception e -> Some (Printexc.to_string e))
-      savers
-  in
-  let loads, bad = Domain.join loader in
-  check_lines "no save raised" [] errors;
-  check_bool "loads ran during the saves" true (loads > 0);
-  check_int "loads that missed a form or its strategy" 0 bad
+  with_temp_dir (fun dir ->
+    ignore (Serve.Snapshot.save ~dir reg);
+    let saving = Atomic.make 2 in
+    let saver () =
+      Domain.spawn (fun () ->
+          Fun.protect
+            ~finally:(fun () -> Atomic.decr saving)
+            (fun () ->
+              for _ = 1 to 200 do
+                ignore (Serve.Snapshot.save ~dir reg)
+              done))
+    in
+    let savers = [ saver (); saver () ] in
+    let loader =
+      Domain.spawn (fun () ->
+          let rec go loads bad =
+            if Atomic.get saving = 0 then (loads, bad)
+            else
+              let reg' =
+                Serve.Registry.create ~rulebase (Serve.Metrics.create ())
+              in
+              let n = Serve.Snapshot.load ~dir reg' in
+              go (loads + 1)
+                (if n = 2 && learned_strategies reg' = learned then bad
+                 else bad + 1)
+          in
+          go 0 0)
+    in
+    let errors =
+      List.filter_map
+        (fun d ->
+          match Domain.join d with
+          | () -> None
+          | exception e -> Some (Printexc.to_string e))
+        savers
+    in
+    let loads, bad = Domain.join loader in
+    check_lines "no save raised" [] errors;
+    check_bool "loads ran during the saves" true (loads > 0);
+    check_int "loads that missed a form or its strategy" 0 bad)
 
 (* Periodic snapshots are written by the acceptor: after a climbing
    stream the state file appears with no SNAPSHOT verb, and a fresh
    registry loads the climbed strategy from it. *)
 let server_periodic_snapshot () =
-  let dir = temp_dir () in
-  let thread, port, _ =
-    start_cfg_server
-      {
-        (server_config ~state_dir:dir ()) with
-        Serve.Server.snapshot_interval = 0.05;
-      }
-  in
-  let replies =
-    talk port
-      (List.init 200 (fun _ -> "QUERY instructor(manolis)")
-      @ [ "STRATEGY instructor(q)" ])
-  in
-  let climbed = List.nth replies 200 in
-  check_string "climbed to grad-first"
-    "OK instructor_1_b ⟨R_instructor_grad D_grad R_instructor_prof D_prof⟩"
-    climbed;
-  let rulebase, _ = kb () in
-  let loaded () =
-    let reg = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
-    ignore (Serve.Snapshot.load ~dir reg);
-    List.map (fun (k, s) -> "OK " ^ k ^ " " ^ s) (learned_strategies reg)
-  in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while
-    (not (List.mem climbed (loaded ()))) && Unix.gettimeofday () < deadline
-  do
-    Thread.delay 0.02
-  done;
-  check_bool "a fresh registry loads the climbed strategy" true
-    (List.mem climbed (loaded ()));
-  check_bool "shut down" true (List.mem "BYE" (talk port [ "SHUTDOWN" ]));
-  Thread.join thread
+  with_temp_dir (fun dir ->
+    let thread, port, _ =
+      start_cfg_server
+        {
+          (server_config ~state_dir:dir ()) with
+          Serve.Server.snapshot_interval = 0.05;
+        }
+    in
+    let replies =
+      talk port
+        (List.init 200 (fun _ -> "QUERY instructor(manolis)")
+        @ [ "STRATEGY instructor(q)" ])
+    in
+    let climbed = List.nth replies 200 in
+    check_string "climbed to grad-first"
+      "OK instructor_1_b ⟨R_instructor_grad D_grad R_instructor_prof D_prof⟩"
+      climbed;
+    let rulebase, _ = kb () in
+    let loaded () =
+      let reg = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
+      ignore (Serve.Snapshot.load ~dir reg);
+      List.map (fun (k, s) -> "OK " ^ k ^ " " ^ s) (learned_strategies reg)
+    in
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while
+      (not (List.mem climbed (loaded ()))) && Unix.gettimeofday () < deadline
+    do
+      Thread.delay 0.02
+    done;
+    check_bool "a fresh registry loads the climbed strategy" true
+      (List.mem climbed (loaded ()));
+    check_bool "shut down" true (List.mem "BYE" (talk port [ "SHUTDOWN" ]));
+    Thread.join thread)
 
 (* A state dir holding only per-form files of the earlier layout loads
    nothing and says so in one warn record. *)
 let snapshot_old_layout_warns () =
-  let dir = temp_dir () in
-  Store.Fsync.ensure_dir dir;
-  List.iter
-    (fun ext ->
-      Out_channel.with_open_bin
-        (Filename.concat dir ("instructor_1_b" ^ ext))
-        (fun oc -> output_string oc "x"))
-    [ ".form"; ".graph"; ".strategy" ];
-  let log_path = Filename.concat dir "load.log" in
-  let log = Obs.Log.open_file ~level:Obs.Log.Info log_path in
-  let rulebase, _ = kb () in
-  let reg = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
-  let n = Serve.Snapshot.load ~log ~dir reg in
-  Obs.Log.close log;
-  check_int "nothing loaded" 0 n;
-  let records = In_channel.with_open_bin log_path In_channel.input_lines in
-  check_int "one record" 1 (List.length records);
-  check_bool "a warn counting the three old files" true
-    (contains "\"level\":\"warn\"" (List.hd records)
-    && contains "\"files\":3" (List.hd records))
+  with_temp_dir (fun dir ->
+    Store.Fsync.ensure_dir dir;
+    List.iter
+      (fun ext ->
+        Out_channel.with_open_bin
+          (Filename.concat dir ("instructor_1_b" ^ ext))
+          (fun oc -> output_string oc "x"))
+      [ ".form"; ".graph"; ".strategy" ];
+    let log_path = Filename.concat dir "load.log" in
+    let log = Obs.Log.open_file ~level:Obs.Log.Info log_path in
+    let rulebase, _ = kb () in
+    let reg = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
+    let n = Serve.Snapshot.load ~log ~dir reg in
+    Obs.Log.close log;
+    check_int "nothing loaded" 0 n;
+    let records = In_channel.with_open_bin log_path In_channel.input_lines in
+    check_int "one record" 1 (List.length records);
+    check_bool "a warn counting the three old files" true
+      (contains "\"level\":\"warn\"" (List.hd records)
+      && contains "\"files\":3" (List.hd records)))
 
 let suite =
   [

@@ -549,7 +549,8 @@ let genealogy_db n_people =
 (* The bulk path packs the image the per-fact path reaches after its
    checkpoint: same bytes, same generation, same iteration order. *)
 let db_bulk_image_matches_per_fact () =
-  let src = genealogy_db 2000 in
+  let facts = D.Database.to_list (genealogy_db 2000) in
+  let src = D.Database.of_list facts in
   check_bool "a non-trivial population" true (D.Database.size src > 500);
   with_dir (fun per_fact ->
       with_dir (fun bulk ->
@@ -559,7 +560,7 @@ let db_bulk_image_matches_per_fact () =
           let gen_a = D.Database.generation a in
           D.Database.close a;
           let b = D.Database.open_paged ~dir:bulk () in
-          D.Database.bulk_load b ~src;
+          D.Database.bulk_load b facts;
           check_int "generation" gen_a (D.Database.generation b);
           check_int "size" (D.Database.size src) (D.Database.size b);
           let st = D.Database.store_stats b |> Option.get in
@@ -583,12 +584,13 @@ let db_bulk_image_matches_per_fact () =
    every cut reopens to no facts, which a start loads again into the
    same image, or to all of them; never to part. *)
 let db_bulk_commit_cuts () =
-  let src = genealogy_db 400 in
+  let facts = D.Database.to_list (genealogy_db 400) in
+  let src = D.Database.of_list facts in
   let full = sorted_facts src in
   with_dir (fun dir ->
       let db = D.Database.open_paged ~dir () in
       let newborn = read_file (Filename.concat dir "header") in
-      D.Database.bulk_load db ~src;
+      D.Database.bulk_load db facts;
       D.Database.close db;
       let file f = read_file (Filename.concat dir f) in
       let pages, symtab = image_files dir and header = file "header" in
@@ -614,7 +616,7 @@ let db_bulk_commit_cuts () =
                 check_bool (name ^ ": every fact") true (got = full)
               else begin
                 check_int (name ^ ": no facts") 0 (List.length got);
-                D.Database.bulk_load db ~src;
+                D.Database.bulk_load db facts;
                 check_bool (name ^ ": reloaded") true (sorted_facts db = full)
               end;
               D.Database.close db;
@@ -624,23 +626,24 @@ let db_bulk_commit_cuts () =
         cuts)
 
 let db_bulk_load_rejects () =
-  let src = D.Database.of_list (List.map atom db_facts) in
+  let facts = List.map atom db_facts in
+  let src = D.Database.of_list facts in
   let raises f =
     match f () with () -> false | exception Invalid_argument _ -> true
   in
   check_bool "into memory" true
-    (raises (fun () -> D.Database.bulk_load (D.Database.create ()) ~src));
+    (raises (fun () -> D.Database.bulk_load (D.Database.create ()) facts));
   with_dir (fun dir ->
       let db = D.Database.open_paged ~dir ~wal_sync:Store.Never () in
       ignore (D.Database.add db (atom "prof(russ)"));
       check_bool "into a store with facts" true
-        (raises (fun () -> D.Database.bulk_load db ~src));
+        (raises (fun () -> D.Database.bulk_load db facts));
       (* A store emptied by logged deletes loads too. Its WAL's history
          is folded into a checkpoint of its own first: replayed over the
          loaded image after a crash before the WAL reset, the logged
          delete would take prof(russ) out of it. *)
       ignore (D.Database.remove db (atom "prof(russ)"));
-      D.Database.bulk_load db ~src;
+      D.Database.bulk_load db facts;
       let st = D.Database.store_stats db |> Option.get in
       check_int "history folded, then the load" 2 st.Store.checkpoints;
       check_int "WAL empty" 0 st.Store.wal_bytes;
@@ -650,7 +653,62 @@ let db_bulk_load_rejects () =
       let db = D.Database.open_paged ~dir () in
       check_bool "every fact after reopen" true (sorted_facts db = sorted_facts src);
       check_int "generation after reopen" gen (D.Database.generation db);
+      D.Database.close db);
+  (* A non-ground fact is rejected before the store changes: no fact,
+     no symbol, and the same store then loads a ground list. *)
+  with_dir (fun dir ->
+      let db = D.Database.open_paged ~dir () in
+      check_bool "a non-ground fact" true
+        (raises (fun () -> D.Database.bulk_load db (facts @ [ atom "r(X)" ])));
+      let st = D.Database.store_stats db |> Option.get in
+      check_int "no fact loaded" 0 st.Store.facts;
+      check_int "no symbol taken" 0 st.Store.symbols;
+      D.Database.bulk_load db facts;
+      check_bool "then loads" true (sorted_facts db = sorted_facts src);
       D.Database.close db)
+
+(* The image-order contract on random programs: [bulk_load facts]
+   writes the image that adding [iter (of_list facts)]'s facts one by
+   one and checkpointing writes. The lists draw 1-200 predicate names,
+   so the grouping table's buckets collide and it resizes past 128
+   keys; nullary and mixed-arity predicates; and repeated facts. *)
+let gen_fact_list =
+  let open QCheck2.Gen in
+  let* n_preds = int_range 1 200 in
+  let fact =
+    let* p = int_bound (n_preds - 1) in
+    let* arity = int_bound 3 in
+    let+ args = list_repeat arity (int_bound 12) in
+    D.Atom.make (Printf.sprintf "q%d" p)
+      (List.map (fun c -> D.Term.const (Printf.sprintf "c%d" c)) args)
+  in
+  list_size (int_bound 400) fact
+
+let db_bulk_image_order =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"database: bulk image of a fact list = per-fact adds in iter order"
+       ~print:(fun facts -> String.concat " " (List.map D.Atom.to_string facts))
+       gen_fact_list
+       (fun facts ->
+         with_dir (fun per_fact ->
+             with_dir (fun bulk ->
+                 let a =
+                   D.Database.open_paged ~dir:per_fact ~wal_sync:Store.Never ()
+                 in
+                 D.Database.iter
+                   (fun f -> ignore (D.Database.add a f))
+                   (D.Database.of_list facts);
+                 D.Database.checkpoint a;
+                 let gen_a = D.Database.generation a in
+                 D.Database.close a;
+                 let b =
+                   D.Database.open_paged ~dir:bulk ~wal_sync:Store.Never ()
+                 in
+                 D.Database.bulk_load b facts;
+                 let gen_b = D.Database.generation b in
+                 D.Database.close b;
+                 gen_a = gen_b && image_files per_fact = image_files bulk))))
 
 let suite =
   [
@@ -679,5 +737,6 @@ let suite =
           db_bulk_commit_cuts;
         case "database: bulk load rejects memory and non-empty stores"
           db_bulk_load_rejects;
+        db_bulk_image_order;
       ] );
   ]
