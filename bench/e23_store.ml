@@ -3,11 +3,11 @@
    The same first-arg-indexed retrieval workload run against both
    Database backends while the database size sweeps past the buffer
    pool: facts r(g<i>, m<j>) in first-arg buckets of ~10, queried with
-   bound-first patterns r(g<k>, X) drawn Zipf-skewed (the same
-   closed-loop skew E20/E22 use), so the pool has the locality real
-   query traffic has. The paged rows reopen the store with a pool
-   holding ~25% of its pages, so the cold tail of the distribution
-   pages from disk through clock eviction. The claim is graceful
+   bound-first patterns r(g<k>, X) drawn Zipf-skewed (the Zipf-1.1
+   skew of the serve-path pools in Serve_load), so the pool has the
+   locality real query traffic has. The paged rows reopen the store
+   with a pool holding ~25% of its pages, so the cold tail of the
+   distribution pages from disk through clock eviction. The claim is graceful
    degradation, not parity: locator directory and per-predicate hash
    buckets stay resident, so a lookup costs at most one page fetch and
    the paged backend should hold within a small constant factor of
@@ -22,28 +22,12 @@
    paged q/s — the CI smoke gate). *)
 
 module D = Datalog
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( try int_of_string v with _ -> default)
-  | None -> default
+open Serve_load
 
 let total_queries () = env_int "E23_QUERIES" 20_000
 let n_patterns () = env_int "E23_PATTERNS" 512
 let bucket = 10
-let zipf_s = 1.1
-
-let sizes () =
-  let spec =
-    match Sys.getenv_opt "E23_SIZES" with
-    | Some s when s <> "" -> s
-    | _ -> "2000,10000,40000"
-  in
-  String.split_on_char ',' spec
-  |> List.filter_map (fun s ->
-         match int_of_string_opt (String.trim s) with
-         | Some n when n >= bucket -> Some n
-         | _ -> None)
+let sizes () = env_ints "E23_SIZES" ~min:bucket [ 2000; 10000; 40000 ]
 
 let facts n =
   List.init n (fun i ->
@@ -60,10 +44,7 @@ let patterns n =
    generated outside the timed loop and replayed identically against
    both backends. *)
 let schedule q =
-  let weights =
-    Array.init (n_patterns ()) (fun i ->
-        1.0 /. Float.pow (float_of_int (i + 1)) zipf_s)
-  in
+  let weights = zipf_weights (n_patterns ()) in
   let rng = Stats.Rng.create 42L in
   Array.init q (fun _ -> Stats.Rng.categorical rng weights)
 
@@ -179,25 +160,15 @@ let run () =
            Table.f2 r.ratio;
          ])
        rows);
-  (match Sys.getenv_opt "E23_JSON" with
-  | None | Some "" -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\"experiment\":\"e23\",\"queries\":%d,\"patterns\":%d,\
-       \"bucket\":%d,\"rows\":[%s]}\n"
-      (total_queries ()) (n_patterns ()) bucket
-      (String.concat "," (List.map json_of_row rows));
-    close_out oc;
-    Table.note "wrote %s\n" path);
-  match (Sys.getenv_opt "E23_REQUIRE_RATIO", List.rev rows) with
-  | (None | Some ""), _ | _, [] -> ()
-  | Some _, worst :: _ ->
-    let ratio_max =
-      match Sys.getenv_opt "E23_RATIO_MAX" with
-      | Some v -> ( try float_of_string v with _ -> 3.0)
-      | None -> 3.0
-    in
+  write_json "E23_JSON"
+    (Printf.sprintf
+       "{\"experiment\":\"e23\",\"queries\":%d,\"patterns\":%d,\
+        \"bucket\":%d,\"rows\":[%s]}"
+       (total_queries ()) (n_patterns ()) bucket
+       (String.concat "," (List.map json_of_row rows)));
+  match List.rev rows with
+  | worst :: _ when env_set "E23_REQUIRE_RATIO" ->
+    let ratio_max = env_float "E23_RATIO_MAX" 3.0 in
     if worst.ratio > ratio_max then begin
       Printf.eprintf
         "E23: paged throughput %.1f q/s is %.2fx slower than memory's %.1f \
@@ -206,3 +177,4 @@ let run () =
       exit 1
     end
     else Table.note "ratio gate passed (%.2fx <= %.2fx)\n" worst.ratio ratio_max
+  | _ -> ()

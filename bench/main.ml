@@ -24,9 +24,6 @@ let experiments =
     ("e15", "AND/OR hypergraphs (Note 4)", E15_hypergraph.run);
     ("e16", "genealogy knowledge base end-to-end", E16_genealogy.run);
     ("e17", "live query processor with PIB", E17_live.run);
-    ("e18", "serve daemon closed-loop throughput/latency", E18_serve.run);
-    ("e19", "tracing overhead on the serve path", E19_trace.run);
-    ("e20", "answer caching & memoization on the serve path", E20_cache.run);
     ("e21", "observability overhead on the serve path", E21_obs.run);
     ("e22", "serve-path scaling over loop domains", E22_scale.run);
     ("e23", "paged store vs in-memory retrieval", E23_store.run);

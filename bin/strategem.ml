@@ -433,12 +433,7 @@ let run_explain file atom_text json dot cached =
       ans.Core.Live.stats.D.Sld.retrievals
       (if ans.Core.Live.cached then "  (cached)" else "");
     Fmt.pr "%a" Trace.pp_tree root;
-    let exec_cost =
-      List.fold_left
-        (fun acc sp -> acc +. Trace.total_cost sp)
-        0.0
-        (Trace.find_kind root "exec")
-    in
+    let exec_cost = Core.Live.exec_cost root in
     Fmt.pr "paper cost: %g (monitor: %g, %s)@." exec_cost ans.Core.Live.cost
       (if Float.abs (exec_cost -. ans.Core.Live.cost) <= 1e-9 then
          "consistent"

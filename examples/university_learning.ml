@@ -29,8 +29,8 @@ let () =
 
   (* PIB behind the Figure-4 monitor: the QP answers queries, PIB watches. *)
   let oracle = Core.Oracle.of_queries g mix (Stats.Rng.create 7L) in
-  let pib = Core.Pib.create smith in
-  let qp = Core.Monitor.create smith (Core.Monitor.of_pib pib) in
+  let learner = Core.Learner.create `Pib smith in
+  let qp = Core.Monitor.create ~learner smith in
   Core.Monitor.serve qp oracle ~n:4000;
   Fmt.pr "PIB (monitored): %a  E[cost] = %.3f  (switches at queries: %s)@."
     Spec.pp_dfs

@@ -173,6 +173,12 @@ let execute ~tracer ~parent t ~db query =
   Trace.finish tracer exec_span;
   (ctx, outcome)
 
+let exec_cost root =
+  List.fold_left
+    (fun acc sp -> acc +. Trace.total_cost sp)
+    0.0
+    (Trace.find_kind root "exec")
+
 (* Feed the learner the outcome of the execution, in a [learn] span, and
    adopt any conjecture. This runs for every query, cached or not — the
    learner must see the full query distribution and the true paper cost

@@ -112,6 +112,11 @@ val answer_cached :
   Datalog.Atom.t ->
   answer
 
+(** The paper cost summed over the [exec] spans under a span: for a
+    tree recorded by {!answer} or {!answer_cached}, the answer's [cost]
+    (equal unless the tracer has a bug). *)
+val exec_cost : Trace.span -> float
+
 (** Queries answered so far. *)
 val queries : t -> int
 

@@ -1,71 +1,15 @@
-open Infgraph
 open Strategy
 
-type learner = {
-  observe : Spec.dfs -> Context.t -> Exec.outcome -> unit;
-  propose : unit -> Spec.dfs option;
-  finished : unit -> bool;
-}
-
-let null_learner =
-  {
-    observe = (fun _ _ _ -> ());
-    propose = (fun () -> None);
-    finished = (fun () -> false);
-  }
-
-let of_pib pib =
-  let proposal = ref None in
-  {
-    observe =
-      (fun _theta _ctx outcome ->
-        match Pib.observe pib outcome with
-        | Some climb -> proposal := Some climb.Pib.to_strategy
-        | None -> ());
-    propose =
-      (fun () ->
-        let p = !proposal in
-        proposal := None;
-        p);
-    finished = (fun () -> false);
-  }
-
-let of_palo palo =
-  let proposal = ref None in
-  {
-    observe =
-      (fun _theta ctx outcome ->
-        match Palo.observe palo ctx outcome with
-        | Some climb -> proposal := Some climb.Pib.to_strategy
-        | None -> ());
-    propose =
-      (fun () ->
-        let p = !proposal in
-        proposal := None;
-        p);
-    finished =
-      (fun () ->
-        match Palo.status palo with
-        | Palo.Stopped _ -> true
-        | Palo.Running -> false);
-  }
-
-let of_learner l =
-  {
-    observe = (fun _theta ctx outcome -> Learner.observe l ctx outcome);
-    propose = (fun () -> Learner.conjecture l);
-    finished = (fun () -> Learner.finished l);
-  }
-
 type t = {
-  learner : learner;
+  learner : Learner.t option;
   mutable theta : Spec.dfs;
   mutable queries : int;
   mutable cost : float;
   mutable switches : (int * Spec.dfs) list; (* newest first *)
 }
 
-let create theta learner = { learner; theta; queries = 0; cost = 0.; switches = [] }
+let create ?learner theta =
+  { learner; theta; queries = 0; cost = 0.; switches = [] }
 
 let strategy t = t.theta
 let queries t = t.queries
@@ -79,16 +23,16 @@ let answer ?(tracer = Trace.null) ?(parent = Trace.dummy) t ctx =
   t.queries <- t.queries + 1;
   t.cost <- t.cost +. outcome.Exec.cost;
   let switched =
-    if t.learner.finished () then false
-    else begin
-      t.learner.observe t.theta ctx outcome;
-      match t.learner.propose () with
+    match t.learner with
+    | Some l when not (Learner.finished l) -> (
+      Learner.observe l ctx outcome;
+      match Learner.conjecture l with
       | Some theta' ->
         t.theta <- theta';
         t.switches <- (t.queries, theta') :: t.switches;
         true
-      | None -> false
-    end
+      | None -> false)
+    | _ -> false
   in
   (outcome, switched)
 

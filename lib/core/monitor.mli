@@ -11,30 +11,12 @@
 open Infgraph
 open Strategy
 
-(** What a pluggable learner must provide. *)
-type learner = {
-  observe : Spec.dfs -> Context.t -> Exec.outcome -> unit;
-      (** called after every query the QP answers, with the context it
-          was answered in *)
-  propose : unit -> Spec.dfs option;
-      (** called after [observe]; [Some θ'] switches the QP *)
-  finished : unit -> bool;
-      (** a finished learner is no longer consulted *)
-}
-
-(** A learner that never proposes anything (pure monitoring). *)
-val null_learner : learner
-
-(** Adapters. *)
-val of_pib : Pib.t -> learner
-val of_palo : Palo.t -> learner
-
-(** Any learner behind the unified {!Learner} API. *)
-val of_learner : Learner.t -> learner
-
 type t
 
-val create : Spec.dfs -> learner -> t
+(** [create θ] answers with θ; with [learner], every answered context
+    is fed to it and its conjectures switch the QP until it is
+    {!Learner.finished}. Without one the monitor only monitors. *)
+val create : ?learner:Learner.t -> Spec.dfs -> t
 val strategy : t -> Spec.dfs
 
 (** Answer one context with the current strategy; feed the learner; apply

@@ -368,18 +368,6 @@ let log_query st ~conn ~qid ~latency_ns atom_text (ans : Core.Live.answer) =
           ("switched", Obs.Log.B ans.Core.Live.switched);
         ]
 
-(* The paper-cost total of the trace's [exec] spans, checked against the
-   cost the learner pipeline recorded — the built-in consistency check on
-   the cost model (equal unless the tracer has a bug). *)
-let exec_cost_of_trace tracer =
-  match Trace.root_span tracer with
-  | None -> 0.0
-  | Some root ->
-    List.fold_left
-      (fun acc sp -> acc +. Trace.total_cost sp)
-      0.0
-      (Trace.find_kind root "exec")
-
 let with_query st atom_text f =
   match D.Parser.parse_atom atom_text with
   | exception (D.Parser.Parse_error (msg, _) | D.Lexer.Lex_error (msg, _)) ->
@@ -426,13 +414,14 @@ let handle_trace st ls ~conn ~qid ~w atom_text =
       let tracer = Trace.make () in
       let ans, latency_ns = answer_traced st ls ~w tracer q in
       log_query st ~conn ~qid ~latency_ns atom_text ans;
-      let paper_cost = exec_cost_of_trace tracer in
-      let monitor_cost = ans.Core.Live.cost in
-      let span_json =
+      (* the trace's paper cost against the cost the learner pipeline
+         recorded: the built-in consistency check on the cost model *)
+      let paper_cost, span_json =
         match Trace.root_span tracer with
-        | Some sp -> Trace.to_json sp
-        | None -> "{}"
+        | Some sp -> (Core.Live.exec_cost sp, Trace.to_json sp)
+        | None -> (0.0, "{}")
       in
+      let monitor_cost = ans.Core.Live.cost in
       (* ["derived"] stays for existing clients; subsumption-derived
          hits were removed, so it is always false. *)
       let reply =

@@ -730,8 +730,8 @@ let monitor_with_pib () =
   let ga = make_ga () in
   let model = ga_model ga ~pp:0.05 ~pg:0.9 in
   let oracle = C.Oracle.of_model model (rng 58) in
-  let pib = C.Pib.create (ga_theta1 ga) in
-  let qp = C.Monitor.create (ga_theta1 ga) (C.Monitor.of_pib pib) in
+  let learner = C.Learner.create `Pib (ga_theta1 ga) in
+  let qp = C.Monitor.create ~learner (ga_theta1 ga) in
   C.Monitor.serve qp oracle ~n:2000;
   check_bool "switched to Θ2" true
     (Spec.equal_dfs (C.Monitor.strategy qp) (ga_theta2 ga));
@@ -743,13 +743,18 @@ let monitor_with_palo () =
   let ga = make_ga () in
   let model = ga_model ga ~pp:0.05 ~pg:0.9 in
   let oracle = C.Oracle.of_model model (rng 59) in
-  let palo =
-    C.Palo.create ~config:{ C.Palo.default_config with epsilon = 0.5 } (ga_theta1 ga)
+  let learner =
+    C.Learner.create
+      ~config:
+        {
+          C.Learner.default_config with
+          palo = { C.Palo.default_config with epsilon = 0.5 };
+        }
+      `Palo (ga_theta1 ga)
   in
-  let qp = C.Monitor.create (ga_theta1 ga) (C.Monitor.of_palo palo) in
+  let qp = C.Monitor.create ~learner (ga_theta1 ga) in
   C.Monitor.serve qp oracle ~n:20_000;
-  check_bool "PALO finished" true
-    (match C.Palo.status palo with C.Palo.Stopped _ -> true | _ -> false);
+  check_bool "PALO finished" true (C.Learner.finished learner);
   check_bool "ended on Θ2" true
     (Spec.equal_dfs (C.Monitor.strategy qp) (ga_theta2 ga))
 
@@ -757,7 +762,7 @@ let monitor_null_learner () =
   let ga = make_ga () in
   let model = ga_model ga ~pp:0.5 ~pg:0.5 in
   let oracle = C.Oracle.of_model model (rng 60) in
-  let qp = C.Monitor.create (ga_theta1 ga) C.Monitor.null_learner in
+  let qp = C.Monitor.create (ga_theta1 ga) in
   C.Monitor.serve qp oracle ~n:100;
   check_int "never switches" 0 (List.length (C.Monitor.switches qp))
 

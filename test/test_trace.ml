@@ -292,9 +292,7 @@ let monitor_trace_matches_cost =
   qcheck "Monitor: exec span cost ≡ recorded cost" ~count:100
     (QCheck2.Gen.pair gen_experiment_instance QCheck2.Gen.small_nat)
     (fun ((g, model), seed) ->
-      let qp =
-        C.Monitor.create (Strategy.Spec.default g) C.Monitor.null_learner
-      in
+      let qp = C.Monitor.create (Strategy.Spec.default g) in
       let ctx = any_context model seed in
       let t = Trace.make () in
       let parent = Trace.root t ~kind:"query" "q" in
